@@ -14,14 +14,13 @@ from .seriesops import (phi_op, psi_op, d_op, gamma_action, ell_op,
                         LogPolynomial, growth_order, growth_order_estimate,
                         cyclotomic_evaluate, divide_by_log, log_order)
 from .modules import (FilteredPhiModule, Subspace, Certificate,
-                      modular_form_module, tensor_slope_check)
+                      modular_form_module, mf_rank_table, tensor_slope_check)
 from .analytic import (VectorSeries, phi_vec, phi_growth_order,
                        check_membership, MembershipReport, wronskian_det,
                        phi_orbit_wedge, orbit_relation, OrbitRelation,
                        contradiction_pipeline, ContradictionReport,
                        det_log_divisibility)
 from .serialize import parse_module_file, parse_series_file
-from .cli import mf_rank_table
 from .suites import run_suite
 
 __version__ = "0.1.0"

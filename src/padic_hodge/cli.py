@@ -19,7 +19,7 @@ from .errors import PadicError, PrecisionError, TailBoundError
 from .padics import UnramifiedField
 from .series import INFINITE
 from . import seriesops as so
-from .modules import modular_form_module
+from .modules import mf_rank_table
 from .analytic import (VectorSeries, check_membership, contradiction_pipeline)
 from . import serialize as ser
 from . import generators as gen
@@ -209,25 +209,6 @@ def cmd_mf_rank_table(args):
           {"rows": [{"j": j, "dim_fil1": dim, "rank": rank}
                     for j, dim, rank in table]})
     return EXIT_OK
-
-
-def mf_rank_table(p, k_weight, a_p, j_min, j_max, precision=20, guard=4):
-    """Rows (j, dim fil1, rank) for the twisted eigenform module."""
-    if j_min > j_max:
-        raise ValueError("jmin must be <= jmax")
-    base = modular_form_module(p, k_weight, a_p, precision=precision,
-                               guard=guard)
-    rows = []
-    prev_rank = None
-    for j in range(j_min, j_max + 1):
-        tw = base.twist(j)
-        dim = tw.fil1().dimension
-        rank = base.field.f * dim
-        if prev_rank is not None and rank < prev_rank:
-            raise PadicError("rank table is not non-decreasing (internal error)")
-        prev_rank = rank
-        rows.append((j, dim, rank))
-    return rows
 
 
 def _series_field_for(args, cfg, divisions=0):

@@ -81,7 +81,8 @@ def random_wa_module_d2(field, rng):
     a generic (non-eigen) filtration line; admissible by construction and
     re-certified."""
     p = field.p
-    while True:
+    last = None
+    for _ in range(400):
         a = rng.randint(-3, 0)
         b = rng.randint(a + 1, 1)
         # j1 <= a keeps every eigenline admissible; j1 < j2 = a+b-j1 as well
@@ -107,10 +108,13 @@ def random_wa_module_d2(field, rng):
         try:
             M = FilteredPhiModule(field, A, filt)
             cert = M.is_weakly_admissible()
-        except Exception:
+        except Exception as e:
+            last = e
             continue
         if cert.verdict:
             return M
+    raise RuntimeError("could not sample a weakly admissible d=2 module") \
+        from last
 
 
 def random_wa_module_d3(field, rng, max_tries=400):
@@ -176,7 +180,8 @@ def random_h0_ncond_module(field, rng):
     degree condition on Fil^0-avoiding subspaces (always true for this
     family: slopes a < b <= -1, jumps {a+b, 0}, generic line)."""
     p = field.p
-    while True:
+    last = None
+    for _ in range(400):
         b = rng.randint(-2, -1)
         a = rng.randint(b - 2, b - 1)
         j1 = a + b
@@ -198,7 +203,8 @@ def random_h0_ncond_module(field, rng):
                 (0, Subspace(field, 2, [[field.coerce(c) for c in line]]))]
         try:
             M = FilteredPhiModule(field, A, filt)
-        except Exception:
+        except Exception as e:
+            last = e
             continue
         if not M.is_weakly_admissible().verdict:
             continue
@@ -208,6 +214,8 @@ def random_h0_ncond_module(field, rng):
         if h.get(0, 0) == 0:
             continue
         return M
+    raise RuntimeError("could not sample an h_0 != 0 module satisfying the "
+                       "degree condition") from last
 
 
 def synthetic_member(module, rng, n, mode="deep", extra_log=0):

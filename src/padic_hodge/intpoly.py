@@ -4,14 +4,17 @@ A coefficient vector with entries in [0, mod) is packed into one Python
 integer using fixed-width limbs sized so that a full convolution cannot
 overflow a limb.  Polynomial products then become single big-integer
 multiplications, and Taylor shifts f(x) -> f(x + delta) become a
-divide-and-conquer stack of such products.  Everything here is exact
+divide-and-conquer stack of such products.  Composition f(g(x)) is
+Brent-Kung baby-step/giant-step: the baby powers of g are packed once, each
+block of f becomes an integer combination of those packed integers, and
+only the giant steps cost polynomial products.  Everything here is exact
 integer arithmetic; reduction mod p^R happens only at unpack time.
 
 These kernels are internal: the series layer is responsible for precision
 bookkeeping and only hands in canonical residue vectors.
 """
 
-from math import comb
+from math import comb, isqrt
 from functools import lru_cache
 
 
@@ -61,16 +64,6 @@ def polymul(a, b, mod: int, out_len: int):
     out = [c % mod for c in res]
     if keep < out_len:
         out.extend([0] * (out_len - keep))
-    return out
-
-
-def poly_add(a, b, mod: int):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % mod
     return out
 
 
@@ -127,14 +120,37 @@ def contract(coeffs, factor: int):
 def compose(f, g, mod: int, out_len: int):
     """Coefficients of f(g(x)) truncated to ``out_len``; needs g[0] == 0.
 
-    Horner from the top; every step is one packed product.
+    Baby-step/giant-step (Brent & Kung, J. ACM 1978).  With m = ceil(sqrt
+    len f), write f = sum_i B_i(x) x^(im) where each block B_i has m
+    coefficients.  The baby powers g^0 .. g^(m-1) are packed once into
+    limbs wide enough for a sum of m products, so each B_i(g) is a sum of
+    small-integer multiples of packed integers.  Horner in G = g^m over the
+    blocks then takes ceil(len f / m) - 1 products, about 2 sqrt(len f)
+    with the baby steps.
     """
     if g and g[0] % mod != 0:
         raise ValueError("composition requires g(0) = 0")
-    acc = [0] * out_len
-    for c in reversed(f):
-        acc = polymul(acc, g, mod, out_len)
-        acc[0] = (acc[0] + c) % mod
+    if not f:
+        return [0] * out_len
+    g = [c % mod for c in g[:out_len]]
+    m = isqrt(len(f) - 1) + 1
+    powers = [[1] + [0] * (out_len - 1), g]
+    while len(powers) <= m:
+        powers.append(polymul(powers[-1], g, mod, out_len))
+    giant = powers.pop()
+    lb = _limb_bits(mod, m) // 8
+    packed = [pack(q, lb) for q in powers]
+
+    def block(i):
+        # B_i(g): no limb overflows, since it sums at most m products
+        s = sum((c % mod) * q for c, q in zip(f[i:i + m], packed))
+        return [c % mod for c in unpack(s, out_len, lb)]
+
+    starts = range(0, len(f), m)
+    acc = block(starts[-1])
+    for i in reversed(starts[:-1]):
+        acc = polymul(acc, giant, mod, out_len)
+        acc = [(a + b) % mod for a, b in zip(acc, block(i))]
     return acc
 
 

@@ -686,3 +686,22 @@ def modular_form_module(p: int, k_weight: int, a_p, filtration_line=None,
                                [field.zero(), field.one()]])
     filt = [(-(k_weight - 1), full), (0, line)]
     return FilteredPhiModule(field, mat, filt, guard)
+
+
+def mf_rank_table(p, k_weight, a_p, j_min, j_max, precision=20, guard=4):
+    """Rows (j, dim fil1, rank) for the twisted eigenform module."""
+    if j_min > j_max:
+        raise ValueError("jmin must be <= jmax")
+    base = modular_form_module(p, k_weight, a_p, precision=precision,
+                               guard=guard)
+    rows = []
+    prev_rank = None
+    for j in range(j_min, j_max + 1):
+        tw = base.twist(j)
+        dim = tw.fil1().dimension
+        rank = base.field.f * dim
+        if prev_rank is not None and rank < prev_rank:
+            raise PadicError("rank table is not non-decreasing (internal error)")
+        prev_rank = rank
+        rows.append((j, dim, rank))
+    return rows

@@ -184,6 +184,7 @@ def module_to_json(m: FilteredPhiModule):
         "defpoly": list(m.field.defpoly),
         "dim": m.d,
         "precision": m.field.prec,
+        "work_margin": m.field.work_prec - m.field.prec,
         "phi": [[element_to_json(c) for c in row] for row in m.phi_matrix],
         "filtration": [{"jump": j,
                         "basis": [[element_to_json(c) for c in vec]

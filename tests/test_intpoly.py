@@ -3,6 +3,8 @@
 import random
 from math import comb
 
+import pytest
+
 from padic_hodge import intpoly
 
 
@@ -57,6 +59,15 @@ def test_stretch_contract():
     assert intpoly.contract(s, 3) == [1, 2, 3, 4]
 
 
+def horner(f, g, mod, out_len, mul):
+    """Composition oracle: Horner from the top, one product per coefficient."""
+    acc = [0] * out_len
+    for c in reversed(f):
+        acc = mul(acc, g, mod, out_len)
+        acc[0] = (acc[0] + c) % mod
+    return acc
+
+
 def test_compose_matches_naive():
     rng = random.Random(4)
     mod = 5 ** 18
@@ -65,12 +76,61 @@ def test_compose_matches_naive():
         f = [rng.randrange(mod) for _ in range(n)]
         g = [0] + [rng.randrange(mod) for _ in range(n - 1)]
         got = intpoly.compose(f, g, mod, n)
-        # naive Horner with naive multiplication
-        acc = [0] * n
-        for c in reversed(f):
-            acc = naive_mul(acc, g, mod, n)
-            acc[0] = (acc[0] + c) % mod
-        assert got == acc
+        assert got == horner(f, g, mod, n, naive_mul)
+
+
+def _compose_cases(rng, len_f, mod, wide):
+    """Seeded (f, g, out_len) triples around one length of f.
+
+    out_len runs below, at and above len f and down to 1; g is full,
+    the constant [0], or shorter than out_len.  With ``wide`` the inputs
+    come from a window 125 times wider and must be reduced mod ``mod``.
+    """
+    top = mod * 125 if wide else mod
+    f = [rng.randrange(top) for _ in range(len_f)]
+    for out_len in sorted({1, max(len_f - 3, 1), max(len_f, 1), len_f + 4}):
+        full = [0] + [rng.randrange(top) for _ in range(out_len + 2)]
+        short = [mod if wide else 0] + [rng.randrange(top)
+                                        for _ in range(out_len // 2)]
+        for g in (full, [0], short):
+            yield f, g, out_len
+
+
+@pytest.mark.parametrize("p", [3, 7, 11])
+@pytest.mark.parametrize("len_f", [0, 1, 2, 16, 17])
+def test_compose_small_against_naive_horner(p, len_f):
+    rng = random.Random(100 * p + len_f)
+    for digits, wide in ((1, False), (9, True), (40, False)):
+        mod = p ** digits
+        for f, g, out_len in _compose_cases(rng, len_f, mod, wide):
+            assert intpoly.compose(f, g, mod, out_len) == \
+                horner(f, g, mod, out_len, naive_mul)
+
+
+@pytest.mark.parametrize("p, len_f, digits", [
+    (3, 126, 60), (7, 126, 20), (11, 126, 40), (5, 126, 340),
+    (3, 344, 30), (7, 344, 60), (11, 344, 20),
+])
+def test_compose_large_against_polymul_horner(p, len_f, digits):
+    # polymul itself is checked against naive multiplication above
+    rng = random.Random(1000 * p + len_f + digits)
+    mod = p ** digits
+    f = [rng.randrange(mod) for _ in range(len_f)]
+    for out_len in (1, len_f - 7, len_f, len_f + 3):
+        g = [0] + [rng.randrange(mod) for _ in range(out_len)]
+        assert intpoly.compose(f, g, mod, out_len) == \
+            horner(f, g, mod, out_len, intpoly.polymul)
+    short = [0] + [rng.randrange(mod * p) for _ in range(len_f // 3)]
+    assert intpoly.compose(f, short, mod, len_f) == \
+        horner(f, short, mod, len_f, intpoly.polymul)
+    assert intpoly.compose(f, [0], mod, len_f) == [f[0]] + [0] * (len_f - 1)
+
+
+def test_compose_requires_zero_constant_term():
+    mod = 7 ** 5
+    for g in ([1, 1], [mod + 3], [-1, 0, 2]):
+        with pytest.raises(ValueError):
+            intpoly.compose([1, 2, 3], g, mod, 4)
 
 
 def test_invert_series_roundtrip():

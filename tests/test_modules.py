@@ -1,7 +1,9 @@
 """Filtered phi-modules: degrees, slopes, admissibility, constructions."""
 
 import random
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -358,3 +360,28 @@ def test_rank_staircase():
         ranks = [m.twist(j).universal_norm_rank() for j in range(-3, -jmin + 2)]
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
         assert ranks[-1] == m.field.f * m.d
+
+
+# -- generators --------------------------------------------------------------
+
+def test_generators_give_up_instead_of_looping(K5, monkeypatch):
+    # a certifier that fails on every candidate ends in RuntimeError, chained
+    # to the last failure, after a bounded number of tries
+    def failing(*args, **kwargs):
+        raise PadicError("certifier failed")
+
+    start = time.perf_counter()
+    monkeypatch.setattr(FilteredPhiModule, "is_weakly_admissible", failing)
+    with pytest.raises(RuntimeError) as info:
+        gen.random_wa_module_d2(K5, random.Random(5))
+    assert isinstance(info.value.__cause__, PadicError)
+    monkeypatch.setattr(gen, "FilteredPhiModule", failing)
+    with pytest.raises(RuntimeError) as info:
+        gen.random_h0_ncond_module(K5, random.Random(5))
+    assert isinstance(info.value.__cause__, PadicError)
+    monkeypatch.undo()
+    monkeypatch.setattr(FilteredPhiModule, "is_weakly_admissible",
+                        lambda self: SimpleNamespace(verdict=False))
+    with pytest.raises(RuntimeError):
+        gen.random_h0_ncond_module(K5, random.Random(5))
+    assert time.perf_counter() - start < 10

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 import pytest
 
-from padic_hodge.padics import PadicScalar
+from padic_hodge.padics import PadicScalar, UnramifiedField
 from padic_hodge.series import TruncatedSeries
 from padic_hodge import seriesops as so
 from padic_hodge.modules import modular_form_module
@@ -58,6 +58,13 @@ def test_module_roundtrip(K5):
     assert back.newton_slopes() == m.newton_slopes()
     assert back.jumps() == m.jumps()
     assert back.universal_norm_rank() == m.universal_norm_rank()
+
+
+def test_module_roundtrip_keeps_work_margin():
+    field = UnramifiedField(5, 1, 20, work_margin=140)
+    m = modular_form_module(5, 2, 1, field=field)
+    back = ser.module_from_json(ser.module_to_json(m))
+    assert back.field.work_prec == field.work_prec == 160
 
 
 def test_schema_errors(tmp_path, K5):
@@ -222,8 +229,10 @@ def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "padic_hodge.cli",
                            "rank", "-m", "supersingular"],
                           capture_output=True, text=True)
-    # module execution path: python -m padic_hodge.cli
+    # module execution path: python -m padic_hodge.cli; importing the
+    # package must not import padic_hodge.cli, or runpy warns on stderr
     assert proc.returncode == 0 and proc.stdout.strip() == "rank\t0"
+    assert proc.stderr == ""
 
 
 def test_config_validation():

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_hodge.padics import PadicScalar
+from padic_hodge.padics import PadicScalar, UnramifiedField
 from padic_hodge.series import TruncatedSeries
 from padic_hodge import seriesops as so
 from padic_hodge.errors import PsiNotZeroError
@@ -194,6 +194,29 @@ def test_gamma_padic_scalar_argument(K5):
     expect = so.gamma_action(f, 7)
     m = min(out.n, expect.n)
     assert out.truncate(m).equals(expect.truncate(m))
+
+
+@pytest.mark.parametrize("p, f, n, c, prec", [
+    (5, 2, 125, 7, 20),
+    (5, 2, 125, Fraction(3, 2), 20),
+    # 40 digits of c, less v_5(125!) = 31 lost to the binomials
+    (5, 2, 125, PadicScalar.from_rational(Fraction(-1, 3), 5, 40), 9),
+    (7, 1, 343, 6, 20),
+    # 70 digits of c, less v_7(343!) = 57
+    (7, 1, 343, PadicScalar.from_rational(Fraction(2, 5), 7, 70), 13),
+])
+def test_gamma_commutes_with_d(p, f, n, c, prec):
+    # D gamma_c = c gamma_c D, with the output precision gamma_c reports
+    field = UnramifiedField(p, f, 20)
+    rng = random.Random(31)
+    g = TruncatedSeries.make(
+        field, [field.random_element(rng) for _ in range(n + 1)], n=n)
+    out = so.gamma_action(g, c)
+    assert out.prec == prec
+    l = so.d_op(out)
+    r = so.gamma_action(so.d_op(g), c)._scalar_mul(c)
+    m = min(l.n, r.n)
+    assert l.truncate(m).equals(r.truncate(m))
 
 
 # -- ell -------------------------------------------------------------------
