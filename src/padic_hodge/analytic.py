@@ -16,7 +16,7 @@ from .cyclotomic import CyclotomicLayer
 from .linalg import solve, mat_transpose
 from .series import TruncatedSeries, INFINITE
 from .seriesops import (phi_op, d_op, psi_op, cyclotomic_evaluate, log_order,
-                        rho_norm, growth_order, LogPolynomial)
+                        rho_norm, growth_order, _slope_interval)
 from .modules import FilteredPhiModule, Subspace, _mat_inverse
 
 
@@ -161,18 +161,9 @@ def phi_growth_order(g: VectorSeries, n_max: int = 3) -> PhiOrder:
             ys.append(-min(vals))
     except (TailBoundError, PrecisionError) as e:
         return PhiOrder(False, note=f"estimate unavailable: {e}")
-    k = len(ys)
-    if k < 2:
+    if len(ys) < 2:
         return PhiOrder(False, note="not enough radii for an estimate")
-    sx = Fraction(k * (k + 1), 2)
-    sxx = Fraction(k * (k + 1) * (2 * k + 1), 6)
-    sy = sum(ys)
-    sxy = sum(Fraction(n) * y for n, y in zip(range(1, k + 1), ys))
-    slope = (k * sxy - sx * sy) / (k * sxx - sx * sx)
-    intercept = (sy - slope * sx) / k
-    h = max(abs(y - (slope * n + intercept))
-            for n, y in zip(range(1, k + 1), ys))
-    return PhiOrder(False, interval=(slope - h, slope + h),
+    return PhiOrder(False, interval=_slope_interval(ys),
                     note="least-squares estimate; not used in verdicts")
 
 
@@ -207,8 +198,13 @@ class MembershipReport:
         return [row for row in self.rows if row.status == "non-member"]
 
 
-def _evaluate_vector(components, layer):
-    return [cyclotomic_evaluate(c, layer) for c in components]
+def _derivative_ladder(components, depth):
+    """[components, D(components), ..., D^depth(components)]: every rung
+    after the first truncated to the shortest of its series."""
+    ladder = [components]
+    for _ in range(depth):
+        ladder.append(_align([d_op(c) for c in ladder[-1]]))
+    return ladder
 
 
 def _phi_power_basis(module, S: Subspace, n: int):
@@ -249,14 +245,7 @@ def check_membership(g: VectorSeries, v: int, J, r, n_max: int,
         psi_zero = all(psi_op(c).is_zero for c in g.components)
         if not psi_zero:
             verdict = False
-    # iterated derivatives once per exponent
-    derivs = {0: g.components}
-    comp = g.components
-    for t in range(1, -min_jump + 1):
-        comp = [d_op(c) for c in comp]
-        nmin = min(c.n for c in comp)
-        comp = [c.truncate(nmin) for c in comp]
-        derivs[t] = comp
+    derivs = _derivative_ladder(g.components, -min_jump)
     ops_cache = {}
     for j in range(min_jump, v + 1):
         t = -j
@@ -571,14 +560,7 @@ def det_log_divisibility(gs, n_max: int = 1, threshold=Fraction(1),
     rows = []
     ok = True
     for idx, g in enumerate(gs):
-        comps = g.components
-        derivs = {0: comps}
-        cur = comps
-        for t in range(1, -min_jump + 1):
-            cur = [d_op(c) for c in cur]
-            m = min(c.n for c in cur)
-            cur = [c.truncate(m) for c in cur]
-            derivs[t] = cur
+        derivs = _derivative_ladder(g.components, -min_jump)
         for j in range(min_jump, 1):
             filj = module.fil_at(j)
             if filj.dimension == d:

@@ -242,23 +242,3 @@ def synthetic_member(module, rng, n, mode="deep", extra_log=0):
         else:
             comps = [x + y for x, y in zip(comps, add)]
     return VectorSeries(module, comps)
-
-
-def eigen_member(module, rng, n, log_powers=None):
-    """Structured member over a split module: sum_l log^(u_l) b_l e_l with
-    the eigen metadata attached (exact phi-twisted growth order)."""
-    field = module.field
-    d = module.d
-    slopes = []
-    for i in range(d):
-        ei = [field.zero() for _ in range(d)]
-        ei[i] = field.one()
-        img = module.apply_phi(ei)
-        slopes.append(Fraction(img[i].valuation()))
-    terms = []
-    for i in range(d):
-        u = log_powers[i] if log_powers else rng.randint(0, 3)
-        b = random_poly_series(field, rng, n, deg=2, unit_constant=True)
-        vec = [field.one() if j == i else field.zero() for j in range(d)]
-        terms.append((vec, slopes[i], LogPolynomial({u: b})))
-    return VectorSeries.from_eigen_terms(module, terms, n), terms

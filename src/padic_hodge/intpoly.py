@@ -152,19 +152,3 @@ def compose(f, g, mod: int, out_len: int):
         acc = polymul(acc, giant, mod, out_len)
         acc = [(a + b) % mod for a, b in zip(acc, block(i))]
     return acc
-
-
-def invert_series(u, mod: int, out_len: int):
-    """Inverse of a series with unit constant term, by Newton iteration."""
-    u0 = u[0] % mod
-    inv0 = pow(u0, -1, mod)
-    v = [inv0]
-    length = 1
-    while length < out_len:
-        length = min(2 * length, out_len)
-        uv = polymul(u[:length], v, mod, length)
-        # v <- v * (2 - u v)
-        corr = [(-c) % mod for c in uv]
-        corr[0] = (corr[0] + 2) % mod
-        v = polymul(v, corr, mod, length)
-    return v[:out_len]

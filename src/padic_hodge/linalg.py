@@ -33,10 +33,6 @@ class RingOps:
         return ("nonzero", v)
 
 
-def mat_identity(ops, n):
-    return [[ops.one() if i == j else ops.zero() for j in range(n)] for i in range(n)]
-
-
 def mat_mul(A, B, ops):
     n, k = len(A), len(B)
     m = len(B[0]) if B else 0

@@ -111,6 +111,7 @@ class FilteredPhiModule:
         if validate:
             self._validate()
         self._lattice = None
+        self._degrees = None  # (t_H, t_N) of each _lattice member, or None
 
     # -- validation ------------------------------------------------------
 
@@ -205,10 +206,6 @@ class FilteredPhiModule:
         sv = [field.sigma(c) for c in v]
         return mat_vec(self.phi_matrix, sv, self.ops())
 
-    def apply_phi_subspace(self, S: Subspace) -> Subspace:
-        return Subspace(self.field, self.d,
-                        [self.apply_phi(v) for v in S.basis])
-
     def is_phi_stable(self, S: Subspace):
         ops = self.ops()
         for v in S.basis:
@@ -280,6 +277,7 @@ class FilteredPhiModule:
                 out.append(S)
         out.sort(key=lambda s: s.dimension)
         self._lattice = out
+        self._degrees = [None] * len(out)
         return out
 
     def _poly_of_matrix(self, B, poly, ops):
@@ -368,10 +366,6 @@ class FilteredPhiModule:
                 chain.append((j, Subspace(field, S.dimension, rows)))
         return FilteredPhiModule(field, X, chain, self.guard, validate=False)
 
-    def zero_submodule_degrees(self):
-        """(t_H, t_N) = (0, 0) for the zero module, by convention."""
-        return 0, Fraction(0)
-
     # -- degrees of stable subspaces ------------------------------------------
 
     def sub_degrees(self, S: Subspace):
@@ -387,77 +381,53 @@ class FilteredPhiModule:
 
     # -- admissibility and slope verdicts --------------------------------------
 
-    def is_weakly_admissible(self) -> Certificate:
-        """t_H = t_N globally and t_H <= t_N on every phi-stable subspace."""
-        rows = []
-        witness = None
-        verdict = (self.t_H == self.t_N)
-        note = "" if verdict else "global degrees differ"
-        for S in self.phi_stable_subspaces():
+    def _rows(self, fil_zero_at=None):
+        """CertificateRow(S, t_H, t_N, lambda) of each nonzero stable subspace
+        in lattice order, or of those with induced Fil^fil_zero_at = 0; the
+        degrees of each member are computed at most once per module."""
+        for i, S in enumerate(self.phi_stable_subspaces()):
             if S.dimension == 0:
                 continue
-            th, tn = self.sub_degrees(S)
-            lam = Fraction(th - tn, S.dimension)
-            row = CertificateRow(S, th, tn, lam)
-            rows.append(row)
-            if th > tn:
-                verdict = False
-                if witness is None:
-                    witness = row
-                    note = (f"stable subspace of dimension {S.dimension} has "
-                            f"t_H = {th} > t_N = {tn}")
-        return Certificate(verdict, rows, witness, note)
+            if fil_zero_at is not None and \
+                    self.induced_fil_dim(S, fil_zero_at) != 0:
+                continue
+            if self._degrees[i] is None:
+                self._degrees[i] = self.sub_degrees(S)
+            th, tn = self._degrees[i]
+            yield CertificateRow(S, th, tn, Fraction(th - tn, S.dimension))
+
+    def is_weakly_admissible(self) -> Certificate:
+        """t_H = t_N globally and t_H <= t_N on every phi-stable subspace."""
+        equal = (self.t_H == self.t_N)
+        rows = list(self._rows())
+        witness = next((r for r in rows if r.t_H > r.t_N), None)
+        if witness is not None:
+            return Certificate(
+                False, rows, witness,
+                f"stable subspace of dimension {witness.subspace.dimension} "
+                f"has t_H = {witness.t_H} > t_N = {witness.t_N}")
+        return Certificate(equal, rows, None,
+                           "" if equal else "global degrees differ")
 
     def n_condition(self, j: int) -> Certificate:
         """Every nonzero stable subspace with induced Fil^j = 0 has
         t_H < t_N (strictly)."""
-        rows = []
-        witness = None
-        verdict = True
-        for S in self.phi_stable_subspaces():
-            if S.dimension == 0:
-                continue
-            if self.induced_fil_dim(S, j) != 0:
-                continue
-            th, tn = self.sub_degrees(S)
-            row = CertificateRow(S, th, tn, Fraction(th - tn, S.dimension))
-            rows.append(row)
-            if th >= tn:
-                verdict = False
-                if witness is None:
-                    witness = row
-        return Certificate(verdict, rows, witness)
+        rows = list(self._rows(fil_zero_at=j))
+        witness = next((r for r in rows if r.t_H >= r.t_N), None)
+        return Certificate(witness is None, rows, witness)
 
     def slope_bound_check(self, c, strict: bool = False) -> Certificate:
-        """lambda(S) <= c (or < c) over all nonzero stable subspaces."""
+        """lambda(S) <= c (or < c) over all nonzero stable subspaces; the
+        witness is the first row of maximal slope."""
         c = Fraction(c)
-        rows = []
-        worst = None
-        verdict = True
-        for S in self.phi_stable_subspaces():
-            if S.dimension == 0:
-                continue
-            th, tn = self.sub_degrees(S)
-            lam = Fraction(th - tn, S.dimension)
-            row = CertificateRow(S, th, tn, lam)
-            rows.append(row)
-            if worst is None or lam > worst.slope:
-                worst = row
-            if (lam > c) or (strict and lam == c):
-                verdict = False
-        return Certificate(verdict, rows, worst)
+        rows = list(self._rows())
+        verdict = all(r.slope < c if strict else r.slope <= c for r in rows)
+        return Certificate(verdict, rows,
+                           max(rows, key=lambda r: r.slope, default=None))
 
     def max_subspace_slope(self) -> Fraction:
         """Exact max of lambda over nonzero stable subspaces."""
-        best = None
-        for S in self.phi_stable_subspaces():
-            if S.dimension == 0:
-                continue
-            th, tn = self.sub_degrees(S)
-            lam = Fraction(th - tn, S.dimension)
-            if best is None or lam > best:
-                best = lam
-        return best
+        return max((r.slope for r in self._rows()), default=None)
 
     # -- Fil^1 extraction and the rank formula ---------------------------------
 
@@ -469,16 +439,9 @@ class FilteredPhiModule:
             raise PadicError(
                 f"fil1 requires a weakly admissible module: {adm.note}")
         total = Subspace(self.field, self.d, [])
-        pieces = []
-        for S in self.phi_stable_subspaces():
-            if S.dimension == 0:
-                continue
-            if self.induced_fil_dim(S, 0) != 0:
-                continue
-            th, tn = self.sub_degrees(S)
-            if th == tn:
-                pieces.append(S)
-                total = total.sum(S)
+        for row in self._rows(fil_zero_at=0):
+            if row.t_H == row.t_N:
+                total = total.sum(row.subspace)
         if total.dimension == 0:
             return total
         if self.induced_fil_dim(total, 0) != 0:
@@ -537,16 +500,8 @@ class FilteredPhiModule:
         Pinv = _mat_inverse(P, ops)
         sigmaP = [[field.sigma(c) for c in row] for row in P]
         A_ad = mat_mul(Pinv, mat_mul(self.phi_matrix, sigmaP, ops), ops)
-        filt = []
-        for j in self.jumps():
-            idx = [i for i, lv in enumerate(levels) if lv >= j]
-            vecs = []
-            for i in idx:
-                e = [field.zero() for _ in range(self.d)]
-                e[i] = field.one()
-                vecs.append(e)
-            filt.append((j, Subspace(field, self.d, vecs)))
-        mod = FilteredPhiModule(field, A_ad, filt, self.guard, validate=False)
+        mod = FilteredPhiModule(field, A_ad, _level_filtration(field, levels),
+                                self.guard, validate=False)
         return mod, levels, P
 
     def tensor_product(self, other: "FilteredPhiModule") -> "FilteredPhiModule":
@@ -558,27 +513,12 @@ class FilteredPhiModule:
         field = self.field
         m1, lv1, _ = self.in_adapted_coordinates()
         m2, lv2, _ = other.in_adapted_coordinates()
-        d1, d2 = m1.d, m2.d
-        ops = self.ops()
-        A = [[None] * (d1 * d2) for _ in range(d1 * d2)]
-        for i in range(d1):
-            for j in range(d2):
-                for k in range(d1):
-                    for l in range(d2):
-                        A[i * d2 + j][k * d2 + l] = \
-                            m1.phi_matrix[i][k] * m2.phi_matrix[j][l]
-        sums = sorted({a + b for a in lv1 for b in lv2})
-        filt = []
-        for j in sums:
-            vecs = []
-            for i in range(d1):
-                for k in range(d2):
-                    if lv1[i] + lv2[k] >= j:
-                        e = [field.zero() for _ in range(d1 * d2)]
-                        e[i * d2 + k] = field.one()
-                        vecs.append(e)
-            filt.append((j, Subspace(field, d1 * d2, vecs)))
-        return FilteredPhiModule(field, A, filt, self.guard, validate=False)
+        # row i*d2 + j, column k*d2 + l holds A1[i][k] * A2[j][l]
+        A = [[a * b for a in row1 for b in row2]
+             for row1 in m1.phi_matrix for row2 in m2.phi_matrix]
+        levels = [a + b for a in lv1 for b in lv2]
+        return FilteredPhiModule(field, A, _level_filtration(field, levels),
+                                 self.guard, validate=False)
 
     def wedge_power(self, v: int) -> "FilteredPhiModule":
         """Lambda^v with the filtration induced from the tensor convolution:
@@ -595,17 +535,10 @@ class FilteredPhiModule:
             for row, I in enumerate(idxsets):
                 sub = [[m.phi_matrix[i][j] for j in J] for i in I]
                 A[row][col] = det(sub, ops)
-        sums = sorted({sum(levels[i] for i in I) for I in idxsets})
-        filt = []
-        for j in sums:
-            vecs = []
-            for row, I in enumerate(idxsets):
-                if sum(levels[i] for i in I) >= j:
-                    e = [field.zero() for _ in range(D)]
-                    e[row] = field.one()
-                    vecs.append(e)
-            filt.append((j, Subspace(field, D, vecs)))
-        return FilteredPhiModule(field, A, filt, self.guard, validate=False)
+        wedge_levels = [sum(levels[i] for i in I) for I in idxsets]
+        return FilteredPhiModule(field, A,
+                                 _level_filtration(field, wedge_levels),
+                                 self.guard, validate=False)
 
     def erase_filtration_step(self, k: int) -> "FilteredPhiModule":
         """Same phi; the filtration step at jump k erased (Fil^k becomes
@@ -629,6 +562,17 @@ class FilteredPhiModule:
     def __repr__(self):
         return (f"FilteredPhiModule(d={self.d}, f={self.field.f}, "
                 f"jumps={self.jumps()})")
+
+
+def _level_filtration(field, levels):
+    """Fil^j = span{e_i : levels[i] >= j} on the standard basis of
+    K^len(levels), one step at each level."""
+    n = len(levels)
+    return [(j, Subspace(field, n,
+                         [[field.one() if k == i else field.zero()
+                           for k in range(n)]
+                          for i, lv in enumerate(levels) if lv >= j]))
+            for j in sorted(set(levels))]
 
 
 def _mat_inverse(A, ops):

@@ -262,11 +262,6 @@ def ilog_series(field, n: int) -> TruncatedSeries:
     return cache[key]
 
 
-def log_mult(f: TruncatedSeries) -> TruncatedSeries:
-    """Multiply by log(1+x) at the input's truncation degree."""
-    return (log_series(f.field, f.n) * f).truncate(f.n)
-
-
 def ell_op(f: TruncatedSeries, j: int, psi_check: bool = True) -> TruncatedSeries:
     """ell_j = log(1+x) * D - j, defined on the kernel of psi."""
     if psi_check:
@@ -399,16 +394,20 @@ def growth_order_estimate(f: TruncatedSeries, n_max: int):
     """
     if n_max < 2:
         raise ValueError("need at least two radii to fit a slope")
-    ys = []
-    for n in range(1, n_max + 1):
-        ys.append(-rho_norm(f, n).value)
-    k = n_max
+    return _slope_interval([-rho_norm(f, n).value
+                            for n in range(1, n_max + 1)])
+
+
+def _slope_interval(ys):
+    """Exact least-squares slope of n -> ys[n - 1] over n = 1..len(ys)
+    (at least two points), as (slope - h, slope + h) with h the max
+    residual."""
+    k = len(ys)
     sx = Fraction(k * (k + 1), 2)
     sxx = Fraction(k * (k + 1) * (2 * k + 1), 6)
     sy = sum(ys)
     sxy = sum(Fraction(n) * y for n, y in zip(range(1, k + 1), ys))
-    denom = k * sxx - sx * sx
-    slope = (k * sxy - sx * sy) / denom
+    slope = (k * sxy - sx * sy) / (k * sxx - sx * sx)
     intercept = (sy - slope * sx) / k
     h = max(abs(y - (slope * n + intercept))
             for n, y in zip(range(1, k + 1), ys))

@@ -3,12 +3,13 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
 
 from padic_hodge.padics import UnramifiedField
-from padic_hodge.modules import (FilteredPhiModule, Subspace,
+from padic_hodge.modules import (FilteredPhiModule, Subspace, CertificateRow,
                                  modular_form_module, tensor_slope_check)
 from padic_hodge.errors import (EnumerationUnsupportedError, NotStableError,
                                 PadicError)
@@ -325,6 +326,202 @@ def test_tensor_slope_check_examples(K5):
         m2 = gen.random_wa_module_d2(K5, rng)
         assert tensor_slope_check(m1, m2, m1.max_subspace_slope(),
                                   m2.max_subspace_slope()).verdict
+
+
+# -- certificates over the stable-subspace lattice --------------------------------
+
+def _certificate_modules():
+    """(name, module, admissible): d = 2 and d = 3 at f = 1, d = 2 at f = 2,
+    and modules that fail on a subspace, globally, or both."""
+    K5 = UnramifiedField(5, 1, 20)
+    K25 = UnramifiedField(5, 2, 20)
+    rng = random.Random(41)
+    om = modular_form_module(5, 2, 1, field=K5)
+    neg = [S for S in om.phi_stable_subspaces()
+           if S.dimension == 1 and om.sub_degrees(S)[1] == Fraction(-1)][0]
+    vec = [c.coords[0].lift_fraction() for c in neg.basis[0]]
+    one = Subspace(K5, 1, [[K5.one()]])
+    return [
+        ("d2-f1", gen.random_wa_module_d2(K5, rng), True),
+        ("ordinary", om, True),
+        ("d3-f1", gen.random_wa_module(K5, rng, d=3), True),
+        ("d2-f2", gen.random_wa_module_d2(K25, rng), True),
+        ("eigenline", modular_form_module(5, 2, 1, filtration_line=vec,
+                                          field=K5), False),
+        ("global", FilteredPhiModule(K5, [[K5.coerce(5)]], [(0, one)]), False),
+        ("both", FilteredPhiModule(K5, [[K5.coerce(Fraction(1, 5))]],
+                                   [(0, one)]), False),
+    ]
+
+
+CERT_MODULES = _certificate_modules()
+CERT_IDS = [name for name, _, _ in CERT_MODULES]
+
+
+def _fresh(m):
+    """The same module with nothing computed yet."""
+    return FilteredPhiModule(m.field, m.phi_matrix, m.filtration, m.guard,
+                             validate=False)
+
+
+def _oracle_rows(m, j=None):
+    """Rows rebuilt by calling sub_degrees on every lattice member, keeping
+    those with induced Fil^j = 0 when j is given."""
+    rows = []
+    for S in m.phi_stable_subspaces():
+        if S.dimension == 0 or (j is not None and m.induced_fil_dim(S, j)):
+            continue
+        th, tn = m.sub_degrees(S)
+        rows.append(CertificateRow(S, th, tn, Fraction(th - tn, S.dimension)))
+    return rows
+
+
+def _jump_range(m):
+    return range(min(m.jumps()) - 1, max(m.jumps()) + 2)
+
+
+@pytest.mark.parametrize("name,module,admissible", CERT_MODULES, ids=CERT_IDS)
+def test_certificates_match_rebuilt_rows(name, module, admissible):
+    m = _fresh(module)
+    wa = m.is_weakly_admissible()
+    lam = m.max_subspace_slope()
+    bounds = {(c, strict): m.slope_bound_check(c, strict)
+              for c in (lam, lam - Fraction(1, 2)) for strict in (False, True)}
+    ncond = {j: m.n_condition(j) for j in _jump_range(m)}
+    rows = _oracle_rows(m)
+    assert wa.rows == rows
+    failing = [r for r in rows if r.t_H > r.t_N]
+    globally = m.t_H == m.t_N
+    assert wa.verdict == admissible == (globally and not failing)
+    if failing:
+        w = failing[0]
+        assert wa.witness == w
+        assert wa.note == (f"stable subspace of dimension "
+                           f"{w.subspace.dimension} has t_H = {w.t_H} > "
+                           f"t_N = {w.t_N}")
+    else:
+        assert wa.witness is None
+        assert wa.note == ("" if globally else "global degrees differ")
+    assert lam == max(r.slope for r in rows)
+    first_max = next(r for r in rows if r.slope == lam)
+    for (c, strict), cert in bounds.items():
+        assert cert.rows == rows and cert.witness == first_max
+        assert cert.verdict == all(r.slope < c if strict else r.slope <= c
+                                   for r in rows)
+    for j, cert in ncond.items():
+        expect = _oracle_rows(m, j)
+        bad = [r for r in expect if r.t_H >= r.t_N]
+        assert cert.rows == expect
+        assert cert.witness == (bad[0] if bad else None)
+        assert cert.verdict == (not bad) and cert.note == ""
+    if admissible:
+        total = Subspace(m.field, m.d, [])
+        for r in _oracle_rows(m, 0):
+            if r.t_H == r.t_N:
+                total = total.sum(r.subspace)
+        assert m.fil1().equals(total)
+
+
+@pytest.mark.parametrize("name,module,admissible", CERT_MODULES, ids=CERT_IDS)
+def test_certificates_build_each_submodule_once(name, module, admissible,
+                                                monkeypatch):
+    m = _fresh(module)
+    calls = []
+    induced = FilteredPhiModule.induced_submodule
+
+    def counting(self, S):
+        calls.append(S)
+        return induced(self, S)
+
+    monkeypatch.setattr(FilteredPhiModule, "induced_submodule", counting)
+    m.is_weakly_admissible()
+    m.max_subspace_slope()
+    m.slope_bound_check(0)
+    if admissible:
+        f1 = m.fil1()
+    else:
+        with pytest.raises(PadicError):
+            m.fil1()
+    members = [S for S in m.phi_stable_subspaces() if S.dimension]
+    for S in members:
+        assert sum(T is S for T in calls) == 1
+    # besides the members, only fil1's re-check of the sum builds one
+    rest = [T for T in calls if not any(T is S for S in members)]
+    assert len(rest) == (1 if admissible and f1.dimension else 0)
+
+
+@pytest.mark.parametrize("name,module,admissible", CERT_MODULES, ids=CERT_IDS)
+def test_n_condition_reads_only_fil_zero_members(name, module, admissible,
+                                                 monkeypatch):
+    read = []
+    sub_degrees = FilteredPhiModule.sub_degrees
+
+    def recording(self, S):
+        read.append(S)
+        return sub_degrees(self, S)
+
+    monkeypatch.setattr(FilteredPhiModule, "sub_degrees", recording)
+    for j in _jump_range(module):
+        m = _fresh(module)
+        read.clear()
+        m.n_condition(j)
+        expect = [S for S in m.phi_stable_subspaces()
+                  if S.dimension and m.induced_fil_dim(S, j) == 0]
+        assert len(read) == len(expect)
+        assert all(a is b for a, b in zip(read, expect))
+
+
+def test_returned_rows_do_not_alias_the_memo():
+    _, module, _ = CERT_MODULES[2]
+    m = _fresh(module)
+    first = m.is_weakly_admissible()
+    expect = list(first.rows)
+    first.rows[0].t_H += 100
+    first.rows.reverse()
+    first.rows.pop()
+    again = m.is_weakly_admissible()
+    assert again.verdict and again.rows == _oracle_rows(m)
+    assert [r.subspace for r in again.rows] == [r.subspace for r in expect]
+    cert = m.slope_bound_check(m.max_subspace_slope())
+    cert.rows.clear()
+    assert m.slope_bound_check(m.max_subspace_slope()).rows == again.rows
+
+
+def _level_sum_dims(level_lists):
+    """{j: dim} of the filtration whose basis vectors carry the level sums
+    over one level from each list (the convolution of Hodge multisets)."""
+    sums = [sum(t) for t in product(*level_lists)]
+    return {j: sum(s >= j for s in sums) for j in sorted(set(sums))}
+
+
+def _hodge_levels(m):
+    h, _ = m.hodge_degree()
+    return [j for j in sorted(h) for _ in range(h[j])]
+
+
+def _step_dims(m):
+    return {j: sub.dimension for j, sub in m.filtration}
+
+
+def test_product_filtrations_keep_jumps_and_dims(K5):
+    rng = random.Random(43)
+    m = gen.random_wa_module(K5, rng, d=3)
+    other = gen.random_wa_module_d2(K5, rng)
+    lv = _hodge_levels(m)
+    ad, levels, _ = m.in_adapted_coordinates()
+    assert sorted(levels) == lv
+    assert _step_dims(ad) == _step_dims(m) == _level_sum_dims([lv])
+    for j, sub in ad.filtration:
+        e = [[K5.one() if k == i else K5.zero() for k in range(3)]
+             for i in range(3) if levels[i] >= j]
+        assert sub.equals(Subspace(K5, 3, e))
+    tp = m.tensor_product(other)
+    assert _step_dims(tp) == _level_sum_dims([lv, _hodge_levels(other)])
+    assert tp.t_H == 2 * m.t_H + 3 * other.t_H
+    w2 = m.wedge_power(2)
+    pair_sums = [lv[a] + lv[b] for a, b in combinations(range(3), 2)]
+    assert _step_dims(w2) == _level_sum_dims([pair_sums])
+    assert w2.t_H == 2 * m.t_H
 
 
 # -- constructor validation -------------------------------------------------------
