@@ -151,6 +151,8 @@ def _roots_with_valuation(g, val, field, depth_cap=6):
             unresolved[0] = True
             return
         for r0 in _residue_elements(field):
+            if depth == 0 and r0.is_zero:
+                continue  # y = x / p^val is a unit: no root reduces to 0
             x = center + r0 * field.scalar(Fraction(p) ** scale)
             hx = poly_eval(h, x, field)
             vh = hx.valuation_or_none()

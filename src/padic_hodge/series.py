@@ -117,24 +117,20 @@ class TruncatedSeries:
 
     @property
     def vmin(self):
-        """Certified minimal coefficient valuation (prec if all residues 0)."""
+        """Certified minimal coefficient valuation, or prec when every
+        residue is zero (always so when rel <= 0).
+
+        Every residue lies below p^rel, so gcd(p^rel, residues...) is
+        p^(least residue valuation), capped at p^rel for an all-zero series.
+        """
         if self._vmin is None:
-            p = self.field.p
-            best = None
-            for col in self.coords:
-                for r in col:
-                    if r:
-                        v = 0
-                        while r % p == 0:
-                            r //= p
-                            v += 1
-                        if best is None or v < best:
-                            best = v
-                        if best == 0:
-                            break
-                if best == 0:
-                    break
-            self._vmin = self.prec if best is None else self.shift + best
+            if self.rel <= 0:
+                self._vmin = self.prec
+            else:
+                p = self.field.p
+                g = math.gcd(p ** self.rel,
+                             *(r for col in self.coords for r in col))
+                self._vmin = self.shift + round(math.log(g, p))
         return self._vmin
 
     @property

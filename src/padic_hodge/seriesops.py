@@ -224,10 +224,15 @@ def log_series(field, n: int) -> TruncatedSeries:
 
 def ilog_series(field, n: int) -> TruncatedSeries:
     """x/log(1+x) truncated to degree n, by Newton inversion at an elevated
-    window so the cached result keeps its full guard digits."""
+    window so the cached result keeps its full guard digits.
+
+    The field keeps one series, the longest built so far; a shorter request
+    truncates it, since the inverse truncated to degree n is the inverse of
+    the degree-n truncation.
+    """
     cache = _field_cache(field)
-    key = ("ilog", n)
-    if key not in cache:
+    cached = cache.get("ilog")
+    if cached is None or cached.n < n:
         p = field.p
         e = _floor_logp(max(n + 1, 1), p)
         big = field.work_prec + 16 + e * (math.ceil(math.log2(max(n, 2))) + 2)
@@ -257,9 +262,10 @@ def ilog_series(field, n: int) -> TruncatedSeries:
         out = v_series.normalized()
         # the result stands for the truncation of x/log(1+x); its tail is
         # neither zero nor (b, s)-profiled, so it carries no tail claim
-        cache[key] = TruncatedSeries(field, out.n, out.shift, out.rel,
-                                     out.coords, None, False)
-    return cache[key]
+        cached = TruncatedSeries(field, out.n, out.shift, out.rel,
+                                 out.coords, None, False)
+        cache["ilog"] = cached
+    return cached if cached.n == n else cached.truncate(n).normalized()
 
 
 def ell_op(f: TruncatedSeries, j: int, psi_check: bool = True) -> TruncatedSeries:
@@ -308,7 +314,7 @@ def rho_norm(f: TruncatedSeries, n: int) -> RhoNorm:
             r = col[i]
             if r:
                 all_zero = False
-                vals.append(_vp(r, p) + f.shift)
+                vals.append(vp_int(r, p) + f.shift)
         if all_zero:
             cand = Fraction(f.prec) + i * w
             if zero_floor is None or cand < zero_floor:
@@ -328,14 +334,6 @@ def rho_norm(f: TruncatedSeries, n: int) -> RhoNorm:
             raise TailBoundError(
                 f"tail bound {tb} does not exceed the tracked minimum {best}")
     return RhoNorm(n, best)
-
-
-def _vp(r: int, p: int) -> int:
-    v = 0
-    while r % p == 0:
-        r //= p
-        v += 1
-    return v
 
 
 class LogPolynomial:
@@ -523,7 +521,7 @@ def divide_by_log(f: TruncatedSeries, n_max: int = 1,
                 f"value at layer {n} has valuation {info}",
                 witness=(n, info))
     il = ilog_series(field, f.n)
-    q = (f * il.truncate(f.n)).shift_x(-1)
+    q = (f * il).shift_x(-1)
     if q.rel <= 0:
         raise PrecisionError(
             "precision window exhausted dividing by log(1+x); rebuild the "

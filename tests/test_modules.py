@@ -328,6 +328,19 @@ def test_tensor_slope_check_examples(K5):
                                   m2.max_subspace_slope()).verdict
 
 
+def test_tensor_lattice_at_f2():
+    # two d = 2 modules with different slope gaps: their tensor product has
+    # four simple Frobenius eigenlines, so every sum of them is stable.  The
+    # root search once descended the residue class of 0 here without end.
+    K = UnramifiedField(5, 2, 20, work_margin=140)
+    rng = random.Random(2)
+    m1 = gen.random_wa_module_d2(K, rng)
+    m2 = gen.random_wa_module_d2(K, rng)
+    lattice = m1.tensor_product(m2).phi_stable_subspaces()
+    assert sorted(S.dimension for S in lattice) == \
+        [0] + [1] * 4 + [2] * 6 + [3] * 4 + [4]
+
+
 # -- certificates over the stable-subspace lattice --------------------------------
 
 def _certificate_modules():

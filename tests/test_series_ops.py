@@ -299,3 +299,67 @@ def test_operator_identities_random(K5):
         r = so.gamma_action(so.d_op(g), c)._scalar_mul(c)
         m = min(l.n, r.n)
         assert l.truncate(m).equals(r.truncate(m))
+
+
+# -- x/log(1+x): one cached series per field -------------------------------
+
+def _on_empty_cache(field, fn):
+    """fn() run on an emptied series cache; the cache is restored after."""
+    cache = field._series_cache
+    saved = dict(cache)
+    cache.clear()
+    try:
+        return fn()
+    finally:
+        cache.clear()
+        cache.update(saved)
+
+
+def _ilog_keys(field):
+    return [k for k in field._series_cache if "ilog" in k]
+
+
+def _layout(s):
+    return (s.n, s.shift, s.rel, s.coords, s.bound, s.tail_zero)
+
+
+@pytest.mark.parametrize("p, f, N", [(3, 1, 80), (3, 2, 54), (5, 1, 100),
+                                     (5, 2, 60), (7, 1, 98), (7, 2, 60)])
+def test_divide_by_log_on_cached_ilog_matches_fresh(p, f, N):
+    field = UnramifiedField(p, f, 20, work_margin=150)
+    rng = random.Random(100 * p + f)
+    # the longest chain first, so later chains start below the cached degree
+    for r, n0 in [(4, N), (2, N), (3, N - 5), (1, N // 2), (3, 3 * N // 4)]:
+        lg = so.log_series(field, n0)
+        h = TruncatedSeries.make(
+            field, [field.element([rng.randrange(p ** 20) for _ in range(f)])
+                    for _ in range(4)], n=n0)
+        cur = h
+        for _ in range(r):
+            cur = (lg * cur).truncate(n0)
+        for _ in range(r):
+            il = so.ilog_series(field, cur.n)
+            # the quotient's window is set by f's precision, never by the
+            # (possibly lower) window of a truncated cached series
+            assert cur.prec + il.vmin <= il.prec + cur.vmin
+            q = so.divide_by_log(cur, n_max=1)
+            fresh = _on_empty_cache(
+                field, lambda: so.divide_by_log(cur, n_max=1))
+            assert _layout(q) == _layout(fresh)
+            cur = q
+        assert cur.equals(h.truncate(cur.n))
+    assert _ilog_keys(field) == ["ilog"]
+
+
+def test_ilog_cache_keeps_the_longest_series():
+    field = UnramifiedField(5, 2, 20, work_margin=60)
+    assert so.ilog_series(field, 20).n == 20
+    longer = so.ilog_series(field, 50)
+    assert longer.n == 50
+    assert _ilog_keys(field) == ["ilog"]
+    shorter = so.ilog_series(field, 30)
+    assert shorter.n == 30
+    fresh = _on_empty_cache(field, lambda: so.ilog_series(field, 30))
+    assert shorter.shift == fresh.shift and shorter.equals(fresh)
+    assert so.ilog_series(field, 50) is longer
+    assert _ilog_keys(field) == ["ilog"]
