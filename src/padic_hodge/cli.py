@@ -144,7 +144,7 @@ def cmd_fil1(args):
     lines = [f"dim\t{sub.dimension}"]
     for v in sub.basis:
         lines.append("basis\t" + "\t".join(
-            str(c.coords[0].lift_fraction()) if m.field.f == 1 else repr(c)
+            str(c.coordinate(0).lift_fraction()) if m.field.f == 1 else repr(c)
             for c in v))
     _emit(args, lines, {"dimension": sub.dimension,
                         "basis": [[ser.element_to_json(c) for c in v]

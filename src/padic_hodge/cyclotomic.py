@@ -202,6 +202,9 @@ class CyclotomicElement:
     def __truediv__(self, other):
         return self * invert(other)
 
+    def inverse(self):
+        return invert(self)
+
     def equals(self, other):
         return (self - other).is_zero
 

@@ -1,8 +1,9 @@
 """Exact linear algebra over a p-adic coefficient ring.
 
-Works generically over any element type implementing +, -, *, /,
-``is_zero`` and ``valuation_or_none``/``prec`` (FieldElement and
-CyclotomicElement both do).  Pivots are chosen by minimal valuation
+Works generically over any element type implementing +, -, *,
+``inverse()``, ``is_zero`` and ``valuation_or_none``/``prec``
+(FieldElement and CyclotomicElement both do).  Each pivot row is scaled
+by one inverse of its pivot.  Pivots are chosen by minimal valuation
 (maximal norm) and every rank/solve verdict records the certifying pivot
 valuations.  An entry whose residue is nonzero but sits within ``guard``
 digits of its own precision cannot be classified and raises
@@ -91,8 +92,8 @@ def echelon(matrix, ops, reduce_above=False):
         if i is None:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        piv = rows[r][c]
-        inv_row = [x / piv for x in rows[r]]
+        inv = rows[r][c].inverse()
+        inv_row = [x * inv for x in rows[r]]
         rows[r] = inv_row
         rng = range(n) if reduce_above else range(r + 1, n)
         for k in rng:
@@ -167,7 +168,8 @@ def det(A, ops):
             sign = -sign
         piv = rows[c][c]
         acc = acc * piv
-        inv_row = [x / piv for x in rows[c]]
+        inv = piv.inverse()
+        inv_row = [x * inv for x in rows[c]]
         for k in range(c + 1, n):
             factor = rows[k][c]
             if factor.is_zero:

@@ -6,13 +6,19 @@ addition, valuation-adjusted for products and quotients), and a value whose
 residue vanishes inside its own window degrades to a tracked zero rather
 than ever pretending to be exactly 0.
 
-Elements of K are coordinate vectors in the power basis 1, t, ..., t^{f-1}
-of a monic defining polynomial that is irreducible mod p.  The Frobenius
-lift sigma is computed once at field construction by Hensel iteration from
-t^p and is verified to have order f.
+An element of K is stored on plain integers, like a truncated series: a
+valuation, one absolute precision for the whole element, and f residues,
+its coordinates in the power basis 1, t, ..., t^{f-1} of a monic defining
+polynomial that is irreducible mod p.  At f = 1 every operation gives the
+same valuation, precision and residue as the PadicScalar operation.  The
+Frobenius lift sigma is computed once at field construction by Hensel
+iteration from t^p, kept as the integer matrix of the residues of
+sigma(t^l), and verified to have order f.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
 from .errors import PrecisionError
 
@@ -146,6 +152,9 @@ class PadicScalar:
         return other
 
     def __add__(self, other):
+        # a mixed sum, difference or product is FieldElement's reflected one
+        if isinstance(other, FieldElement):
+            return NotImplemented
         other = self._check(other)
         p = self.p
         prec = min(self.prec, other.prec)
@@ -171,12 +180,16 @@ class PadicScalar:
         return PadicScalar(self.p, self.val, (-self.unit) % self.p ** rel, self.prec)
 
     def __sub__(self, other):
+        if isinstance(other, FieldElement):
+            return NotImplemented
         return self + (-self._check(other))
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, FieldElement):
+            return NotImplemented
         other = self._check(other)
         p = self.p
         if self.is_zero or other.is_zero:
@@ -239,37 +252,36 @@ def _fp_trim(a):
     return a
 
 
-def _fp_mulmod(a, b, g, p):
+def _fp_mul(a, b, p):
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _fp_mod(out, g, p)
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] = (out[j] + x * y) % p
+    return _fp_trim(out)
 
 
-def _fp_mod(a, g, p):
-    a = list(a)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], -1, p)
-    for i in range(len(a) - 1, dg - 1, -1):
-        c = a[i] % p
-        if c == 0:
-            continue
-        q = c * inv_lead % p
-        for j in range(dg + 1):
-            a[i - dg + j] = (a[i - dg + j] - q * g[j]) % p
-    return _fp_trim(a[:dg])
+def _fp_divmod(a, b, p):
+    """Quotient and remainder of a by a trimmed nonzero b over F_p."""
+    r = _fp_trim([c % p for c in a])
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    inv = pow(b[-1], -1, p)
+    while len(r) >= len(b):
+        off = len(r) - len(b)
+        q[off] = c = r[-1] * inv % p
+        for j, y in enumerate(b, off):
+            r[j] = (r[j] - c * y) % p
+        _fp_trim(r)
+    return q, r
 
 
 def _fp_powmod(a, n, g, p):
     result = [1]
-    base = _fp_mod(a, g, p)
+    base = _fp_divmod(a, g, p)[1]
     while n:
         if n & 1:
-            result = _fp_mulmod(result, base, g, p)
-        base = _fp_mulmod(base, base, g, p)
+            result = _fp_divmod(_fp_mul(result, base, p), g, p)[1]
+        base = _fp_divmod(_fp_mul(base, base, p), g, p)[1]
         n >>= 1
     return result
 
@@ -277,17 +289,7 @@ def _fp_powmod(a, n, g, p):
 def _fp_gcd(a, b, p):
     a, b = _fp_trim(list(a)), _fp_trim(list(b))
     while b:
-        inv = pow(b[-1], -1, p)
-        r = list(a)
-        while len(r) >= len(b) and _fp_trim(r):
-            if len(r) < len(b):
-                break
-            q = r[-1] * inv % p
-            off = len(r) - len(b)
-            for j in range(len(b)):
-                r[off + j] = (r[off + j] - q * b[j]) % p
-            _fp_trim(r)
-        a, b = b, r
+        a, b = b, _fp_divmod(a, b, p)[1]
     return a
 
 
@@ -328,37 +330,15 @@ def _fp_is_irreducible(g, p):
 
 def _fp_invmod(a, g, p):
     """Inverse of a modulo (g, p) by extended Euclid over F_p[X]."""
-    r0, r1 = list(g), _fp_trim(list(a))
+    r0, r1 = list(g), _fp_trim([c % p for c in a])
     s0, s1 = [], [1]
     if not r1:
         raise ZeroDivisionError("zero in residue field")
     while r1:
-        # divide r0 by r1
-        r = list(r0)
-        q = [0] * max(len(r0) - len(r1) + 1, 1)
-        inv = pow(r1[-1], -1, p)
-        while len(r) >= len(r1) and _fp_trim(list(r)):
-            if len(r) < len(r1):
-                break
-            c = r[-1] * inv % p
-            off = len(r) - len(r1)
-            q[off] = c
-            for j in range(len(r1)):
-                r[off + j] = (r[off + j] - c * r1[j]) % p
-            r = _fp_trim(r)
-        # s = s0 - q*s1
-        qs1 = [0] * (len(q) + len(s1)) if s1 else []
-        for i, x in enumerate(q):
-            if x == 0:
-                continue
-            for j, y in enumerate(s1):
-                qs1[i + j] = (qs1[i + j] + x * y) % p
-        s = [0] * max(len(s0), len(qs1))
-        for i, c in enumerate(s0):
-            s[i] = c
-        for i, c in enumerate(qs1):
-            s[i] = (s[i] - c) % p
-        r0, r1 = r1, _fp_trim(r)
+        q, r = _fp_divmod(r0, r1, p)
+        s = [(x - y) % p
+             for x, y in zip_longest(s0, _fp_mul(q, s1, p), fillvalue=0)]
+        r0, r1 = r1, r
         s0, s1 = s1, _fp_trim(s)
     if len(r0) != 1:
         raise ZeroDivisionError("not invertible in residue field")
@@ -390,56 +370,93 @@ def find_irreducible(p: int, f: int):
 # ----------------------------------------------------------------------
 
 class FieldElement:
-    """Element of K as a coordinate vector in the power basis of t."""
+    """Element p^val * sum_l res[l] t^l of K, known modulo p^prec.
 
-    __slots__ = ("field", "coords")
+    ``res`` holds one integer per power of t, each in [0, p^(prec - val))
+    and not all divisible by p; the tracked zero has val None and all
+    residues 0.
+    """
 
-    def __init__(self, field, coords):
+    __slots__ = ("field", "val", "prec", "res")
+
+    def __init__(self, field, val, prec, res):
         self.field = field
-        self.coords = tuple(coords)
+        self.val = val
+        self.prec = prec
+        self.res = res
 
     @property
     def is_zero(self):
-        return all(c.is_zero for c in self.coords)
-
-    @property
-    def prec(self):
-        return min(c.prec for c in self.coords)
+        return self.val is None
 
     def valuation_or_none(self):
-        vals = [c.val for c in self.coords if not c.is_zero]
-        return min(vals) if vals else None
+        return self.val
 
     def valuation(self):
-        v = self.valuation_or_none()
-        if v is None:
+        if self.val is None:
             raise PrecisionError(
                 f"indistinguishable from zero at O(p^{self.prec})")
-        return v
+        return self.val
+
+    def coordinate(self, l):
+        """Coordinate l (the coefficient of t^l) as a Q_p scalar."""
+        if self.val is None:
+            return PadicScalar.zero(self.field.p, self.prec)
+        return PadicScalar.from_residue(self.field.p, self.val, self.res[l],
+                                        self.prec)
+
+    def _add(self, other, sign):
+        field = self.field
+        if not isinstance(other, FieldElement):
+            other = field.coerce(other)
+        prec = min(self.prec, other.prec)
+        va, vb = self.val, other.val
+        base = prec
+        if va is not None and va < base:
+            base = va
+        if vb is not None and vb < base:
+            base = vb
+        p = field.p
+        ma = 0 if va is None else p ** (va - base)
+        mb = 0 if vb is None else sign * p ** (vb - base)
+        return field.from_residues(
+            base, [x * ma + y * mb for x, y in zip(self.res, other.res)], prec)
 
     def __add__(self, other):
-        other = self.field.coerce(other)
-        return FieldElement(self.field,
-                            [a + b for a, b in zip(self.coords, other.coords)])
+        return self._add(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coords])
-
     def __sub__(self, other):
-        return self + (-self.field.coerce(other))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return self.field.coerce(other) - self
 
+    def __neg__(self):
+        if self.val is None:
+            return self
+        mod = self.field.p ** (self.prec - self.val)
+        return FieldElement(self.field, self.val, self.prec,
+                            tuple(-r % mod for r in self.res))
+
     def __mul__(self, other):
         field = self.field
         if not isinstance(other, FieldElement):
-            s = PadicScalar.from_rational(other, field.p, field.work_prec) \
-                if not isinstance(other, PadicScalar) else other
-            return FieldElement(field, [c * s for c in self.coords])
-        return field.multiply(self, other)
+            other = field.coerce(other)
+        va, vb = self.val, other.val
+        if va is None or vb is None:
+            # p^a O_K * p^b O_K lands in p^(a+b) O_K
+            return FieldElement(field, None, (self.prec if va is None else va)
+                                + (other.prec if vb is None else vb), field._zeros)
+        # a product of units is a unit: no common power of p to strip
+        rel = min(self.prec - va, other.prec - vb)
+        mod = field.p ** rel
+        if field.f == 1:
+            res = (self.res[0] * other.res[0] % mod,)
+        else:
+            res = field._mul_res(self.res, other.res, mod)
+        return FieldElement(field, va + vb, va + vb + rel, res)
 
     __rmul__ = __mul__
 
@@ -447,9 +464,22 @@ class FieldElement:
         field = self.field
         if isinstance(other, FieldElement):
             return self * field.inverse(other)
-        s = PadicScalar.from_rational(other, field.p, field.work_prec) \
-            if not isinstance(other, PadicScalar) else other
-        return FieldElement(field, [c / s for c in self.coords])
+        # a Q_p scalar divides coordinate-wise, like PadicScalar division
+        s = field.coerce(other)
+        if s.val is None:
+            raise PrecisionError(
+                f"division by a value indistinguishable from zero at O(p^{s.prec})")
+        if self.val is None:
+            return FieldElement(field, None, self.prec - s.val, self.res)
+        rel = min(self.prec - self.val, s.prec - s.val)
+        mod = field.p ** rel
+        u = pow(s.res[0], -1, mod)
+        val = self.val - s.val
+        return FieldElement(field, val, val + rel,
+                            tuple(r * u % mod for r in self.res))
+
+    def inverse(self):
+        return self.field.inverse(self)
 
     def equals(self, other):
         return (self - other).is_zero
@@ -458,7 +488,8 @@ class FieldElement:
         return self.field.sigma(self)
 
     def __repr__(self):
-        return "K(" + ", ".join(repr(c) for c in self.coords) + ")"
+        return "K(" + ", ".join(repr(self.coordinate(l))
+                                for l in range(self.field.f)) + ")"
 
 
 class UnramifiedField:
@@ -484,19 +515,19 @@ class UnramifiedField:
         if f > 1 and not _fp_is_irreducible([c % p for c in defpoly], p):
             raise ValueError("defining polynomial is not irreducible mod p")
         self.defpoly = defpoly
+        self._zeros = (0,) * f
         # exact integer rows expressing t^(f+i) for i = 0..f-2
         self._red_rows = self._reduction_rows()
-        if f == 1:
-            self._frob_powers = [self.one()]
-            self._frob_inv_powers = [self.one()]
-        else:
+        if f > 1:
+            # row l: residues of sigma(t^l) (resp. sigma^-1(t^l)), known
+            # modulo p^_sigma_prec; sigma^-1 = sigma^(f-1)
             frob = self._hensel_frobenius()
-            self._frob_powers = self._basis_powers(frob)
+            self._sigma_prec = frob.prec
+            self._sigma_rows = self._power_rows(frob)
             inv = frob
             for _ in range(f - 2):
-                inv = self._apply_powers(self._basis_powers(frob), inv)
-            # sigma^(f-1) = sigma^(-1)
-            self._frob_inv_powers = self._basis_powers(inv)
+                inv = self.sigma(inv)
+            self._sigma_inv_rows = self._power_rows(inv)
             self._check_order()
 
     # -- scalars -------------------------------------------------------
@@ -512,32 +543,53 @@ class UnramifiedField:
     def coerce(self, x):
         if isinstance(x, FieldElement):
             if x.field is not self:
-                if (x.field.p, x.field.f, x.field.defpoly) != \
-                        (self.p, self.f, self.defpoly):
+                if not self.compatible(x.field):
                     raise ValueError("mixed fields")
-                return FieldElement(self, x.coords)
+                return FieldElement(self, x.val, x.prec, x.res)
             return x
-        if isinstance(x, PadicScalar):
-            coords = [x] + [PadicScalar.zero(self.p, x.prec)] * (self.f - 1)
-            return FieldElement(self, coords)
-        s = self.scalar(x)
-        return self.coerce(s)
+        if isinstance(x, int):
+            return self.from_residues(0, (x,) + self._zeros[1:], self.work_prec)
+        if not isinstance(x, PadicScalar):
+            x = self.scalar(x)
+        if x.is_zero:
+            return FieldElement(self, None, x.prec, self._zeros)
+        return FieldElement(self, x.val, x.prec, (x.unit,) + self._zeros[1:])
+
+    def from_residues(self, base, residues, prec):
+        """The element p^base * sum_l residues[l] t^l known modulo p^prec."""
+        rel = prec - base
+        if rel <= 0:
+            return FieldElement(self, None, prec, self._zeros)
+        p = self.p
+        mod = p ** rel
+        res = [r % mod for r in residues]
+        g = gcd(*res)
+        if g == 0:
+            return FieldElement(self, None, prec, self._zeros)
+        if g % p == 0:
+            v = vp_int(g, p)
+            q = p ** v
+            res = [r // q for r in res]
+            base += v
+        return FieldElement(self, base, prec, tuple(res))
 
     def element(self, coords, prec=None):
         prec = prec or self.work_prec
-        out = []
-        for c in coords:
-            if isinstance(c, PadicScalar):
-                out.append(c)
-            else:
-                out.append(PadicScalar.from_rational(c, self.p, prec))
-        if len(out) != self.f:
+        if len(coords) != self.f:
             raise ValueError(f"expected {self.f} coordinates")
-        return FieldElement(self, out)
+        if all(isinstance(c, int) for c in coords):
+            return self.from_residues(0, coords, prec)
+        scal = [c if isinstance(c, PadicScalar)
+                else PadicScalar.from_rational(c, self.p, prec) for c in coords]
+        prec = min(c.prec for c in scal)
+        vals = [c.val for c in scal if not c.is_zero]
+        base = min(vals, default=prec)
+        return self.from_residues(
+            base, [c.residue(base, prec - base) if base < prec else 0
+                   for c in scal], prec)
 
     def zero(self, prec=None):
-        prec = prec or self.work_prec
-        return FieldElement(self, [PadicScalar.zero(self.p, prec)] * self.f)
+        return FieldElement(self, None, prec or self.work_prec, self._zeros)
 
     def one(self, prec=None):
         return self.element([1] + [0] * (self.f - 1), prec)
@@ -563,25 +615,20 @@ class UnramifiedField:
             rows.append(nxt)
         return rows
 
-    def _basis_powers(self, a):
-        """[1, a, a^2, ..., a^(f-1)] used to evaluate polynomials at a."""
-        powers = [self.one()]
+    def _power_rows(self, a):
+        """Residues of 1, a, ..., a^(f-1) for a unit a, at base 0."""
+        rows = [(1,) + self._zeros[1:]]
+        power = self.one()
         for _ in range(self.f - 1):
-            powers.append(self.multiply(powers[-1], a))
-        return powers
-
-    def _apply_powers(self, powers, x):
-        """Evaluate the coordinate polynomial of x at the given powers."""
-        out = self.zero(x.prec)
-        for c, pw in zip(x.coords, powers):
-            out = out + FieldElement(self, [c * q for q in pw.coords])
-        return out
+            power = power * a
+            rows.append(power.res)
+        return rows
 
     def _eval_int_poly(self, coeffs, x):
         """Evaluate an integer-coefficient polynomial at a FieldElement."""
         acc = self.zero(x.prec)
         for c in reversed(coeffs):
-            acc = self.multiply(acc, x) + self.coerce(self.scalar(c, x.prec))
+            acc = acc * x + self.scalar(c, x.prec)
         return acc
 
     def _hensel_frobenius(self):
@@ -590,20 +637,16 @@ class UnramifiedField:
         dpoly = [i * c for i, c in enumerate(self.defpoly)][1:]
         for _ in range(64):
             gx = self._eval_int_poly(self.defpoly, x)
-            if gx.valuation_or_none() is None and gx.prec >= self.work_prec:
+            if gx.is_zero:
                 return x
-            gpx = self._eval_int_poly(dpoly, x)
-            x = x - gx * self.inverse(gpx)
-            v = gx.valuation_or_none()
-            if v is None:
-                return x
+            x = x - gx * self.inverse(self._eval_int_poly(dpoly, x))
         raise PrecisionError("Frobenius Hensel lift did not converge")
 
     def _power_of_gen(self, k):
         t = self.gen()
         out = self.one()
         for _ in range(k):
-            out = self.multiply(out, t)
+            out = out * t
         return out
 
     def _check_order(self):
@@ -614,76 +657,72 @@ class UnramifiedField:
         if not (y - x).is_zero:
             raise PrecisionError("sigma^f != id at working precision")
         # frobenius image must reduce to t^p mod p
-        diff = self._frob_powers[1] - self._power_of_gen(self.p)
+        diff = self.sigma(x) - self._power_of_gen(self.p)
         v = diff.valuation_or_none()
         if v is not None and v < 1:
             raise ValueError("Frobenius image does not reduce to t^p mod p")
 
     # -- field operations ------------------------------------------------
 
-    def multiply(self, a, b):
+    def _mul_res(self, a, b, mod):
+        """Residues of (sum a_l t^l)(sum b_l t^l) in the power basis."""
         f = self.f
-        if f == 1:
-            return FieldElement(self, (a.coords[0] * b.coords[0],))
-        raw = [None] * (2 * f - 1)
-        for k in range(2 * f - 1):
-            acc = None
-            lo = max(0, k - f + 1)
-            for i in range(lo, min(k, f - 1) + 1):
-                term = a.coords[i] * b.coords[k - i]
-                acc = term if acc is None else acc + term
-            raw[k] = acc
-        coords = list(raw[:f])
-        for k in range(f, 2 * f - 1):
-            row = self._red_rows[k - f]
-            for i in range(f):
-                if row[i]:
-                    coords[i] = coords[i] + raw[k] * self.scalar(row[i], self.work_prec * 2)
-        return FieldElement(self, coords)
+        raw = [0] * (2 * f - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    raw[j] += x * y
+        out = raw[:f]
+        for c, row in zip(raw[f:], self._red_rows):
+            if c:
+                out = [x + c * r for x, r in zip(out, row)]
+        return tuple([x % mod for x in out])
 
     def inverse(self, a):
-        f = self.f
         v = a.valuation()
-        if f == 1:
-            return FieldElement(self, (1 / a.coords[0],))
         p = self.p
+        if self.f == 1:
+            # the 1 is known to a.prec, as in 1 / PadicScalar
+            if a.prec <= 0:
+                return FieldElement(self, None, a.prec - v, self._zeros)
+            rel = min(a.prec, a.prec - v)
+            return FieldElement(self, -v, rel - v,
+                                (pow(a.res[0], -1, p ** rel),))
         rel = a.prec - v
-        # strip the uniformizer power, invert the unit
-        unit = FieldElement(self, [
-            PadicScalar.zero(p, c.prec - v) if c.is_zero
-            else PadicScalar(p, c.val - v, c.unit, c.prec - v)
-            for c in a.coords])
-        gbar = [c % p for c in self.defpoly]
-        abar = [0 if c.is_zero else c.residue(0, 1) for c in unit.coords]
-        inv0 = _fp_invmod(abar, gbar, p)
-        x = self.element([inv0[i] if i < len(inv0) else 0 for i in range(f)],
-                         prec=rel)
-        # Newton: x <- x(2 - unit*x), doubling correct digits each pass
+        x = _fp_invmod(a.res, self.defpoly, p)
+        x = tuple(x) + self._zeros[len(x):]
+        # Newton: x <- x(2 - a x), doubling the correct digits each pass
         good = 1
         while good < rel:
-            e = self.multiply(unit, x)
-            two_minus = self.coerce(self.scalar(2, rel)) - e
-            x = self.multiply(x, two_minus)
-            good *= 2
-        return FieldElement(self, [
-            PadicScalar.zero(p, c.prec - v) if c.is_zero
-            else PadicScalar(p, c.val - v, c.unit, c.prec - v)
-            for c in x.coords])
+            good = min(2 * good, rel)
+            mod = p ** good
+            e = self._mul_res(a.res, x, mod)
+            x = self._mul_res(x, ((2 - e[0]) % mod,)
+                              + tuple(-c % mod for c in e[1:]), mod)
+        return FieldElement(self, -v, rel - v, x)
+
+    def _apply_rows(self, rows, a):
+        """Sum_l res[l] * rows[l]: a residue vector through a linear map
+        that preserves valuations (sigma or its inverse)."""
+        if a.val is None:
+            return a
+        rel = min(a.prec - a.val, self._sigma_prec)
+        mod = self.p ** rel
+        res = tuple(sum(r * row[m] for r, row in zip(a.res, rows)) % mod
+                    for m in range(self.f))
+        return FieldElement(self, a.val, a.val + rel, res)
 
     def sigma(self, a, power: int = 1):
         """The Frobenius lift applied coefficient-wise via sigma(t)."""
         power %= self.f
-        if power == 0 or self.f == 1:
-            return a
-        out = a
         for _ in range(power):
-            out = self._apply_powers(self._frob_powers, out)
-        return out
+            a = self._apply_rows(self._sigma_rows, a)
+        return a
 
     def sigma_inv(self, a):
         if self.f == 1:
             return a
-        return self._apply_powers(self._frob_inv_powers, a)
+        return self._apply_rows(self._sigma_inv_rows, a)
 
     def random_element(self, rng, prec=None, integral=True):
         prec = prec or self.prec

@@ -105,7 +105,7 @@ def scalar_from_json(node, p, prec_default, path="scalar"):
 
 
 def element_to_json(a: FieldElement):
-    return [scalar_to_json(c) for c in a.coords]
+    return [scalar_to_json(a.coordinate(l)) for l in range(a.field.f)]
 
 
 def element_from_json(node, field, path="element"):
@@ -117,7 +117,7 @@ def element_from_json(node, field, path="element"):
         _fail(path, f"expected {field.f} coordinates, got {len(node)}")
     coords = [scalar_from_json(c, field.p, field.work_prec, f"{path}[{i}]")
               for i, c in enumerate(node)]
-    return FieldElement(field, coords)
+    return field.element(coords)
 
 
 def series_to_json(s: TruncatedSeries):

@@ -26,7 +26,7 @@ import math
 
 from . import intpoly
 from .errors import TailBoundError
-from .padics import PadicScalar, FieldElement
+from .padics import FieldElement
 
 INFINITE = math.inf
 
@@ -76,12 +76,14 @@ class TruncatedSeries:
         if rel <= 0:
             return TruncatedSeries.zero(field, n, prec=prec,
                                         bound=bound, tail_zero=tail_zero)
-        cols = []
-        for l in range(field.f):
-            col = []
-            for c in coeffs:
-                col.append(c.coords[l].residue(shift, rel))
-            cols.append(col)
+        p = field.p
+        mod = p ** rel
+        cols = [[0] * (n + 1) for _ in range(field.f)]
+        for i, c in enumerate(coeffs):
+            if c.val is not None:
+                m = p ** (c.val - shift)
+                for col, r in zip(cols, c.res):
+                    col[i] = r * m % mod
         return TruncatedSeries(field, n, shift, rel, cols,
                                bound=_norm_profile(bound), tail_zero=tail_zero)
 
@@ -147,14 +149,12 @@ class TruncatedSeries:
         return None
 
     def coeff(self, i) -> FieldElement:
-        p = self.field.p
         if i > self.n:
             if self.tail_zero:
                 return self.field.zero(self.prec)
             raise IndexError(f"coefficient {i} beyond truncation degree {self.n}")
-        scal = [PadicScalar.from_residue(p, self.shift, col[i], self.prec)
-                for col in self.coords]
-        return FieldElement(self.field, scal)
+        return self.field.from_residues(
+            self.shift, [col[i] for col in self.coords], self.prec)
 
     def coefficients(self):
         return [self.coeff(i) for i in range(self.n + 1)]

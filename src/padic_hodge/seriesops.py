@@ -15,7 +15,7 @@ import math
 from . import intpoly
 from .errors import (PrecisionError, TailBoundError, NotDivisibleError,
                      PsiNotZeroError)
-from .padics import PadicScalar, FieldElement, vp_int, vp_fraction
+from .padics import PadicScalar, vp_int, vp_fraction
 from .cyclotomic import CyclotomicLayer, CyclotomicElement
 from .series import TruncatedSeries, tail_valuation_bound, _floor_logp, INFINITE
 
@@ -30,13 +30,9 @@ def _field_cache(field):
 
 def _sigma_residue_matrix(field, rel, inverse=False):
     """S[l][m]: coordinate m of sigma(t^l) as a residue mod p^rel."""
-    key = ("sigma", rel, inverse)
-    cache = _field_cache(field)
-    if key not in cache:
-        powers = field._frob_inv_powers if inverse else field._frob_powers
-        cache[key] = [[powers[l].coords[m].residue(0, rel)
-                       for m in range(field.f)] for l in range(field.f)]
-    return cache[key]
+    mod = field.p ** rel
+    rows = field._sigma_inv_rows if inverse else field._sigma_rows
+    return [[r % mod for r in row] for row in rows]
 
 
 def _apply_sigma_cols(f, cols, mod, inverse=False):
@@ -482,11 +478,8 @@ def cyclotomic_evaluate(f: TruncatedSeries, layer: CyclotomicLayer,
             for j in range(e):
                 if row[j]:
                     acc[j] = (acc[j] + r * row[j]) % mod
-    coords = []
-    for j in range(e):
-        scal = [PadicScalar.from_residue(p, f.shift, out_res[l][j], f.prec)
-                for l in range(field.f)]
-        coords.append(FieldElement(field, scal))
+    coords = [field.from_residues(f.shift, [col[j] for col in out_res], f.prec)
+              for j in range(e)]
     value = CyclotomicElement(layer, coords)
     tail = tail_valuation_bound(f, Fraction(1, e)) if not f.tail_zero else None
     ev = CycloEvaluation(value, tail, f.prec, layer)

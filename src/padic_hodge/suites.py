@@ -276,7 +276,7 @@ def suite_admissibility(rng, count, cfg):
     om = modular_form_module(cfg.p, 2, 1, field=field)
     lines = [S for S in om.phi_stable_subspaces() if S.dimension == 1]
     neg = [S for S in lines if om.sub_degrees(S)[1] == Fraction(-1)][0]
-    vec = [c.coords[0].lift_fraction() for c in neg.basis[0]]
+    vec = [c.coordinate(0).lift_fraction() for c in neg.basis[0]]
     bad = modular_form_module(cfg.p, 2, 1, filtration_line=vec, field=field)
     cert = bad.is_weakly_admissible()
     out.append(CaseResult(1, "eigenline-not-wa",

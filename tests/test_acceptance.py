@@ -152,7 +152,7 @@ def test_criterion_09_admissibility_certificates():
     om = modular_form_module(5, 2, 1, field=field)
     neg = [S for S in om.phi_stable_subspaces()
            if S.dimension == 1 and om.sub_degrees(S)[1] == Fraction(-1)][0]
-    vec = [c.coords[0].lift_fraction() for c in neg.basis[0]]
+    vec = [c.coordinate(0).lift_fraction() for c in neg.basis[0]]
     bad = modular_form_module(5, 2, 1, filtration_line=vec, field=field)
     cert = bad.is_weakly_admissible()
     ok2 = (not cert.verdict and cert.witness is not None and

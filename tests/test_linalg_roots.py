@@ -6,7 +6,10 @@ from itertools import permutations
 
 import pytest
 
-from padic_hodge.linalg import RingOps, solve, kernel, det, charpoly
+from padic_hodge.linalg import (RingOps, solve, kernel, det, charpoly, echelon,
+                                _best_pivot)
+from padic_hodge.padics import FieldElement, UnramifiedField
+from padic_hodge.cyclotomic import CyclotomicLayer, CyclotomicElement
 from padic_hodge.polyroots import (newton_root_valuations, find_k_roots,
                                    poly_eval)
 from padic_hodge.errors import PrecisionError
@@ -121,7 +124,7 @@ def test_find_roots_with_multiplicity(K5):
     g = [K5.coerce(-40), K5.coerce(44), K5.coerce(-14), K5.one()]
     roots, resid = find_k_roots(g, K5)
     assert len(resid) - 1 == 0
-    by_mult = sorted((m, r.coords[0].lift_fraction()) for r, m in roots)
+    by_mult = sorted((m, r.coordinate(0).lift_fraction()) for r, m in roots)
     assert by_mult[0][0] == 1 and by_mult[1][0] == 2
     for r, m in roots:
         assert poly_eval(g, r, K5).is_zero
@@ -142,3 +145,87 @@ def test_find_roots_in_extension(K25):
     assert len(roots) == 2 and len(resid) - 1 == 0
     for target in (a, b):
         assert any((r - target).is_zero for r, _ in roots)
+
+
+# -- one pivot inverse per echelon row ---------------------------------------
+
+def _echelon_by_division(matrix, ops):
+    """Reference elimination that divides every entry of a pivot row by the
+    pivot (the same pivot order as linalg.echelon with reduce_above)."""
+    rows = [list(r) for r in matrix]
+    r = 0
+    for c in range(len(rows[0])):
+        if r >= len(rows):
+            break
+        i, _ = _best_pivot(rows, r, c, ops)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        piv = rows[r][c]
+        rows[r] = [x / piv for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and not rows[k][c].is_zero:
+                factor = rows[k][c]
+                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
+        r += 1
+    return rows
+
+
+def _shape(x):
+    if isinstance(x, CyclotomicElement):
+        return tuple(_shape(c) for c in x.coords)
+    return (x.val, x.prec, x.res)
+
+
+def _count_inverses(monkeypatch, cls):
+    calls = []
+    original = cls.inverse
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(cls, "inverse", counting)
+    return calls
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_echelon_one_inverse_per_pivot(monkeypatch, f):
+    field = UnramifiedField(5, f, 20)
+    ops = ops_for(field)
+    rng = random.Random(40 + f)
+    for n, m in ((3, 3), (3, 5), (4, 2)):
+        mat = [[field.element(
+            [Fraction(rng.randint(-30, 30), rng.choice((1, 2, 5)))
+             for _ in range(f)]) for _ in range(m)] for _ in range(n)]
+        mat[-1] = [a + b for a, b in zip(mat[0], mat[1])]  # rank deficit
+        expect = _echelon_by_division(mat, ops)
+        calls = _count_inverses(monkeypatch, FieldElement)
+        rows, pivots, _ = echelon(mat, ops, reduce_above=True)
+        monkeypatch.undo()
+        assert len(calls) == len(pivots) < n
+        assert [[_shape(x) for x in row] for row in rows] == \
+            [[_shape(x) for x in row] for row in expect]
+        square = mat[:min(n, m)]
+        square = [row[:len(square)] for row in square]
+        calls = _count_inverses(monkeypatch, FieldElement)
+        d = det(square, ops)
+        monkeypatch.undo()
+        assert len(calls) <= len(square)
+        if not d.is_zero:
+            assert len(calls) == len(square)
+
+
+def test_echelon_one_inverse_per_pivot_cyclotomic(monkeypatch, K5):
+    layer = CyclotomicLayer(K5, 1)
+    ops = layer.ops()
+    rng = random.Random(44)
+    mat = [[layer.element([rng.randint(-20, 20) for _ in range(layer.e)])
+            for _ in range(3)] for _ in range(2)]
+    expect = _echelon_by_division(mat, ops)
+    calls = _count_inverses(monkeypatch, CyclotomicElement)
+    rows, pivots, _ = echelon(mat, ops, reduce_above=True)
+    monkeypatch.undo()
+    assert len(calls) == len(pivots) == 2
+    assert [[_shape(x) for x in row] for row in rows] == \
+        [[_shape(x) for x in row] for row in expect]

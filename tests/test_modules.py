@@ -134,7 +134,7 @@ def test_not_wa_eigenline_filtration(K5):
     m = modular_form_module(5, 2, 1, field=K5)
     neg = [S for S in m.phi_stable_subspaces()
            if S.dimension == 1 and m.sub_degrees(S)[1] == Fraction(-1)][0]
-    vec = [c.coords[0].lift_fraction() for c in neg.basis[0]]
+    vec = [c.coordinate(0).lift_fraction() for c in neg.basis[0]]
     bad = modular_form_module(5, 2, 1, filtration_line=vec, field=K5)
     cert = bad.is_weakly_admissible()
     assert not cert.verdict
@@ -182,7 +182,7 @@ def test_fil1_requires_weak_admissibility(K5):
     m = modular_form_module(5, 2, 1, field=K5)
     neg = [S for S in m.phi_stable_subspaces()
            if S.dimension == 1 and m.sub_degrees(S)[1] == Fraction(-1)][0]
-    vec = [c.coords[0].lift_fraction() for c in neg.basis[0]]
+    vec = [c.coordinate(0).lift_fraction() for c in neg.basis[0]]
     bad = modular_form_module(5, 2, 1, filtration_line=vec, field=K5)
     with pytest.raises(PadicError):
         bad.fil1()
@@ -352,7 +352,7 @@ def _certificate_modules():
     om = modular_form_module(5, 2, 1, field=K5)
     neg = [S for S in om.phi_stable_subspaces()
            if S.dimension == 1 and om.sub_degrees(S)[1] == Fraction(-1)][0]
-    vec = [c.coords[0].lift_fraction() for c in neg.basis[0]]
+    vec = [c.coordinate(0).lift_fraction() for c in neg.basis[0]]
     one = Subspace(K5, 1, [[K5.one()]])
     return [
         ("d2-f1", gen.random_wa_module_d2(K5, rng), True),

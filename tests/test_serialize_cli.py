@@ -139,7 +139,7 @@ def test_cli_admissible_negative_verdict(tmp_path):
     m = modular_form_module(5, 2, 1)
     neg = [S for S in m.phi_stable_subspaces()
            if S.dimension == 1 and m.sub_degrees(S)[1] == Fraction(-1)][0]
-    vec = [c.coords[0].lift_fraction() for c in neg.basis[0]]
+    vec = [c.coordinate(0).lift_fraction() for c in neg.basis[0]]
     bad = modular_form_module(5, 2, 1, filtration_line=vec, field=m.field)
     path = tmp_path / "eigenline.json"
     path.write_text(json.dumps(ser.module_to_json(bad)))
@@ -256,3 +256,25 @@ def test_cli_byte_identical_reruns():
         _, out1 = run_cli(*argv)
         _, out2 = run_cli(*argv)
         assert out1 == out2
+
+
+def test_element_json_keeps_one_precision():
+    K = UnramifiedField(5, 2, 20)
+    node = [{"val": 0, "unit": "3", "prec": 30},
+            {"val": 1, "unit": "21", "prec": 18}]
+    a = ser.element_from_json(node, K)
+    assert (a.val, a.prec) == (0, 18)
+    assert (a - K.element([3, 5 * 7])).is_zero  # unit digits are lsd first
+    out = ser.element_to_json(a)
+    assert [c["prec"] for c in out] == [18, 18]
+    back = ser.element_from_json(out, K)
+    assert (back.val, back.prec, back.res) == (a.val, a.prec, a.res)
+    mixed = ser.element_from_json([{"val": None, "prec": 9}, "5"], K)
+    assert (mixed.val, mixed.prec) == (1, 9)
+    for bad, where in (([{"val": 0, "unit": "x", "prec": 20}, 1], "e[0].unit"),
+                       ([1, {"val": 0, "unit": "1", "prec": "7"}], "e[1].prec"),
+                       ([1, {"val": 0, "unit": "5", "prec": 20}], "e[1].unit"),
+                       ([1], "e")):
+        with pytest.raises(SchemaError) as exc:
+            ser.element_from_json(bad, K, path="e")
+        assert where in str(exc.value)
