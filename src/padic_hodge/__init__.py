@@ -5,8 +5,7 @@ from .config import Config
 from .errors import (PadicError, PrecisionError, TailBoundError,
                      NotDivisibleError, PsiNotZeroError,
                      EnumerationUnsupportedError, NotStableError, SchemaError)
-from .padics import (PadicScalar, FieldElement, UnramifiedField,
-                     frobenius_sigma)
+from .padics import FieldElement, UnramifiedField, frobenius_sigma
 from .cyclotomic import CyclotomicLayer, CyclotomicElement, cyclo_valuation
 from .series import TruncatedSeries, INFINITE
 from .seriesops import (phi_op, psi_op, d_op, gamma_action, ell_op,
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Config", "PadicError", "PrecisionError", "TailBoundError",
     "NotDivisibleError", "PsiNotZeroError", "EnumerationUnsupportedError",
-    "NotStableError", "SchemaError", "PadicScalar", "FieldElement",
+    "NotStableError", "SchemaError", "FieldElement",
     "UnramifiedField", "frobenius_sigma", "CyclotomicLayer",
     "CyclotomicElement", "cyclo_valuation", "TruncatedSeries", "INFINITE",
     "phi_op", "psi_op", "d_op", "gamma_action", "ell_op", "log_series",

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .config import Config
+from .config import Config, config_from_json
 from .errors import PadicError, PrecisionError, TailBoundError
 from .padics import UnramifiedField
 from .series import INFINITE
@@ -33,11 +33,10 @@ EXIT_ERROR = 2
 
 
 def _load_config(args) -> Config:
-    base = {}
+    cfg = Config()
     if getattr(args, "config", None):
         with open(args.config) as fobj:
-            base = json.load(fobj)
-    cfg = Config(**base) if base else Config()
+            cfg = config_from_json(json.load(fobj), args.config)
     return cfg.with_overrides(
         precision=getattr(args, "precision", None),
         truncation=getattr(args, "trunc", None),
@@ -144,7 +143,7 @@ def cmd_fil1(args):
     lines = [f"dim\t{sub.dimension}"]
     for v in sub.basis:
         lines.append("basis\t" + "\t".join(
-            str(c.coordinate(0).lift_fraction()) if m.field.f == 1 else repr(c)
+            str(c.lift_fraction()) if m.field.f == 1 else repr(c)
             for c in v))
     _emit(args, lines, {"dimension": sub.dimension,
                         "basis": [[ser.element_to_json(c) for c in v]

@@ -1,6 +1,8 @@
 """Run configuration: prime, precision, truncation and test-suite defaults."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+from .errors import SchemaError
 
 
 def is_prime(n: int) -> bool:
@@ -34,7 +36,6 @@ class Config:
     n_max: int = 2
     guard: int = 4
     seed: int = 0
-    layer_cap: int = 3
 
     def __post_init__(self):
         if not is_prime(self.p) or self.p == 2:
@@ -51,6 +52,23 @@ class Config:
     def with_overrides(self, **kw) -> "Config":
         kw = {k: v for k, v in kw.items() if v is not None}
         return replace(self, **kw) if kw else self
+
+
+def config_from_json(node, path="config") -> Config:
+    """A Config from a parsed JSON object of its keys; a key it does not
+    have, a value that is not an int, or a top level that is not an object
+    raises SchemaError naming the key."""
+    if not isinstance(node, dict):
+        raise SchemaError(f"{path}: expected an object of config keys, "
+                          f"got {type(node).__name__}")
+    types = {f.name: f.type for f in fields(Config)}
+    for key, value in node.items():
+        if key not in types:
+            raise SchemaError(f"{path}.{key}: unknown config key")
+        if type(value) is not types[key]:
+            raise SchemaError(f"{path}.{key}: expected int, "
+                              f"got {type(value).__name__}")
+    return Config(**node)
 
 
 DEFAULT = Config()

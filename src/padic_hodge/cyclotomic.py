@@ -13,7 +13,7 @@ from math import comb
 
 from .errors import PrecisionError
 from .linalg import RingOps, solve, mat_transpose
-from .padics import PadicScalar, FieldElement
+from .padics import FieldElement
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +157,7 @@ class CyclotomicElement:
 
     def __mul__(self, other):
         layer = self.layer
-        if isinstance(other, (int, PadicScalar, FieldElement)):
+        if isinstance(other, (int, FieldElement)):
             return CyclotomicElement(layer, [c * other for c in self.coords])
         e = layer.e
         raw = [None] * (2 * e - 1)

@@ -11,9 +11,10 @@ condition to the structured/estimated order machinery.
 
 from fractions import Fraction
 
+from .linalg import mat_mul, RingOps
 from .series import TruncatedSeries
 from .seriesops import LogPolynomial
-from .modules import FilteredPhiModule, Subspace
+from .modules import FilteredPhiModule, Subspace, _mat_inverse
 from .analytic import VectorSeries
 
 
@@ -47,6 +48,18 @@ def _unimodular(field, rng, d):
         for k in range(d):
             m[i][k] += c * m[j][k]
     return [[field.coerce(c) for c in row] for row in m]
+
+
+def _conjugated_phi(field, rng, slopes, units):
+    """P D sigma(P)^-1 with D = diag(units[i] p^slopes[i]) and a unimodular P
+    drawn from rng; the slopes of phi^f / f are the slopes."""
+    p, d = field.p, len(slopes)
+    D = [[field.coerce(Fraction(units[i]) * Fraction(p) ** slopes[i])
+          if i == j else field.zero() for j in range(d)] for i in range(d)]
+    P = _unimodular(field, rng, d)
+    ops = RingOps(field.zero, field.one)
+    sigmaP = [[field.sigma(c) for c in row] for row in P]
+    return mat_mul(P, mat_mul(D, _mat_inverse(sigmaP, ops), ops), ops)
 
 
 def split_module(field, rng, d=2, jumps_mode="wa"):
@@ -89,15 +102,8 @@ def random_wa_module_d2(field, rng):
         j1_max = min(a, (a + b - 1) // 2)
         j1 = rng.randint(j1_max - 2, j1_max)
         j2 = a + b - j1
-        u1, u2 = random_unit(rng, p), random_unit(rng, p)
-        D = [[field.coerce(Fraction(u1) * Fraction(p) ** a), field.zero()],
-             [field.zero(), field.coerce(Fraction(u2) * Fraction(p) ** b)]]
-        P = _unimodular(field, rng, 2)
-        from .linalg import mat_mul, RingOps as _RingOps
-        from .modules import _mat_inverse
-        ops = _RingOps(field.zero, field.one)
-        sigmaP = [[field.sigma(c) for c in row] for row in P]
-        A = mat_mul(P, mat_mul(D, _mat_inverse(sigmaP, ops), ops), ops)
+        units = [random_unit(rng, p), random_unit(rng, p)]
+        A = _conjugated_phi(field, rng, (a, b), units)
         line = [rng.randint(-4, 4) for _ in range(2)]
         if line == [0, 0]:
             continue
@@ -120,9 +126,6 @@ def random_wa_module_d2(field, rng):
 def random_wa_module_d3(field, rng, max_tries=400):
     """Weakly admissible dimension-3 module (generate and certify)."""
     p = field.p
-    from .linalg import mat_mul, RingOps as _RingOps
-    from .modules import _mat_inverse
-    ops = _RingOps(field.zero, field.one)
     for _ in range(max_tries):
         slopes = sorted(rng.sample(range(-3, 2), 3))
         t = sum(slopes)
@@ -131,11 +134,8 @@ def random_wa_module_d3(field, rng, max_tries=400):
         j2 = t - j1 - j3
         if not j1 < j2 < j3:
             continue
-        D = [[field.coerce(Fraction(random_unit(rng, p)) * Fraction(p) ** slopes[i])
-              if i == j else field.zero() for j in range(3)] for i in range(3)]
-        P = _unimodular(field, rng, 3)
-        sigmaP = [[field.sigma(c) for c in row] for row in P]
-        A = mat_mul(P, mat_mul(D, _mat_inverse(sigmaP, ops), ops), ops)
+        units = [random_unit(rng, p) for _ in range(3)]
+        A = _conjugated_phi(field, rng, slopes, units)
         full = Subspace(field, 3, [[field.one() if i == j else field.zero()
                                     for j in range(3)] for i in range(3)])
         v1 = [rng.randint(-3, 3) for _ in range(3)]
@@ -185,15 +185,8 @@ def random_h0_ncond_module(field, rng):
         b = rng.randint(-2, -1)
         a = rng.randint(b - 2, b - 1)
         j1 = a + b
-        u1, u2 = random_unit(rng, p), random_unit(rng, p)
-        D = [[field.coerce(Fraction(u1) * Fraction(p) ** a), field.zero()],
-             [field.zero(), field.coerce(Fraction(u2) * Fraction(p) ** b)]]
-        from .linalg import mat_mul, RingOps as _RingOps
-        from .modules import _mat_inverse
-        ops = _RingOps(field.zero, field.one)
-        P = _unimodular(field, rng, 2)
-        sigmaP = [[field.sigma(c) for c in row] for row in P]
-        A = mat_mul(P, mat_mul(D, _mat_inverse(sigmaP, ops), ops), ops)
+        units = [random_unit(rng, p), random_unit(rng, p)]
+        A = _conjugated_phi(field, rng, (a, b), units)
         line = [rng.randint(-4, 4), rng.randint(-4, 4)]
         if line == [0, 0]:
             continue

@@ -254,14 +254,8 @@ class FilteredPhiModule:
                     "kernel of the irreducible factor has unexpected dimension")
             components.append([None, comp])  # None encodes the zero choice
         # B-invariant subspaces: sums of one choice per component chain
-        choices = []
-        for chain in components:
-            opts = []
-            for sub in chain:
-                opts.append(sub)
-            choices.append(opts)
         candidates = []
-        for pick in iter_product(*choices):
+        for pick in iter_product(*components):
             vecs = []
             for sub in pick:
                 if sub is not None:

@@ -1,19 +1,19 @@
-"""Exact arithmetic in Q_p and in the unramified extension K of degree f.
+"""Exact arithmetic in the unramified extension K of Q_p of degree f.
 
-Scalars carry an absolute precision exponent: a value is known modulo p^m.
-Every ring operation propagates the correct output precision (minimum for
-addition, valuation-adjusted for products and quotients), and a value whose
-residue vanishes inside its own window degrades to a tracked zero rather
-than ever pretending to be exactly 0.
+Q_p itself is the field of degree f = 1, and a Q_p scalar inside K is an
+element whose coordinates above 0 are zero.  Values carry an absolute
+precision exponent: a value is known modulo p^m.  Every ring operation
+propagates the correct output precision (minimum for addition,
+valuation-adjusted for products and quotients), and a value whose residue
+vanishes inside its own window degrades to a tracked zero rather than ever
+pretending to be exactly 0.
 
 An element of K is stored on plain integers, like a truncated series: a
 valuation, one absolute precision for the whole element, and f residues,
 its coordinates in the power basis 1, t, ..., t^{f-1} of a monic defining
-polynomial that is irreducible mod p.  At f = 1 every operation gives the
-same valuation, precision and residue as the PadicScalar operation.  The
-Frobenius lift sigma is computed once at field construction by Hensel
-iteration from t^p, kept as the integer matrix of the residues of
-sigma(t^l), and verified to have order f.
+polynomial that is irreducible mod p.  The Frobenius lift sigma is computed
+once at field construction by Hensel iteration from t^p, kept as the
+integer matrix of the residues of sigma(t^l), and verified to have order f.
 """
 
 from fractions import Fraction
@@ -39,207 +39,6 @@ def vp_fraction(x, p: int):
     if x == 0:
         raise ValueError("valuation of 0 is infinite")
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
-
-
-class PadicScalar:
-    """An element of Q_p known modulo p^prec.
-
-    Nonzero values are stored as p^val * unit with unit a p-adic unit known
-    modulo p^(prec-val); the tracked zero has val None and means "zero
-    modulo p^prec".
-    """
-
-    __slots__ = ("p", "val", "unit", "prec")
-
-    def __init__(self, p, val, unit, prec):
-        self.p = p
-        self.val = val
-        self.unit = unit
-        self.prec = prec
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero(p, prec):
-        return PadicScalar(p, None, 0, prec)
-
-    @staticmethod
-    def from_residue(p, base_val, residue, prec):
-        """Value p^base_val * residue, known modulo p^prec (absolute)."""
-        rel = prec - base_val
-        if rel <= 0:
-            return PadicScalar.zero(p, prec)
-        residue %= p ** rel
-        if residue == 0:
-            return PadicScalar.zero(p, prec)
-        v = vp_int(residue, p)
-        unit = (residue // p ** v) % (p ** (rel - v))
-        return PadicScalar(p, base_val + v, unit, prec)
-
-    @staticmethod
-    def from_rational(x, p, prec):
-        x = Fraction(x)
-        if x == 0:
-            return PadicScalar.zero(p, prec)
-        v = vp_fraction(x, p)
-        rel = prec - v
-        if rel <= 0:
-            return PadicScalar.zero(p, prec)
-        num = x.numerator
-        den = x.denominator
-        vn = vp_int(num, p)
-        vd = vp_int(den, p)
-        num //= p ** vn
-        den //= p ** vd
-        mod = p ** rel
-        unit = num * pow(den, -1, mod) % mod
-        return PadicScalar(p, v, unit, prec)
-
-    # -- predicates ---------------------------------------------------
-
-    @property
-    def is_zero(self):
-        return self.val is None
-
-    def valuation(self):
-        """Certified valuation; raises on a tracked zero."""
-        if self.is_zero:
-            raise PrecisionError(f"indistinguishable from zero at O(p^{self.prec})")
-        return self.val
-
-    def valuation_or_none(self):
-        return None if self.is_zero else self.val
-
-    # -- representation helpers ---------------------------------------
-
-    def residue(self, base_val: int, rel: int) -> int:
-        """Integer r with value = p^base_val * r modulo p^(base_val+rel).
-
-        Requires val >= base_val; the caller owns the check that
-        base_val + rel does not exceed the tracked precision.
-        """
-        if self.is_zero:
-            return 0
-        if self.val < base_val:
-            raise ValueError("residue base above the value's valuation")
-        return self.unit * self.p ** (self.val - base_val) % self.p ** rel
-
-    def lift_fraction(self):
-        """Canonical rational lift p^val * unit (exact in the window)."""
-        if self.is_zero:
-            return Fraction(0)
-        return Fraction(self.unit) * Fraction(self.p) ** self.val
-
-    def digits(self):
-        """Base-p digits of the unit part, least significant first."""
-        if self.is_zero:
-            return []
-        rel = self.prec - self.val
-        u = self.unit
-        out = []
-        for _ in range(rel):
-            u, d = divmod(u, self.p)
-            out.append(d)
-        return out
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _check(self, other):
-        if not isinstance(other, PadicScalar):
-            other = PadicScalar.from_rational(other, self.p, self.prec)
-        if other.p != self.p:
-            raise ValueError("mixed primes")
-        return other
-
-    def __add__(self, other):
-        # a mixed sum, difference or product is FieldElement's reflected one
-        if isinstance(other, FieldElement):
-            return NotImplemented
-        other = self._check(other)
-        p = self.p
-        prec = min(self.prec, other.prec)
-        base = prec
-        if not self.is_zero:
-            base = min(base, self.val)
-        if not other.is_zero:
-            base = min(base, other.val)
-        rel = prec - base
-        if rel <= 0:
-            return PadicScalar.zero(p, prec)
-        mod = p ** rel
-        rx = 0 if self.is_zero else self.unit * p ** (self.val - base) % mod
-        ry = 0 if other.is_zero else other.unit * p ** (other.val - base) % mod
-        return PadicScalar.from_residue(p, base, rx + ry, prec)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.is_zero:
-            return self
-        rel = self.prec - self.val
-        return PadicScalar(self.p, self.val, (-self.unit) % self.p ** rel, self.prec)
-
-    def __sub__(self, other):
-        if isinstance(other, FieldElement):
-            return NotImplemented
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return self._check(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            return NotImplemented
-        other = self._check(other)
-        p = self.p
-        if self.is_zero or other.is_zero:
-            # p^a Z_p * p^b Z_p lands in p^(a+b) Z_p
-            a = self.prec if self.is_zero else self.val
-            b = other.prec if other.is_zero else other.val
-            return PadicScalar.zero(p, a + b)
-        rel = min(self.prec - self.val, other.prec - other.val)
-        val = self.val + other.val
-        unit = self.unit * other.unit % p ** rel
-        return PadicScalar(p, val, unit, val + rel)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        p = self.p
-        if other.is_zero:
-            raise PrecisionError(
-                f"division by a value indistinguishable from zero at O(p^{other.prec})")
-        if self.is_zero:
-            return PadicScalar.zero(p, self.prec - other.val)
-        rel = min(self.prec - self.val, other.prec - other.val)
-        val = self.val - other.val
-        unit = self.unit * pow(other.unit, -1, p ** rel) % p ** rel
-        return PadicScalar(p, val, unit, val + rel)
-
-    def __rtruediv__(self, other):
-        return self._check(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return (PadicScalar.from_rational(1, self.p, self.prec) / self) ** (-n)
-        out = PadicScalar.from_rational(1, self.p, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def equals(self, other):
-        """Equality as a 'difference is zero at shared precision' decision."""
-        return (self - self._check(other)).is_zero
-
-    def __repr__(self):
-        if self.is_zero:
-            return f"O({self.p}^{self.prec})"
-        return f"{self.p}^{self.val}*{self.unit} + O({self.p}^{self.prec})"
 
 
 # ----------------------------------------------------------------------
@@ -399,11 +198,20 @@ class FieldElement:
         return self.val
 
     def coordinate(self, l):
-        """Coordinate l (the coefficient of t^l) as a Q_p scalar."""
+        """Coordinate l (the coefficient of t^l) as a Q_p scalar of K."""
+        field = self.field
         if self.val is None:
-            return PadicScalar.zero(self.field.p, self.prec)
-        return PadicScalar.from_residue(self.field.p, self.val, self.res[l],
-                                        self.prec)
+            return self
+        return field.from_residues(self.val, (self.res[l],) + field._zeros[1:],
+                                   self.prec)
+
+    def lift_fraction(self):
+        """Canonical rational lift p^val * res[0] of a Q_p scalar."""
+        if any(self.res[1:]):
+            raise ValueError("not a Q_p scalar")
+        if self.val is None:
+            return Fraction(0)
+        return Fraction(self.res[0]) * Fraction(self.field.p) ** self.val
 
     def _add(self, other, sign):
         field = self.field
@@ -464,7 +272,7 @@ class FieldElement:
         field = self.field
         if isinstance(other, FieldElement):
             return self * field.inverse(other)
-        # a Q_p scalar divides coordinate-wise, like PadicScalar division
+        # an int or Fraction divides coordinate-wise
         s = field.coerce(other)
         if s.val is None:
             raise PrecisionError(
@@ -488,8 +296,13 @@ class FieldElement:
         return self.field.sigma(self)
 
     def __repr__(self):
-        return "K(" + ", ".join(repr(self.coordinate(l))
-                                for l in range(self.field.f)) + ")"
+        p = self.field.p
+        parts = []
+        for l in range(self.field.f):
+            c = self.coordinate(l)
+            parts.append(f"O({p}^{c.prec})" if c.val is None else
+                         f"{p}^{c.val}*{c.res[0]} + O({p}^{c.prec})")
+        return "K(" + ", ".join(parts) + ")"
 
 
 class UnramifiedField:
@@ -538,7 +351,17 @@ class UnramifiedField:
             (other.p, other.f, other.defpoly)
 
     def scalar(self, x, prec=None):
-        return PadicScalar.from_rational(x, self.p, prec or self.work_prec)
+        """The rational x as a Q_p scalar of K, known modulo p^prec."""
+        if prec is None:
+            prec = self.work_prec
+        x = Fraction(x)
+        p = self.p
+        vd = vp_int(x.denominator, p)
+        if prec + vd <= 0:
+            return FieldElement(self, None, prec, self._zeros)
+        u = pow(x.denominator // p ** vd, -1, p ** (prec + vd))
+        return self.from_residues(
+            -vd, (x.numerator * u,) + self._zeros[1:], prec)
 
     def coerce(self, x):
         if isinstance(x, FieldElement):
@@ -549,11 +372,7 @@ class UnramifiedField:
             return x
         if isinstance(x, int):
             return self.from_residues(0, (x,) + self._zeros[1:], self.work_prec)
-        if not isinstance(x, PadicScalar):
-            x = self.scalar(x)
-        if x.is_zero:
-            return FieldElement(self, None, x.prec, self._zeros)
-        return FieldElement(self, x.val, x.prec, (x.unit,) + self._zeros[1:])
+        return self.scalar(x)
 
     def from_residues(self, base, residues, prec):
         """The element p^base * sum_l residues[l] t^l known modulo p^prec."""
@@ -574,22 +393,28 @@ class UnramifiedField:
         return FieldElement(self, base, prec, tuple(res))
 
     def element(self, coords, prec=None):
-        prec = prec or self.work_prec
+        """sum_l coords[l] t^l for int, Fraction or Q_p scalar coordinates,
+        known to the least precision among them."""
+        if prec is None:
+            prec = self.work_prec
         if len(coords) != self.f:
             raise ValueError(f"expected {self.f} coordinates")
         if all(isinstance(c, int) for c in coords):
             return self.from_residues(0, coords, prec)
-        scal = [c if isinstance(c, PadicScalar)
-                else PadicScalar.from_rational(c, self.p, prec) for c in coords]
+        scal = [c if isinstance(c, FieldElement) else self.scalar(c, prec)
+                for c in coords]
+        if any(any(c.res[1:]) for c in scal):
+            raise ValueError("coordinates must be Q_p scalars")
         prec = min(c.prec for c in scal)
-        vals = [c.val for c in scal if not c.is_zero]
-        base = min(vals, default=prec)
+        base = min((c.val for c in scal if c.val is not None), default=prec)
+        p = self.p
         return self.from_residues(
-            base, [c.residue(base, prec - base) if base < prec else 0
+            base, [0 if c.val is None else c.res[0] * p ** (c.val - base)
                    for c in scal], prec)
 
     def zero(self, prec=None):
-        return FieldElement(self, None, prec or self.work_prec, self._zeros)
+        return FieldElement(self, None, self.work_prec if prec is None
+                            else prec, self._zeros)
 
     def one(self, prec=None):
         return self.element([1] + [0] * (self.f - 1), prec)
@@ -682,7 +507,7 @@ class UnramifiedField:
         v = a.valuation()
         p = self.p
         if self.f == 1:
-            # the 1 is known to a.prec, as in 1 / PadicScalar
+            # the 1 is known to a.prec
             if a.prec <= 0:
                 return FieldElement(self, None, a.prec - v, self._zeros)
             rel = min(a.prec, a.prec - v)
@@ -725,7 +550,8 @@ class UnramifiedField:
         return self._apply_rows(self._sigma_inv_rows, a)
 
     def random_element(self, rng, prec=None, integral=True):
-        prec = prec or self.prec
+        if prec is None:
+            prec = self.prec
         lo = 0 if integral else -2
         coords = [rng.randrange(self.p ** prec) * Fraction(self.p) ** rng.randint(lo, 0)
                   for _ in range(self.f)]

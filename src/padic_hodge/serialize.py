@@ -3,9 +3,11 @@
 Formats:
 
 * scalar:  {"val": int|null, "unit": "<base-p digits, least significant
-  first>", "prec": int}; plain ints and "a/b" strings are accepted as exact
-  shorthand anywhere a scalar is expected.
-* field element: array of f scalars (a bare scalar is shorthand when f=1).
+  first>", "prec": int}, a Q_p scalar: read as an element of the module's
+  field whose coordinates above 0 are zero.  Plain ints and "a/b" strings
+  are accepted as exact shorthand anywhere a scalar is expected.
+* field element: array of f scalars, its power-basis coordinates (a plain
+  int or "a/b" string is shorthand for a rational element).
 * series:  {"trunc": N, "bound": rational-or-null, "coeffs": [field
   elements]} with optional "log_slope"/"index_shift" (the two extra profile
   components), "tail_zero" and "prec".
@@ -23,7 +25,7 @@ from fractions import Fraction
 import json
 
 from .errors import SchemaError
-from .padics import PadicScalar, FieldElement, UnramifiedField
+from .padics import FieldElement, UnramifiedField
 from .series import TruncatedSeries
 from .seriesops import LogPolynomial
 from .modules import FilteredPhiModule, Subspace
@@ -77,31 +79,38 @@ def _digits_from_str(s, p, path):
     return sum(d * p ** i for i, d in enumerate(digs))
 
 
-def scalar_to_json(s: PadicScalar):
+def scalar_to_json(s: FieldElement):
+    """A Q_p scalar: the unit is res[0], written to prec - val digits."""
     if s.is_zero:
         return {"val": None, "unit": "", "prec": s.prec}
-    return {"val": s.val, "unit": _digits_to_str(s.digits(), s.p),
-            "prec": s.prec}
+    p = s.field.p
+    u, digits = s.res[0], []
+    for _ in range(s.prec - s.val):
+        u, d = divmod(u, p)
+        digits.append(d)
+    return {"val": s.val, "unit": _digits_to_str(digits, p), "prec": s.prec}
 
 
-def scalar_from_json(node, p, prec_default, path="scalar"):
+def scalar_from_json(node, field, path="scalar"):
+    """A Q_p scalar of ``field``, known to its working precision unless the
+    node says otherwise."""
     if isinstance(node, (int, str)):
-        x = rational_from_json(node, path)
-        return PadicScalar.from_rational(x, p, prec_default)
+        return field.scalar(rational_from_json(node, path))
     if not isinstance(node, dict):
         _fail(path, "expected scalar object, int or string")
-    prec = node.get("prec", prec_default)
+    prec = node.get("prec", field.work_prec)
     if not isinstance(prec, int):
         _fail(path + ".prec", "expected int")
     val = node.get("val")
     if val is None:
-        return PadicScalar.zero(p, prec)
+        return field.zero(prec)
     if not isinstance(val, int):
         _fail(path + ".val", "expected int or null")
+    p = field.p
     unit = _digits_from_str(node.get("unit", ""), p, path + ".unit")
     if unit % p == 0:
         _fail(path + ".unit", "unit part must not be divisible by p")
-    return PadicScalar.from_residue(p, val, unit, prec)
+    return field.from_residues(val, (unit,) + (0,) * (field.f - 1), prec)
 
 
 def element_to_json(a: FieldElement):
@@ -115,7 +124,7 @@ def element_from_json(node, field, path="element"):
         _fail(path, "expected array of scalars (or int/string shorthand)")
     if len(node) != field.f:
         _fail(path, f"expected {field.f} coordinates, got {len(node)}")
-    coords = [scalar_from_json(c, field.p, field.work_prec, f"{path}[{i}]")
+    coords = [scalar_from_json(c, field, f"{path}[{i}]")
               for i, c in enumerate(node)]
     return field.element(coords)
 

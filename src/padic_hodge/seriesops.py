@@ -15,7 +15,7 @@ import math
 from . import intpoly
 from .errors import (PrecisionError, TailBoundError, NotDivisibleError,
                      PsiNotZeroError)
-from .padics import PadicScalar, vp_int, vp_fraction
+from .padics import FieldElement, vp_int, vp_fraction
 from .cyclotomic import CyclotomicLayer, CyclotomicElement
 from .series import TruncatedSeries, tail_valuation_bound, _floor_logp, INFINITE
 
@@ -156,9 +156,10 @@ def _binomial_column(c_res, n, rel, p, extra):
 def gamma_action(f: TruncatedSeries, c) -> TruncatedSeries:
     """f |-> f((1+x)^c - 1) for a unit c of Z_p.
 
-    ``c`` may be an exact int/Fraction (expanded exactly) or a PadicScalar,
-    in which case the output precision honestly reflects the loss
-    v_p(N!) inherent in evaluating binomials of an approximate argument.
+    ``c`` may be an exact int/Fraction (expanded exactly) or a Q_p scalar
+    (a FieldElement whose coordinates above 0 are zero), in which case the
+    output precision honestly reflects the loss v_p(N!) inherent in
+    evaluating binomials of an approximate argument.
     """
     field = f.field
     p = field.p
@@ -166,15 +167,15 @@ def gamma_action(f: TruncatedSeries, c) -> TruncatedSeries:
     extra = vp_int(math.factorial(n), p) if n else 0
     rel = f.rel
     prec_out = f.prec
-    if isinstance(c, PadicScalar):
-        if c.is_zero or c.val != 0:
+    if isinstance(c, FieldElement):
+        if c.val != 0 or any(c.res[1:]):
             raise ValueError("gamma-action argument must be a unit of Z_p")
         avail = c.prec  # digits of c available
         rel = min(rel, max(avail - extra, 0))
         if rel <= 0:
             raise PrecisionError("argument of gamma-action too imprecise")
         prec_out = f.shift + rel
-        c_res = c.residue(0, rel + extra)
+        c_res = c.res[0] % p ** (rel + extra)
     else:
         c = Fraction(c)
         if c == 1:

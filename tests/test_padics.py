@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from padic_hodge.padics import (PadicScalar, UnramifiedField, frobenius_sigma,
-                                vp_fraction)
+from padic_hodge.padics import UnramifiedField, frobenius_sigma, vp_fraction
+from padic_hodge.polyroots import poly_eval
 from padic_hodge.errors import PrecisionError
+from padic_hodge import serialize as ser
+
+Q5 = UnramifiedField(5, 1, 20)
 
 
-def scal(x, p=5, prec=20):
-    return PadicScalar.from_rational(Fraction(x), p, prec)
+def scal(x, prec=20):
+    return Q5.scalar(Fraction(x), prec)
 
 
 def test_rational_roundtrip_valuations():
@@ -69,7 +72,7 @@ def test_precision_propagation_rules():
 
 
 def test_zero_times_value_precision():
-    z = PadicScalar.zero(5, 12)
+    z = Q5.zero(12)
     a = scal(Fraction(1, 5))
     prod = z * a
     assert prod.is_zero and prod.prec == 11
@@ -126,72 +129,10 @@ def test_nonirreducible_defpoly_rejected():
 
 def test_serialization_digits():
     s = scal(Fraction(7, 3))
-    digs = s.digits()
+    digs = [int(d) for d in ser.scalar_to_json(s)["unit"]]
+    assert len(digs) == s.prec - s.val
     assert all(0 <= d < 5 for d in digs)
-    assert sum(d * 5 ** i for i, d in enumerate(digs)) == s.unit
-
-
-# -- FieldElement at f = 1 is PadicScalar, bit for bit ---------------------
-
-def _shape(x):
-    """(val, prec, residue) of a PadicScalar or a degree-1 FieldElement."""
-    if isinstance(x, PadicScalar):
-        return (x.val, x.prec, x.unit)
-    return (x.val, x.prec, x.res[0])
-
-
-def _random_scalar(rng, p):
-    prec = rng.randint(5, 60)
-    if rng.random() < 0.15:
-        return PadicScalar.zero(p, prec)
-    val = rng.randint(-3, 3)
-    if val >= prec:
-        return PadicScalar.zero(p, prec)
-    unit = rng.randrange(1, p ** (prec - val))
-    while unit % p == 0:
-        unit = rng.randrange(1, p ** (prec - val))
-    return PadicScalar.from_residue(p, val, unit, prec)
-
-
-def _outcome(fn):
-    try:
-        return _shape(fn())
-    except PrecisionError:
-        return "PrecisionError"
-
-
-@pytest.mark.parametrize("p", [3, 5])
-def test_degree_one_element_matches_padic_scalar(p):
-    K = UnramifiedField(p, 1, 20, work_margin=15)
-    rng = random.Random(100 + p)
-    for _ in range(300):
-        sa, sb = _random_scalar(rng, p), _random_scalar(rng, p)
-        a, b = K.coerce(sa), K.coerce(sb)
-        assert _shape(a) == _shape(sa)
-        assert _shape(a + b) == _shape(sa + sb)
-        assert _shape(a - b) == _shape(sa - sb)
-        assert _shape(a * b) == _shape(sa * sb)
-        assert _shape(-a) == _shape(-sa)
-        # an element quotient multiplies by the inverse, whose 1 is
-        # known to the divisor's precision
-        assert _outcome(lambda: a.inverse()) == _outcome(lambda: 1 / sa)
-        assert _outcome(lambda: a / b) == _outcome(lambda: sa * (1 / sb))
-        # int, Fraction and PadicScalar operands; ints and Fractions are
-        # known to the working precision, on either side
-        n = rng.choice([0, rng.randint(-10 ** 4, 10 ** 4), p ** 3 * 7])
-        x = Fraction(rng.randint(-500, 500), rng.choice([1, 2, p, p ** 2, 7 * p]))
-        for other in (n, x, sb):
-            so = other if isinstance(other, PadicScalar) else \
-                PadicScalar.from_rational(other, p, K.work_prec)
-            assert _shape(a + other) == _shape(sa + so)
-            assert _shape(other + a) == _shape(so + sa)
-            assert _shape(a - other) == _shape(sa - so)
-            assert _shape(a * other) == _shape(sa * so)
-            assert _outcome(lambda: a / other) == _outcome(lambda: sa / so)
-        for other in (n, x):
-            so = PadicScalar.from_rational(other, p, K.work_prec)
-            assert _shape(other - a) == _shape(so - sa)
-            assert _shape(other * a) == _shape(so * sa)
+    assert sum(d * 5 ** i for i, d in enumerate(digs)) == s.res[0]
 
 
 # -- f = 2, 3 against exact arithmetic in Q[t]/(g) -------------------------
@@ -243,11 +184,46 @@ def _rational_vector(rng, p, f):
                      rng.choice([1, 2, p, p * p, 3 * p + 1])) for _ in range(f)]
 
 
-@pytest.mark.parametrize("p,f", [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3)])
+def _lift(e, p):
+    """The rational vector p^val * res an element stands for."""
+    if e.is_zero:
+        return [Fraction(0)] * len(e.res)
+    return [Fraction(r) * Fraction(p) ** e.val for r in e.res]
+
+
+def _canonical(e, coords, prec, p):
+    """Is e the element the rational vector gives modulo p^prec: known to
+    prec, the tracked zero when every coordinate lies in p^prec, else the
+    true valuation with residues in [0, p^(prec - val))?"""
+    v = min((vp_fraction(c, p) for c in coords if c), default=prec)
+    if v >= prec:
+        return (e.val, e.prec) == (None, prec) and not any(e.res)
+    return ((e.val, e.prec) == (v, prec) and _agrees(e, coords, p)
+            and all(0 <= r < p ** (prec - v) for r in e.res))
+
+
+def _mul_prec(a, b):
+    """Precision of a product from the operands' (val, prec); a tracked zero
+    counts its precision: p^a O_K * p^b O_K lands in p^(a+b) O_K."""
+    (va, pa), (vb, pb) = a, b
+    if va is None or vb is None:
+        return (pa if va is None else va) + (pb if vb is None else vb)
+    return va + vb + min(pa - va, pb - vb)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (3, 2), (3, 3), (5, 2),
+                                 (5, 3), (7, 2), (7, 3)])
 def test_extension_arithmetic_matches_rational_oracle(p, f):
+    """Each operation against exact arithmetic in Q[t]/(g), with its
+    precision rule written out.  The inverse of an element of valuation v
+    has val -v; at f > 1 it keeps every relative digit (prec - 2v), at f = 1
+    its 1 is known to the element's precision, so its prec is
+    min(prec, prec - v) - v.  Int and Fraction operands are known to
+    work_prec, and a division by one is coordinate-wise."""
     K = UnramifiedField(p, f, 20)
-    g = K.defpoly
+    g, W = K.defpoly, K.work_prec
     rng = random.Random(10 * p + f)
+    orng = random.Random(1000 + 10 * p + f)
     for _ in range(25):
         qa, qb = _rational_vector(rng, p, f), _rational_vector(rng, p, f)
         if not any(qb):
@@ -258,12 +234,67 @@ def test_extension_arithmetic_matches_rational_oracle(p, f):
         assert prod.prec == a.val + b.val + min(a.prec - a.val, b.prec - b.val)
         assert _agrees(prod, _qt_mul(qa, qb, g), p)
         inv = b.inverse()
-        assert (inv.val, inv.prec) == (-b.val, b.prec - 2 * b.val)
+        if f > 1:
+            assert (inv.val, inv.prec) == (-b.val, b.prec - 2 * b.val)
         assert _agrees(inv, _qt_inverse(qb, g), p)
         quo = a / b
         assert _agrees(quo, _qt_mul(qa, _qt_inverse(qb, g), g), p)
-        assert quo.prec >= min(a.prec - b.val, a.val + b.prec - 2 * b.val)
+        if f > 1:
+            assert quo.prec >= min(a.prec - b.val, a.val + b.prec - 2 * b.val)
         assert (a - a).is_zero and (a - a).prec == 30
+        # the same rules, bit for bit, over operands of low precision and
+        # tracked zeros
+        cp = orng.choice([1, 3, 25, 60])
+        c, d = K.element(qb, prec=cp), K.element(qa, prec=60)
+        assert _canonical(c, qb, cp, p) and _canonical(d, qa, 60, p)
+        for x, y in ((a, b), (b, a), (a, c), (c, a), (d, c), (c, d),
+                     (a - a, b), (b, a - a), (c - c, a)):
+            lx, ly = _lift(x, p), _lift(y, p)
+            vx, vy = (x.val, x.prec), (y.val, y.prec)
+            prec = min(x.prec, y.prec)
+            assert _canonical(x, lx, x.prec, p)
+            assert _canonical(x + y, [s + t for s, t in zip(lx, ly)], prec, p)
+            assert _canonical(x - y, [s - t for s, t in zip(lx, ly)], prec, p)
+            assert _canonical(-x, [-s for s in lx], x.prec, p)
+            assert _canonical(x * y, _qt_mul(lx, ly, g), _mul_prec(vx, vy), p)
+            if y.is_zero:
+                with pytest.raises(PrecisionError):
+                    y.inverse()
+                with pytest.raises(PrecisionError):
+                    x / y
+                continue
+            v = y.val
+            rel = min(y.prec, y.prec - v) if f == 1 else y.prec - v
+            iy = y.inverse()
+            assert _canonical(iy, _qt_inverse(ly, g), rel - v, p)
+            assert _canonical(x / y, _qt_mul(lx, _qt_inverse(ly, g), g),
+                              _mul_prec(vx, (iy.val, iy.prec)), p)
+        n = orng.choice([0, orng.randint(-10 ** 4, 10 ** 4), p ** 3 * 7])
+        r = Fraction(orng.randint(-500, 500),
+                     orng.choice([1, 2, p, p ** 2, 7 * p]))
+        for x in (a, c, d, a - a):
+            lx, vx = _lift(x, p), (x.val, x.prec)
+            for q in (n, r):
+                e = [Fraction(q)] + [Fraction(0)] * (f - 1)
+                vq = (vp_fraction(q, p) if q else None, W)
+                prec = min(x.prec, W)
+                plus = [s + t for s, t in zip(lx, e)]
+                minus = [s - t for s, t in zip(lx, e)]
+                assert _canonical(x + q, plus, prec, p)
+                assert _canonical(q + x, plus, prec, p)
+                assert _canonical(x - q, minus, prec, p)
+                assert _canonical(q - x, [-s for s in minus], prec, p)
+                times = _qt_mul(lx, e, g)
+                assert _canonical(x * q, times, _mul_prec(vx, vq), p)
+                assert _canonical(q * x, times, _mul_prec(vx, vq), p)
+                if not q:
+                    with pytest.raises(PrecisionError):
+                        x / q
+                    continue
+                vq = vq[0]
+                qprec = x.prec - vq if x.is_zero else \
+                    x.val - vq + min(x.prec - x.val, W - vq)
+                assert _canonical(x / q, [s / q for s in lx], qprec, p)
 
 
 @pytest.mark.parametrize("p,f", [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3)])
@@ -312,3 +343,20 @@ def test_tracked_zero_products_and_inverse():
             z.inverse()
         with pytest.raises(PrecisionError):
             a / z
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_precision_zero_is_not_the_working_precision(f):
+    # modulo p^0 nothing is known: each constructor gives a tracked zero at
+    # prec 0, not an element known to work_prec
+    K = UnramifiedField(5, f, 20)
+    made = [K.zero(0), K.one(0), K.gen(0), K.scalar(7, 0),
+            K.element([1] + [0] * (f - 1), 0),
+            K.element([Fraction(7, 3)] * f, 0),
+            K.random_element(random.Random(1), prec=0)]
+    for e in made:
+        assert (e.val, e.prec) == (None, 0) and not any(e.res)
+    x = K.scalar(Fraction(1, 25), 0)
+    assert (x.val, x.prec, x.res[0]) == (-2, 0, 1)
+    # Horner's accumulator starts at the point's precision
+    assert poly_eval([], x, K).prec == 0

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 import pytest
 
-from padic_hodge.padics import PadicScalar, UnramifiedField
+from padic_hodge.padics import UnramifiedField
 from padic_hodge.series import TruncatedSeries
 from padic_hodge import seriesops as so
 from padic_hodge.modules import modular_form_module
@@ -18,21 +18,24 @@ from padic_hodge.cli import main, mf_rank_table
 
 def test_scalar_roundtrip():
     rng = random.Random(71)
+    Q5 = UnramifiedField(5, 1, 20)
     for _ in range(30):
         x = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice([1, 2, 3, 25]))
-        s = PadicScalar.from_rational(x, 5, 20)
-        back = ser.scalar_from_json(ser.scalar_to_json(s), 5, 20)
+        s = Q5.scalar(x, 20)
+        back = ser.scalar_from_json(ser.scalar_to_json(s), Q5)
         assert (s - back).is_zero and back.prec == s.prec
-    z = PadicScalar.zero(5, 14)
-    back = ser.scalar_from_json(ser.scalar_to_json(z), 5, 20)
+        assert (back.val, back.res) == (s.val, s.res)
+    z = Q5.zero(14)
+    back = ser.scalar_from_json(ser.scalar_to_json(z), Q5)
     assert back.is_zero and back.prec == 14
 
 
 def test_scalar_large_prime_digits():
-    s = PadicScalar.from_rational(Fraction(123456, 7), 13, 12)
+    Q13 = UnramifiedField(13, 1, 12)
+    s = Q13.scalar(Fraction(123456, 7), 12)
     node = ser.scalar_to_json(s)
     assert "." in node["unit"]
-    back = ser.scalar_from_json(node, 13, 12)
+    back = ser.scalar_from_json(node, Q13)
     assert (s - back).is_zero
 
 
@@ -247,6 +250,33 @@ def test_config_validation():
         Config(truncation=10)  # below p^2
     assert Config().truncation == 125
     assert Config(p=3).truncation == 27
+
+
+@pytest.mark.parametrize("config, where", [
+    ({"p": 5, "bogus": 1}, ".bogus: unknown config key"),
+    ({"layer_cap": 3}, ".layer_cap: unknown config key"),
+    ([5], ": expected an object of config keys, got list"),
+    ("p = 5", ": expected an object of config keys, got str"),
+    ({"p": "5"}, ".p: expected int, got str"),
+    ({"precision": 20.5}, ".precision: expected int, got float"),
+    ({"f": True}, ".f: expected int, got bool"),
+    ({"seed": None}, ".seed: expected int, got NoneType"),
+], ids=["unknown-key", "layer-cap", "list", "string", "str-value",
+        "float-value", "bool-value", "null-value"])
+def test_malformed_config_exits_2(tmp_path, capsys, config, where):
+    # exit 1 is a certified negative verdict, so a bad config must not be 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main(["slopes", "-m", "supersingular", "--config", str(path)])
+    assert code == 2
+    assert f"error: {path}{where}" in capsys.readouterr().err
+
+
+def test_config_file_keys_are_read(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"p": 5, "f": 1, "precision": 30}))
+    assert main(["slopes", "-m", "supersingular", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_byte_identical_reruns():

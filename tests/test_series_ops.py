@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_hodge.padics import PadicScalar, UnramifiedField
+from padic_hodge.padics import UnramifiedField
 from padic_hodge.series import TruncatedSeries
 from padic_hodge import seriesops as so
 from padic_hodge.errors import PsiNotZeroError
@@ -181,15 +181,21 @@ def test_gamma_functoriality(K5):
     assert lhs.equals(rhs)
 
 
-def test_gamma_requires_unit(K5):
+def test_gamma_requires_unit(K5, K25):
     f = TruncatedSeries.one(K5, 10)
     with pytest.raises(ValueError):
         so.gamma_action(f, 5)
+    with pytest.raises(ValueError):
+        so.gamma_action(f, K5.scalar(5, 40))
+    # c must lie in Z_p, not merely be a unit of K
+    g = TruncatedSeries.one(K25, 10)
+    with pytest.raises(ValueError):
+        so.gamma_action(g, K25.one() + K25.gen())
 
 
 def test_gamma_padic_scalar_argument(K5):
     f = TruncatedSeries.make(K5, [1, 1], n=10)
-    c = PadicScalar.from_rational(7, 5, 40)
+    c = K5.scalar(7, 40)
     out = so.gamma_action(f, c)
     expect = so.gamma_action(f, 7)
     m = min(out.n, expect.n)
@@ -199,15 +205,18 @@ def test_gamma_padic_scalar_argument(K5):
 @pytest.mark.parametrize("p, f, n, c, prec", [
     (5, 2, 125, 7, 20),
     (5, 2, 125, Fraction(3, 2), 20),
-    # 40 digits of c, less v_5(125!) = 31 lost to the binomials
-    (5, 2, 125, PadicScalar.from_rational(Fraction(-1, 3), 5, 40), 9),
+    # 40 digits of c, less v_5(125!) = 31 lost to the binomials; a pair is
+    # the rational and precision of a Q_p scalar of the field
+    (5, 2, 125, (Fraction(-1, 3), 40), 9),
     (7, 1, 343, 6, 20),
     # 70 digits of c, less v_7(343!) = 57
-    (7, 1, 343, PadicScalar.from_rational(Fraction(2, 5), 7, 70), 13),
+    (7, 1, 343, (Fraction(2, 5), 70), 13),
 ])
 def test_gamma_commutes_with_d(p, f, n, c, prec):
     # D gamma_c = c gamma_c D, with the output precision gamma_c reports
     field = UnramifiedField(p, f, 20)
+    if isinstance(c, tuple):
+        c = field.scalar(*c)
     rng = random.Random(31)
     g = TruncatedSeries.make(
         field, [field.random_element(rng) for _ in range(n + 1)], n=n)
