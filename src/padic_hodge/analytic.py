@@ -5,7 +5,8 @@ wedges, and the order-versus-log-divisibility contradiction engine.
 
 Verdicts here are certificates at finite truncation and finitely many
 cyclotomic layers; "inconclusive" is a first-class outcome and is never
-silently collapsed into a boolean.
+silently collapsed into a boolean.  Layer tests decide at
+``seriesops.DECISION_LEVEL``, valuation 1 (modulo p^1).
 """
 
 from fractions import Fraction
@@ -16,7 +17,8 @@ from .cyclotomic import CyclotomicLayer
 from .linalg import solve, mat_transpose
 from .series import TruncatedSeries, INFINITE
 from .seriesops import (phi_op, d_op, psi_op, cyclotomic_evaluate, log_order,
-                        rho_norm, growth_order, _slope_interval)
+                        rho_norm, growth_order, _slope_interval,
+                        DECISION_LEVEL)
 from .modules import FilteredPhiModule, Subspace, _mat_inverse
 
 
@@ -29,7 +31,7 @@ class VectorSeries:
     """
 
     def __init__(self, module: FilteredPhiModule, components,
-                 eigen_data=None, psi_zero_checked=False):
+                 eigen_data=None):
         self.module = module
         self.components = list(components)
         if len(self.components) != module.d:
@@ -38,7 +40,6 @@ class VectorSeries:
         if len(ns) != 1:
             raise ValueError("components must share one truncation degree")
         self.eigen_data = eigen_data
-        self.psi_zero_checked = psi_zero_checked
 
     @property
     def n(self):
@@ -51,7 +52,7 @@ class VectorSeries:
     def truncate(self, n_new):
         return VectorSeries(self.module,
                             [c.truncate(n_new) for c in self.components],
-                            self.eigen_data, self.psi_zero_checked)
+                            self.eigen_data)
 
     @staticmethod
     def from_eigen_terms(module, terms, n):
@@ -73,34 +74,35 @@ class VectorSeries:
                             eigen_data=[(s, c) for _, s, c in terms])
 
 
-def phi_vec(g: VectorSeries) -> VectorSeries:
-    """Phi = (series phi) on components followed by the module's matrix."""
-    module = g.module
-    field = module.field
-    phid = [phi_op(c) for c in g.components]
-    n_min = min(c.n for c in phid)
-    phid = [c.truncate(n_min) for c in phid]
+def _mat_apply(A, comps):
+    """[sum_j A[i][j] * comps[j]]_i for a K-matrix A and series of one degree;
+    a row with no nonzero entry gives the zero series."""
+    field = comps[0].field
     out = []
-    for i in range(module.d):
+    for row in A:
         acc = None
-        for j in range(module.d):
-            a = module.phi_matrix[i][j]
+        for a, c in zip(row, comps):
             if a.is_zero:
                 continue
-            term = phid[j]._scalar_mul(a)
+            term = c._scalar_mul(a)
             acc = term if acc is None else acc + term
         out.append(acc if acc is not None
-                   else TruncatedSeries.zero(field, n_min))
-    return VectorSeries(module, out)
+                   else TruncatedSeries.zero(field, comps[0].n))
+    return out
 
 
-def phi_iterate(g: VectorSeries, k: int, cap=None) -> list:
+def phi_vec(g: VectorSeries) -> VectorSeries:
+    """Phi = (series phi) on components followed by the module's matrix."""
+    phid = _align([phi_op(c) for c in g.components])
+    return VectorSeries(g.module, _mat_apply(g.module.phi_matrix, phid))
+
+
+def phi_iterate(g: VectorSeries, k: int) -> list:
     """[g, Phi g, ..., Phi^k g], each re-truncated to the starting degree."""
-    cap = cap or g.n
-    out = [g.truncate(cap)]
+    out = [g.truncate(g.n)]
     cur = g
     for _ in range(k):
-        cur = phi_vec(cur).truncate(cap)
+        cur = phi_vec(cur).truncate(g.n)
         out.append(cur)
     return out
 
@@ -134,24 +136,13 @@ def phi_growth_order(g: VectorSeries, n_max: int = 3) -> PhiOrder:
     # estimate: slope fit of -log_p ||(1 (x) phi)^{-n} g||_{rho_n}
     module = g.module
     field = module.field
-    ops = module.ops()
     cur = g.components
     ys = []
     try:
-        Ainv = _mat_inverse(module.phi_matrix, ops)
+        Ainv = _mat_inverse(module.phi_matrix, module.ops())
+        twisted = [[field.sigma_inv(a) for a in row] for row in Ainv]
         for n in range(1, n_max + 1):
-            nxt = []
-            for i in range(module.d):
-                acc = None
-                for j in range(module.d):
-                    a = Ainv[i][j]
-                    if a.is_zero:
-                        continue
-                    term = cur[j]._scalar_mul(field.sigma_inv(a))
-                    acc = term if acc is None else acc + term
-                nxt.append(acc if acc is not None
-                           else TruncatedSeries.zero(field, cur[0].n))
-            cur = nxt
+            cur = _mat_apply(twisted, cur)
             vals = []
             for c in cur:
                 if not c.is_zero:
@@ -215,9 +206,37 @@ def _phi_power_basis(module, S: Subspace, n: int):
     return vecs
 
 
+def _layer_values(components, layer):
+    """(values at pi_n, least certainty, certified valuation floor of the
+    vector); TailBoundError from the evaluation propagates."""
+    evs = [cyclotomic_evaluate(c, layer) for c in components]
+    values = [ev.value for ev in evs]
+    floors = []
+    for ev, e in zip(evs, values):
+        vv = e.valuation_or_none()
+        floors.append(ev.certainty if vv is None
+                      else min(Fraction(vv), ev.certainty))
+    return values, min(ev.certainty for ev in evs), min(floors)
+
+
+def _span_margin(values, basis, layer, certainty, guard):
+    """Membership margin of ``values`` in the K_n-span of ``basis``: the
+    certainty when a solution exists, else the residual valuation of the
+    best solution capped at the certainty.  PrecisionError from the solve
+    propagates."""
+    cols = [[layer.from_field(c) for c in vec] for vec in basis]
+    x, resid = solve(mat_transpose(cols), values, layer.ops(guard))
+    if x is not None:
+        return certainty
+    return min(min(Fraction(v) for v in resid), certainty)
+
+
+def _status(level):
+    return "member" if level >= DECISION_LEVEL else "non-member"
+
+
 def check_membership(g: VectorSeries, v: int, J, r, n_max: int,
-                     tilde: bool = True, threshold=Fraction(1),
-                     layer_cap: int = 3) -> MembershipReport:
+                     tilde: bool = True) -> MembershipReport:
     """Certificate-style membership in the growth/filtration/vanishing class
     with parameters (v, J, r) at layers n <= n_max.
 
@@ -226,6 +245,9 @@ def check_membership(g: VectorSeries, v: int, J, r, n_max: int,
     variant defined for v <= 0 without the kernel condition).  Verdicts are
     'member up to layer n_max': the quantifier over all n is inherently
     truncated, and the order condition is binding only when it is exact.
+    A layer whose evaluation has no tail bound, whose certainty is below
+    the decision level, or whose span solve is ill-conditioned gives an
+    'indeterminate' row.
     """
     module = g.module
     field = module.field
@@ -238,98 +260,54 @@ def check_membership(g: VectorSeries, v: int, J, r, n_max: int,
         raise ValueError("J must consist of integers <= v")
     min_jump = min(jumps + [v])
     rows = []
-    indeterminate = False
-    verdict = True
     psi_zero = None
     if not tilde:
         psi_zero = all(psi_op(c).is_zero for c in g.components)
-        if not psi_zero:
-            verdict = False
     derivs = _derivative_ladder(g.components, -min_jump)
-    ops_cache = {}
     for j in range(min_jump, v + 1):
-        t = -j
-        comps = derivs[t]
         filj = module.fil_at(j)
         for n in range(1, n_max + 1):
-            layer = CyclotomicLayer(field, n, cap=layer_cap)
+            layer = CyclotomicLayer(field, n)
             try:
-                evs = [cyclotomic_evaluate(c, layer) for c in comps]
+                values, certainty, floor = _layer_values(derivs[-j], layer)
             except TailBoundError:
                 rows.append(ConditionRow(j, n, "subspace", "indeterminate",
                                          None))
-                indeterminate = True
                 continue
-            certainty = min(ev.certainty for ev in evs)
-            if certainty < threshold:
+            if certainty < DECISION_LEVEL:
                 rows.append(ConditionRow(j, n, "subspace", "indeterminate",
                                          certainty))
-                indeterminate = True
                 continue
-            E = [ev.value for ev in evs]
-            floors = []
-            for ev, e in zip(evs, E):
-                vv = e.valuation_or_none()
-                floors.append(ev.certainty if vv is None
-                              else min(Fraction(vv), ev.certainty))
-            vanish_floor = min(floors)
-            vanishes = vanish_floor >= threshold
             if j in J:
-                if vanishes:
-                    rows.append(ConditionRow(j, n, "vanish", "member",
-                                             vanish_floor))
-                else:
-                    rows.append(ConditionRow(j, n, "vanish", "non-member",
-                                             vanish_floor))
-                    verdict = False
-            # subspace condition
+                rows.append(ConditionRow(j, n, "vanish", _status(floor),
+                                         floor))
             if filj.dimension == module.d:
                 rows.append(ConditionRow(j, n, "subspace", "trivial", None))
                 continue
-            if vanishes:
-                rows.append(ConditionRow(j, n, "subspace", "member",
-                                         vanish_floor))
+            if floor >= DECISION_LEVEL or filj.dimension == 0:
+                rows.append(ConditionRow(j, n, "subspace", _status(floor),
+                                         floor))
                 continue
-            if filj.dimension == 0:
-                rows.append(ConditionRow(j, n, "subspace", "non-member",
-                                         vanish_floor))
-                verdict = False
-                continue
-            key = (j, n)
-            if key not in ops_cache:
-                basis = _phi_power_basis(module, filj, n)
-                cols = [[layer.from_field(c) for c in vec] for vec in basis]
-                ops_cache[key] = mat_transpose(cols)
-            A = ops_cache[key]
-            cops = layer.ops(module.guard)
             try:
-                x, resid = solve(A, E, cops)
+                margin = _span_margin(values,
+                                      _phi_power_basis(module, filj, n),
+                                      layer, certainty, module.guard)
             except PrecisionError:
                 rows.append(ConditionRow(j, n, "subspace", "indeterminate",
                                          None))
-                indeterminate = True
                 continue
-            # margin = residual valuation of the best solution, capped at
-            # the certified level of the evaluations
-            if x is not None:
-                margin = certainty
-            else:
-                margin = min(min(Fraction(v) for v in resid), certainty)
-            if margin >= threshold:
-                rows.append(ConditionRow(j, n, "subspace", "member", margin))
-            else:
-                rows.append(ConditionRow(j, n, "subspace", "non-member",
-                                         margin))
-                verdict = False
+            rows.append(ConditionRow(j, n, "subspace", _status(margin),
+                                     margin))
     order = phi_growth_order(g) if not g.is_zero else None
     order_pass = None
     if order is not None and order.exact:
         order_pass = order.value <= Fraction(v) + Fraction(r)
-        if not order_pass:
-            verdict = False
+    indeterminate = any(row.status == "indeterminate" for row in rows)
+    verdict = (psi_zero is not False and order_pass is not False
+               and not indeterminate
+               and all(row.status != "non-member" for row in rows))
     return MembershipReport(v, J, Fraction(r), n_max, tilde, psi_zero,
-                            order, order_pass, rows,
-                            verdict and not indeterminate, indeterminate)
+                            order, order_pass, rows, verdict, indeterminate)
 
 
 # ----------------------------------------------------------------------
@@ -358,6 +336,15 @@ def _align(series_list):
     return [s.truncate(m) for s in series_list]
 
 
+def _columns_det(columns):
+    """Determinant of the square matrix whose t-th column is ``columns[t]``,
+    every entry truncated to the shortest series first."""
+    k = len(columns)
+    flat = _align([c for col in columns for c in col])
+    return _series_det([[flat[t * k + i] for t in range(k)]
+                        for i in range(k)])
+
+
 def wronskian_det(g: VectorSeries, order: int) -> TruncatedSeries:
     """det(g, D g, ..., D^(order-1) g) over the first ``order`` components.
 
@@ -370,10 +357,7 @@ def wronskian_det(g: VectorSeries, order: int) -> TruncatedSeries:
     for _ in range(order - 1):
         cur = [d_op(c) for c in cur]
         cols.append(cur)
-    flat = _align([c for col in cols for c in col[:order]])
-    matrix = [[flat[t * order + i] for t in range(order)]
-              for i in range(order)]
-    return _series_det(matrix)
+    return _columns_det([col[:order] for col in cols])
 
 
 def phi_orbit_wedge(g: VectorSeries, n: int) -> TruncatedSeries:
@@ -388,17 +372,12 @@ def phi_orbit_wedge(g: VectorSeries, n: int) -> TruncatedSeries:
         if d == 1:
             return g.components[0]
         raise ValueError("degenerate single-vector wedge needs d = 1")
+    if d != 2 and n + 1 != d:
+        raise ValueError("chain wedge needs n + 1 = module dimension")
     orbit = phi_iterate(g, n)
     if d == 2:
-        a, b = orbit[0], orbit[-1]
-        flat = _align([a.components[0], a.components[1],
-                       b.components[0], b.components[1]])
-        return flat[0] * flat[3] - flat[1] * flat[2]
-    if n + 1 != d:
-        raise ValueError("chain wedge needs n + 1 = module dimension")
-    flat = _align([c for h in orbit for c in h.components])
-    matrix = [[flat[t * d + i] for t in range(d)] for i in range(d)]
-    return _series_det(matrix)
+        orbit = [orbit[0], orbit[-1]]
+    return _columns_det([h.components for h in orbit])
 
 
 @dataclass
@@ -425,18 +404,11 @@ def orbit_relation(g: VectorSeries, v_max: int) -> OrbitRelation:
     orbit = phi_iterate(g, v_max)
     for v in range(1, v_max + 1):
         vecs = orbit[:v + 1]
-        # wedge of the first v+1 orbit vectors: all (v+1)x(v+1) minors vanish?
-        dependent = True
-        if v + 1 <= d:
-            for rows_idx in combinations(range(d), v + 1):
-                flat = _align([vecs[t].components[i]
-                               for t in range(v + 1) for i in rows_idx])
-                matrix = [[flat[t * (v + 1) + k] for t in range(v + 1)]
-                          for k in range(v + 1)]
-                if not _series_det(matrix).is_zero:
-                    dependent = False
-                    break
-        if not dependent:
+        # wedge of the first v+1 orbit vectors: all (v+1)x(v+1) minors
+        # vanish (there are none when v + 1 > d)?
+        if not all(_columns_det([[h.components[i] for i in rows_idx]
+                                 for h in vecs]).is_zero
+                   for rows_idx in combinations(range(d), v + 1)):
             continue
         # Cramer for the coefficients on a certified row subset
         for rows_idx in combinations(range(d), v):
@@ -475,8 +447,7 @@ class ContradictionReport:
 
 def contradiction_pipeline(module: FilteredPhiModule, which: str,
                            g: VectorSeries, n_max: int = 1,
-                           r=Fraction(0), threshold=Fraction(1),
-                           div_n_max: int = 1) -> ContradictionReport:
+                           r=Fraction(0)) -> ContradictionReport:
     """Bound a determinant's growth order from Newton slopes above and its
     log-divisibility order from below; 'forced zero' when the lower bound
     exceeds the upper.
@@ -489,8 +460,7 @@ def contradiction_pipeline(module: FilteredPhiModule, which: str,
     t_N = module.t_N
     provenance = []
     J = (0,) if which == "dim2-det" else ()
-    membership = check_membership(g, 0, J, r, n_max, tilde=True,
-                                  threshold=threshold)
+    membership = check_membership(g, 0, J, r, n_max, tilde=True)
     if membership.indeterminate:
         return ContradictionReport(which, Fraction(0), 0, "inconclusive",
                                    ["membership indeterminate at the "
@@ -523,10 +493,9 @@ def contradiction_pipeline(module: FilteredPhiModule, which: str,
             "order bound: -t_N for the top wedge of the Phi-orbit")
     else:
         raise ValueError(f"unknown pipeline mode {which!r}")
-    ll = log_order(F, n_max=div_n_max, threshold=threshold)
+    ll = log_order(F, n_max=1)
     provenance.append(
-        "log bound: iterated certified division by log(1+x) "
-        f"(layers <= {div_n_max})")
+        "log bound: iterated certified division by log(1+x) (layers <= 1)")
     verdict = "forced zero" if (ll == INFINITE or ll > order_upper) \
         else "not forced"
     return ContradictionReport(which, order_upper, ll, verdict, provenance,
@@ -541,24 +510,22 @@ class DetDivisibilityReport:
     hypothesis_rows: list
 
 
-def det_log_divisibility(gs, n_max: int = 1, threshold=Fraction(1),
-                         div_n_max: int = 1) -> DetDivisibilityReport:
+def det_log_divisibility(gs, n_max: int = 1) -> DetDivisibilityReport:
     """Check that det(g_1, ..., g_d) is divisible by log^(-t_H)(1+x).
 
     The hypothesis here uses the plain filtration steps (the evaluated
     derivatives must land in K_n (x) Fil^j); it is pre-checked at the
     layers n <= n_max and the verdict compares the computed log order of
-    the determinant against -t_H.
+    the determinant against -t_H.  TailBoundError and PrecisionError from
+    the layer tests propagate.
     """
     module = gs[0].module
     d = module.d
     if len(gs) != d:
         raise ValueError("need exactly d vector series")
     field = module.field
-    jumps = module.jumps()
-    min_jump = min(jumps + [0])
+    min_jump = min(module.jumps() + [0])
     rows = []
-    ok = True
     for idx, g in enumerate(gs):
         derivs = _derivative_ladder(g.components, -min_jump)
         for j in range(min_jump, 1):
@@ -567,44 +534,20 @@ def det_log_divisibility(gs, n_max: int = 1, threshold=Fraction(1),
                 continue
             for n in range(1, n_max + 1):
                 layer = CyclotomicLayer(field, n)
-                evs = [cyclotomic_evaluate(c, layer) for c in derivs[-j]]
-                certainty = min(ev.certainty for ev in evs)
-                if certainty < threshold:
+                values, certainty, floor = _layer_values(derivs[-j], layer)
+                if certainty < DECISION_LEVEL:
                     rows.append((idx, j, n, "indeterminate", certainty))
-                    ok = False
                     continue
-                E = [ev.value for ev in evs]
-                floors = []
-                for ev, e in zip(evs, E):
-                    vv = e.valuation_or_none()
-                    floors.append(ev.certainty if vv is None
-                                  else min(Fraction(vv), ev.certainty))
-                if min(floors) >= threshold:
-                    rows.append((idx, j, n, "member", min(floors)))
+                if floor >= DECISION_LEVEL or filj.dimension == 0:
+                    rows.append((idx, j, n, _status(floor), floor))
                     continue
-                if filj.dimension == 0:
-                    rows.append((idx, j, n, "non-member", min(floors)))
-                    ok = False
-                    continue
-                cols = [[layer.from_field(c) for c in vec]
-                        for vec in (list(v) for v in filj.basis)]
-                x, resid = solve(mat_transpose(cols), E,
-                                 layer.ops(module.guard))
-                if x is not None:
-                    margin = certainty
-                else:
-                    margin = min(min(Fraction(v) for v in resid), certainty)
-                if margin >= threshold:
-                    rows.append((idx, j, n, "member", margin))
-                else:
-                    rows.append((idx, j, n, "non-member", margin))
-                    ok = False
-    if not ok:
+                margin = _span_margin(values, [list(v) for v in filj.basis],
+                                      layer, certainty, module.guard)
+                rows.append((idx, j, n, _status(margin), margin))
+    if any(row[3] != "member" for row in rows):
         return DetDivisibilityReport(False, 0, module.t_H, rows)
-    flat = _align([c for g in gs for c in g.components])
-    matrix = [[flat[t * d + i] for t in range(d)] for i in range(d)]
-    F = _series_det(matrix)
-    ll = log_order(F, n_max=div_n_max, threshold=threshold)
+    F = _columns_det([g.components for g in gs])
+    ll = log_order(F, n_max=1)
     t_H = module.t_H
     verified = (ll == INFINITE) or (ll >= -t_H)
     return DetDivisibilityReport(verified, ll, t_H, rows)

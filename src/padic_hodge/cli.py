@@ -23,7 +23,7 @@ from .modules import mf_rank_table
 from .analytic import (VectorSeries, check_membership, contradiction_pipeline)
 from . import serialize as ser
 from . import generators as gen
-from .suites import run_suite, SUITES
+from .suites import run_suite, SUITES, division_margin
 
 PRESETS = ("supersingular", "ordinary", "weight4", "qp1")
 
@@ -210,11 +210,9 @@ def cmd_mf_rank_table(args):
     return EXIT_OK
 
 
-def _series_field_for(args, cfg, divisions=0):
-    per = cfg.truncation // (cfg.p - 1) + 3
+def _series_field_for(args, cfg):
     return UnramifiedField(cfg.p, getattr(args, "f", None) or cfg.f,
-                           cfg.precision,
-                           work_margin=40 + per * divisions)
+                           cfg.precision, work_margin=division_margin(cfg, 0))
 
 
 def cmd_series_apply(args):
@@ -317,8 +315,7 @@ def cmd_amember(args):
 
 def cmd_contradict(args):
     cfg = _load_config(args)
-    m = _load_module(args, cfg, margin=40 + (cfg.truncation //
-                                             (cfg.p - 1) + 3) * 9)
+    m = _load_module(args, cfg, margin=division_margin(cfg, 9))
     if args.series:
         g = _load_vector_series(args.series, m)
     else:

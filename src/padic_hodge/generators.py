@@ -123,10 +123,11 @@ def random_wa_module_d2(field, rng):
         from last
 
 
-def random_wa_module_d3(field, rng, max_tries=400):
+def random_wa_module_d3(field, rng):
     """Weakly admissible dimension-3 module (generate and certify)."""
     p = field.p
-    for _ in range(max_tries):
+    last = None
+    for _ in range(400):
         slopes = sorted(rng.sample(range(-3, 2), 3))
         t = sum(slopes)
         j1 = rng.randint(slopes[0] - 2, slopes[0])
@@ -149,11 +150,13 @@ def random_wa_module_d3(field, rng, max_tries=400):
         try:
             M = FilteredPhiModule(field, A, filt)
             cert = M.is_weakly_admissible()
-        except Exception:
+        except Exception as e:
+            last = e
             continue
         if cert.verdict:
             return M
-    raise RuntimeError("could not sample a weakly admissible d=3 module")
+    raise RuntimeError("could not sample a weakly admissible d=3 module") \
+        from last
 
 
 def random_wa_module(field, rng, d=None):
@@ -163,14 +166,13 @@ def random_wa_module(field, rng, d=None):
     return random_wa_module_d3(field, rng)
 
 
-def random_wa_module_bounded(field, rng, d=None, jump_floor=-3, th_floor=-4,
-                             max_tries=300):
+def random_wa_module_bounded(field, rng, d=None):
     """Weakly admissible module with a capped log-power budget: all jumps
-    >= jump_floor and t_H >= th_floor, so determinant divisibility chains
-    stay within the precision window of a division-sized field."""
-    for _ in range(max_tries):
+    >= -3 and t_H >= -4, so determinant divisibility chains stay within the
+    precision window of a division-sized field."""
+    for _ in range(300):
         M = random_wa_module(field, rng, d)
-        if min(M.jumps()) >= jump_floor and M.t_H >= th_floor:
+        if min(M.jumps()) >= -3 and M.t_H >= -4:
             return M
     raise RuntimeError("could not sample a bounded weakly admissible module")
 
@@ -211,7 +213,7 @@ def random_h0_ncond_module(field, rng):
                        "degree condition") from last
 
 
-def synthetic_member(module, rng, n, mode="deep", extra_log=0):
+def synthetic_member(module, rng, n, mode="deep"):
     """log-power multiple of filtration-adapted vectors.
 
     mode 'deep' uses the uniform exponent -min(jump) on every adapted
@@ -225,7 +227,7 @@ def synthetic_member(module, rng, n, mode="deep", extra_log=0):
     u_max = -min(module.jumps())
     comps = None
     for vec, level in zip(vectors, levels):
-        u = (u_max if mode == "deep" else max(-level, 0)) + extra_log
+        u = u_max if mode == "deep" else max(-level, 0)
         b = random_poly_series(field, rng, n, deg=2, unit_constant=True)
         cl = LogPolynomial({u: b})
         series = cl.expand(n)

@@ -109,11 +109,6 @@ def echelon(matrix, ops, reduce_above=False):
     return rows, pivots, cert
 
 
-def rank(matrix, ops):
-    _, pivots, _ = echelon(matrix, ops)
-    return len(pivots)
-
-
 def solve(A, b, ops):
     """One solution x of A x = b, or None if certifiably inconsistent.
 

@@ -451,8 +451,8 @@ class UnramifiedField:
 
     def _eval_int_poly(self, coeffs, x):
         """Evaluate an integer-coefficient polynomial at a FieldElement."""
-        acc = self.zero(x.prec)
-        for c in reversed(coeffs):
+        acc = self.scalar(coeffs[-1], x.prec)
+        for c in reversed(coeffs[:-1]):
             acc = acc * x + self.scalar(c, x.prec)
         return acc
 

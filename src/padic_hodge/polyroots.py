@@ -17,10 +17,13 @@ from itertools import product as iter_product
 from .errors import PrecisionError, EnumerationUnsupportedError
 from .padics import FieldElement
 
+# deepest level of the digit descent before a cluster counts as unresolved
+_DESCENT_DEPTH = 6
+
 
 def poly_eval(coeffs, x, field):
-    acc = field.zero(x.prec)
-    for c in reversed(coeffs):
+    acc = coeffs[-1] if coeffs else field.zero(x.prec)
+    for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
 
@@ -130,7 +133,7 @@ def _lift_root(g, dg, x, field, target_prec):
     raise PrecisionError("Newton iteration for a root did not converge")
 
 
-def _roots_with_valuation(g, val, field, depth_cap=6):
+def _roots_with_valuation(g, val, field):
     """(simple K-roots of monic g with the given integer valuation,
     unresolved-cluster flag)."""
     p = field.p
@@ -147,7 +150,7 @@ def _roots_with_valuation(g, val, field, depth_cap=6):
 
     def descend(center, scale, depth):
         # search roots congruent to center mod p^scale
-        if depth > depth_cap:
+        if depth > _DESCENT_DEPTH:
             unresolved[0] = True
             return
         for r0 in _residue_elements(field):

@@ -6,6 +6,8 @@ psi is its left inverse, extracting the part of f supported on p-th powers
 of (1+x); both are cheap in the (1+x)-power basis, reached by an exact
 integer Taylor shift.  D is the derivation (1+x) d/dx.  The gamma-action
 substitutes x -> (1+x)^c - 1 through the p-adic binomial series of c.
+Values at the cyclotomic layers are decided at ``DECISION_LEVEL``,
+valuation 1 (modulo p^1).
 """
 
 from fractions import Fraction
@@ -18,6 +20,9 @@ from .errors import (PrecisionError, TailBoundError, NotDivisibleError,
 from .padics import FieldElement, vp_int, vp_fraction
 from .cyclotomic import CyclotomicLayer, CyclotomicElement
 from .series import TruncatedSeries, tail_valuation_bound, _floor_logp, INFINITE
+
+DECISION_LEVEL = Fraction(1)
+_MAX_LOG_DIVISIONS = 64
 
 
 def _field_cache(field):
@@ -265,12 +270,11 @@ def ilog_series(field, n: int) -> TruncatedSeries:
     return cached if cached.n == n else cached.truncate(n).normalized()
 
 
-def ell_op(f: TruncatedSeries, j: int, psi_check: bool = True) -> TruncatedSeries:
+def ell_op(f: TruncatedSeries, j: int) -> TruncatedSeries:
     """ell_j = log(1+x) * D - j, defined on the kernel of psi."""
-    if psi_check:
-        if not psi_op(f).is_zero:
-            raise PsiNotZeroError(
-                "ell_j applied to a series with psi(f) != 0 at tracked precision")
+    if not psi_op(f).is_zero:
+        raise PsiNotZeroError(
+            "ell_j applied to a series with psi(f) != 0 at tracked precision")
     df = d_op(f)
     out = log_series(f.field, df.n) * df
     if j:
@@ -434,7 +438,7 @@ class CycloEvaluation:
             return Fraction(self.prec)
         return min(Fraction(self.prec), self.tail)
 
-    def classify(self, threshold=Fraction(1)):
+    def classify(self, threshold=DECISION_LEVEL):
         """-> ('zero', floor) | ('nonzero', valuation).
 
         The floor is the certified valuation v_p(true value) >= floor.  The
@@ -456,8 +460,8 @@ class CycloEvaluation:
         return ("nonzero", v)
 
 
-def cyclotomic_evaluate(f: TruncatedSeries, layer: CyclotomicLayer,
-                        threshold=None) -> CycloEvaluation:
+def cyclotomic_evaluate(f: TruncatedSeries,
+                        layer: CyclotomicLayer) -> CycloEvaluation:
     """Evaluate at x = pi_n by reduction modulo the layer's minimal
     polynomial, with a certified tail valuation bound."""
     field = f.field
@@ -483,16 +487,10 @@ def cyclotomic_evaluate(f: TruncatedSeries, layer: CyclotomicLayer,
               for j in range(e)]
     value = CyclotomicElement(layer, coords)
     tail = tail_valuation_bound(f, Fraction(1, e)) if not f.tail_zero else None
-    ev = CycloEvaluation(value, tail, f.prec, layer)
-    if threshold is not None and ev.certainty < threshold:
-        raise TailBoundError(
-            f"tail bound too weak for decision threshold {threshold} at layer "
-            f"{layer.n}; raise the truncation degree")
-    return ev
+    return CycloEvaluation(value, tail, f.prec, layer)
 
 
-def divide_by_log(f: TruncatedSeries, n_max: int = 1,
-                  threshold=Fraction(1), layer_cap: int = 3) -> TruncatedSeries:
+def divide_by_log(f: TruncatedSeries, n_max: int = 1) -> TruncatedSeries:
     """Return g with f = g*log(1+x), certified at truncation level.
 
     Divisibility is cross-validated two ways: the value at x = 0 and at the
@@ -507,9 +505,8 @@ def divide_by_log(f: TruncatedSeries, n_max: int = 1,
             f"constant term has valuation {c0.valuation()} (nonzero at x = 0)",
             witness=("x=0", c0.valuation()))
     for n in range(1, n_max + 1):
-        layer = CyclotomicLayer(field, n, cap=layer_cap)
-        ev = cyclotomic_evaluate(f, layer)
-        kind, info = ev.classify(threshold)
+        ev = cyclotomic_evaluate(f, CyclotomicLayer(field, n))
+        kind, info = ev.classify()
         if kind == "nonzero":
             raise NotDivisibleError(
                 f"value at layer {n} has valuation {info}",
@@ -527,18 +524,16 @@ def divide_by_log(f: TruncatedSeries, n_max: int = 1,
     return q
 
 
-def log_order(f: TruncatedSeries, n_max: int = 1, threshold=Fraction(1),
-              max_iter: int = 64):
+def log_order(f: TruncatedSeries, n_max: int = 1):
     """Largest r with f divisible by log(1+x)^r at truncation level;
     INFINITE for the (tracked) zero series."""
     if f.is_zero:
         return INFINITE
     cur = f
-    r = 0
-    while r < max_iter:
+    for r in range(_MAX_LOG_DIVISIONS):
         try:
-            cur = divide_by_log(cur, n_max=n_max, threshold=threshold)
+            cur = divide_by_log(cur, n_max=n_max)
         except NotDivisibleError:
             return r
-        r += 1
-    raise PrecisionError(f"log_order did not terminate within {max_iter} divisions")
+    raise PrecisionError(
+        f"log_order did not terminate within {_MAX_LOG_DIVISIONS} divisions")

@@ -59,14 +59,17 @@ SUITE_DEFAULT_COUNTS = {
 }
 
 
-def _division_margin(cfg: Config, divisions: int) -> int:
+def division_margin(cfg: Config, divisions: int) -> int:
+    """Work margin of a field whose series take ``divisions`` divisions by
+    log(1+x) at the configured truncation degree N: 40 digits plus
+    N // (p - 1) + 3 per division."""
     per = cfg.truncation // (cfg.p - 1) + 3
     return 40 + per * divisions
 
 
 def _series_field(cfg: Config, divisions: int = 0) -> UnramifiedField:
     return UnramifiedField(cfg.p, cfg.f, cfg.precision,
-                           work_margin=_division_margin(cfg, divisions))
+                           work_margin=division_margin(cfg, divisions))
 
 
 def _random_series(field, rng, n):
@@ -192,8 +195,7 @@ def suite_divisibility(rng, count, cfg):
             ok = q.equals(h.truncate(q.n))
             detail += " recovered" if ok else " recovery failed"
         out.append(CaseResult(len(out), "log-roundtrip", ok, detail))
-    det_field = UnramifiedField(cfg.p, cfg.f, cfg.precision,
-                                work_margin=_division_margin(cfg, 6))
+    det_field = _series_field(cfg, 6)
     for i in range(min(20, count)):
         d = 2 if i % 2 == 0 else 3
         M = gen.random_wa_module_bounded(det_field, rng, d=d)
@@ -312,8 +314,7 @@ def suite_contradiction(rng, count, cfg):
     supersingular preset and the Wronskian dichotomy."""
     out = []
     N = cfg.truncation
-    ss_field = UnramifiedField(cfg.p, cfg.f, cfg.precision,
-                               work_margin=_division_margin(cfg, 3))
+    ss_field = _series_field(cfg, 3)
     ss = modular_form_module(cfg.p, 2, 0, field=ss_field)
     g = gen.synthetic_member(ss, rng, N, mode="deep")
     rep = contradiction_pipeline(ss, "dim2-det", g, n_max=1)
@@ -322,8 +323,7 @@ def suite_contradiction(rng, count, cfg):
     out.append(CaseResult(0, "supersingular-dim2-det", ok,
                           f"upper={rep.order_upper} lower={rep.log_lower} "
                           f"verdict={rep.verdict}"))
-    w_field = UnramifiedField(cfg.p, cfg.f, cfg.precision,
-                              work_margin=_division_margin(cfg, 9))
+    w_field = _series_field(cfg, 9)
     for i in range(count):
         strictness = "strict" if i % 2 == 0 else "wa"
         M, slopes, jumps = gen.split_module(w_field, rng, 2, strictness)

@@ -1,11 +1,13 @@
 """Vector series: Phi, growth orders, membership, Wronskians, orbits,
 and the contradiction engine."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+from padic_hodge.errors import TailBoundError
 from padic_hodge.padics import UnramifiedField
 from padic_hodge.series import TruncatedSeries, INFINITE
 from padic_hodge import seriesops as so
@@ -415,3 +417,126 @@ def test_wronskian_phi_scaling_identity(K5):
     expect = so.phi_op(V)._scalar_mul(lam_prod)._scalar_mul(5)
     mmin = min(Vp.n, expect.n)
     assert Vp.truncate(mmin).equals(expect.truncate(mmin))
+
+
+# -- layer-test rows, table driven ------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _table_field(p, f):
+    return UnramifiedField(p, f, 20)
+
+
+def _supersingular_pair(p, f, n, case):
+    """A test vector on the weight-2 supersingular module (jumps -1, 0;
+    Fil^0 a line) over the unramified degree-f extension of Q_p."""
+    K = _table_field(p, f)
+    m = modular_form_module(p, 2, 0, field=K)
+    zero = TruncatedSeries.zero(K, n)
+    if case == "log-e1":       # vanishes at every pi_n
+        comps = [so.log_series(K, n), zero]
+    elif case == "e1":         # a unit off phi(Fil^0)
+        comps = [TruncatedSeries.one(K, n), zero]
+    elif case == "phi-fil0":   # a unit on phi(Fil^0)
+        comps = [TruncatedSeries.make(K, [c], n=n)
+                 for c in m.apply_phi(list(m.fil_at(0).basis[0]))]
+    elif case == "no-bound":   # untracked tail without a bound
+        comps = [TruncatedSeries.make(K, [1, 2], n=n, tail_zero=False), zero]
+    elif case == "weak-bound":  # tail bound too weak for the decision level
+        comps = [TruncatedSeries.make(K, [1, 2], n=n, tail_zero=False,
+                                      bound=(Fraction(20), 0, 0)), zero]
+    return VectorSeries(m, comps)
+
+
+F = Fraction
+MEMBERSHIP_ROWS = [
+    # (p, f, N, case, verdict, indeterminate, rows (j, n, kind, status, margin))
+    (5, 1, 50, "log-e1", True, False,
+     [(-1, 1, "subspace", "trivial", None),
+      (0, 1, "vanish", "member", F(43, 4)),
+      (0, 1, "subspace", "member", F(43, 4))]),
+    (5, 1, 50, "e1", False, False,
+     [(-1, 1, "subspace", "trivial", None),
+      (0, 1, "vanish", "non-member", F(0)),
+      (0, 1, "subspace", "non-member", F(0))]),
+    (5, 1, 50, "phi-fil0", False, False,
+     [(-1, 1, "subspace", "trivial", None),
+      (0, 1, "vanish", "non-member", F(-1)),
+      (0, 1, "subspace", "member", F(43))]),
+    (5, 1, 50, "no-bound", False, True,
+     [(-1, 1, "subspace", "indeterminate", None),
+      (0, 1, "subspace", "indeterminate", None)]),
+    (5, 1, 50, "weak-bound", False, True,
+     [(-1, 1, "subspace", "indeterminate", F(-15, 2)),
+      (0, 1, "subspace", "indeterminate", F(-29, 4))]),
+    (5, 2, 25, "log-e1", True, False,
+     [(-1, 1, "subspace", "trivial", None),
+      (0, 1, "vanish", "member", F(9, 2)),
+      (0, 1, "subspace", "member", F(9, 2))]),
+    (5, 2, 25, "e1", False, False,
+     [(-1, 1, "subspace", "trivial", None),
+      (0, 1, "vanish", "non-member", F(0)),
+      (0, 1, "subspace", "non-member", F(0))]),
+    (5, 2, 25, "phi-fil0", False, False,
+     [(-1, 1, "subspace", "trivial", None),
+      (0, 1, "vanish", "non-member", F(-1)),
+      (0, 1, "subspace", "member", F(43))]),
+    (7, 1, 49, "log-e1", True, False,
+     [(-1, 1, "subspace", "trivial", None),
+      (0, 1, "vanish", "member", F(19, 3)),
+      (0, 1, "subspace", "member", F(19, 3))]),
+    (7, 1, 49, "e1", False, False,
+     [(-1, 1, "subspace", "trivial", None),
+      (0, 1, "vanish", "non-member", F(0)),
+      (0, 1, "subspace", "non-member", F(0))]),
+    (7, 1, 49, "weak-bound", False, True,
+     [(-1, 1, "subspace", "indeterminate", F(-71, 6)),
+      (0, 1, "subspace", "indeterminate", F(-35, 3))]),
+]
+
+
+@pytest.mark.parametrize("p,f,n,case,verdict,indeterminate,rows",
+                         MEMBERSHIP_ROWS)
+def test_membership_row_table(p, f, n, case, verdict, indeterminate, rows):
+    rep = check_membership(_supersingular_pair(p, f, n, case), 0, (0,), 0, 1)
+    assert [(r.j, r.n, r.kind, r.status, r.margin) for r in rep.rows] == rows
+    assert (rep.verdict, rep.indeterminate) == (verdict, indeterminate)
+
+
+DET_ROWS = [
+    # (p, f, N, cases of the two columns, verified, log_lower,
+    #  rows (column, j, n, status, margin))
+    (5, 1, 50, ("log-e1", "log-e1"), True, 2,
+     [(0, 0, 1, "member", F(43, 4)), (1, 0, 1, "member", F(43, 4))]),
+    (5, 1, 50, ("weak-bound", "e1"), False, 0,
+     [(0, 0, 1, "indeterminate", F(-29, 4)), (1, 0, 1, "non-member", F(0))]),
+    (5, 2, 25, ("log-e1", "log-e1"), True, 2,
+     [(0, 0, 1, "member", F(9, 2)), (1, 0, 1, "member", F(9, 2))]),
+    (5, 2, 25, ("log-e1", "e1"), False, 0,
+     [(0, 0, 1, "member", F(9, 2)), (1, 0, 1, "non-member", F(0))]),
+    (7, 1, 49, ("log-e1", "log-e1"), True, 2,
+     [(0, 0, 1, "member", F(19, 3)), (1, 0, 1, "member", F(19, 3))]),
+    (7, 1, 49, ("e1", "e1"), False, 0,
+     [(0, 0, 1, "non-member", F(0)), (1, 0, 1, "non-member", F(0))]),
+]
+
+
+def _swap(g):
+    # put a case's series in the second coordinate instead of the first
+    return VectorSeries(g.module, g.components[::-1])
+
+
+@pytest.mark.parametrize("p,f,n,cases,verified,log_lower,rows", DET_ROWS)
+def test_det_divisibility_row_table(p, f, n, cases, verified, log_lower,
+                                    rows):
+    gs = [_supersingular_pair(p, f, n, cases[0]),
+          _swap(_supersingular_pair(p, f, n, cases[1]))]
+    rep = det_log_divisibility(gs, n_max=1)
+    assert rep.hypothesis_rows == rows
+    assert (rep.verified, rep.log_lower, rep.t_H) == (verified, log_lower, -1)
+
+
+def test_det_divisibility_propagates_tail_bound_error():
+    gs = [_supersingular_pair(5, 1, 50, "no-bound"),
+          _swap(_supersingular_pair(5, 1, 50, "log-e1"))]
+    with pytest.raises(TailBoundError):
+        det_log_divisibility(gs, n_max=1)

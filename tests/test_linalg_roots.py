@@ -229,3 +229,14 @@ def test_echelon_one_inverse_per_pivot_cyclotomic(monkeypatch, K5):
     assert len(calls) == len(pivots) == 2
     assert [[_shape(x) for x in row] for row in rows] == \
         [[_shape(x) for x in row] for row in expect]
+
+
+def test_poly_eval_keeps_leading_digits_at_negative_valuation(K5):
+    # Horner starts at the leading coefficient: at x = 5^-2 + O(5^0) a
+    # constant stays itself and 5^-3 x + 1 is known to 5^-3
+    x = K5.scalar(Fraction(1, 25), 0)
+    one = poly_eval([K5.one()], x, K5)
+    assert (one.val, one.prec) == (0, K5.one().prec)
+    lin = poly_eval([K5.one(), K5.scalar(Fraction(1, 125))], x, K5)
+    assert (lin.val, lin.prec) == (-5, -3)
+    assert lin.lift_fraction() == Fraction(1, 5 ** 5)

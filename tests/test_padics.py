@@ -358,5 +358,5 @@ def test_precision_zero_is_not_the_working_precision(f):
         assert (e.val, e.prec) == (None, 0) and not any(e.res)
     x = K.scalar(Fraction(1, 25), 0)
     assert (x.val, x.prec, x.res[0]) == (-2, 0, 1)
-    # Horner's accumulator starts at the point's precision
+    # the empty polynomial is the zero known to the point's precision
     assert poly_eval([], x, K).prec == 0
