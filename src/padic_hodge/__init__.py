@@ -6,7 +6,7 @@ from .errors import (PadicError, PrecisionError, TailBoundError,
                      NotDivisibleError, PsiNotZeroError,
                      EnumerationUnsupportedError, NotStableError, SchemaError)
 from .padics import FieldElement, UnramifiedField, frobenius_sigma
-from .cyclotomic import CyclotomicLayer, CyclotomicElement, cyclo_valuation
+from .cyclotomic import CyclotomicLayer, CyclotomicElement
 from .series import TruncatedSeries, INFINITE
 from .seriesops import (phi_op, psi_op, d_op, gamma_action, ell_op,
                         log_series, ilog_series, rho_norm, RhoNorm,
@@ -29,7 +29,7 @@ __all__ = [
     "NotDivisibleError", "PsiNotZeroError", "EnumerationUnsupportedError",
     "NotStableError", "SchemaError", "FieldElement",
     "UnramifiedField", "frobenius_sigma", "CyclotomicLayer",
-    "CyclotomicElement", "cyclo_valuation", "TruncatedSeries", "INFINITE",
+    "CyclotomicElement", "TruncatedSeries", "INFINITE",
     "phi_op", "psi_op", "d_op", "gamma_action", "ell_op", "log_series",
     "ilog_series", "rho_norm", "RhoNorm", "LogPolynomial", "growth_order",
     "growth_order_estimate", "cyclotomic_evaluate", "divide_by_log",

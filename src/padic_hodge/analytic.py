@@ -6,7 +6,9 @@ wedges, and the order-versus-log-divisibility contradiction engine.
 Verdicts here are certificates at finite truncation and finitely many
 cyclotomic layers; "inconclusive" is a first-class outcome and is never
 silently collapsed into a boolean.  Layer tests decide at
-``seriesops.DECISION_LEVEL``, valuation 1 (modulo p^1).
+``seriesops.DECISION_LEVEL``, valuation 1 (modulo p^1).  Membership of a
+layer value in K_n (x) phi^n Fil^j is read coordinate by coordinate: each
+pi_n^j-coordinate vector is solved against phi^n Fil^j over K.
 """
 
 from fractions import Fraction
@@ -219,16 +221,22 @@ def _layer_values(components, layer):
     return values, min(ev.certainty for ev in evs), min(floors)
 
 
-def _span_margin(values, basis, layer, certainty, guard):
-    """Membership margin of ``values`` in the K_n-span of ``basis``: the
-    certainty when a solution exists, else the residual valuation of the
-    best solution capped at the certainty.  PrecisionError from the solve
-    propagates."""
-    cols = [[layer.from_field(c) for c in vec] for vec in basis]
-    x, resid = solve(mat_transpose(cols), values, layer.ops(guard))
-    if x is not None:
-        return certainty
-    return min(min(Fraction(v) for v in resid), certainty)
+def _span_margin(values, basis, ops, certainty):
+    """Membership margin of the layer values in K_n (x) span(basis).
+
+    K_n is free over K on 1, pi, ..., pi^(e-1) and the span is a K-subspace,
+    so the values are members exactly when each pi^j-coordinate vector
+    solves over K: then the margin is the certainty.  Otherwise it is the
+    valuation min_j (resid_j + j/e) of the residual sum_j pi^j rho_j, capped
+    at the certainty.  PrecisionError from a solve propagates."""
+    A = mat_transpose(basis)
+    e = values[0].layer.e
+    margin = certainty
+    for j in range(e):
+        x, resid = solve(A, [v.coords[j] for v in values], ops)
+        if x is None:
+            margin = min(margin, min(resid) + Fraction(j, e))
+    return margin
 
 
 def _status(level):
@@ -291,7 +299,7 @@ def check_membership(g: VectorSeries, v: int, J, r, n_max: int,
             try:
                 margin = _span_margin(values,
                                       _phi_power_basis(module, filj, n),
-                                      layer, certainty, module.guard)
+                                      module.ops(), certainty)
             except PrecisionError:
                 rows.append(ConditionRow(j, n, "subspace", "indeterminate",
                                          None))
@@ -542,7 +550,7 @@ def det_log_divisibility(gs, n_max: int = 1) -> DetDivisibilityReport:
                     rows.append((idx, j, n, _status(floor), floor))
                     continue
                 margin = _span_margin(values, [list(v) for v in filj.basis],
-                                      layer, certainty, module.guard)
+                                      module.ops(), certainty)
                 rows.append((idx, j, n, _status(margin), margin))
     if any(row[3] != "member" for row in rows):
         return DetDivisibilityReport(False, 0, module.t_H, rows)

@@ -5,6 +5,11 @@ uniformizer pi_n = zeta_n - 1 and valuations are read off the Eisenstein
 Newton polygon: v_p(sum a_j pi^j) = min_j (v_p(a_j) + j/e_n), the minimum
 being attained at a unique j because the fractional parts j/e_n are
 pairwise distinct.
+
+Elements of K_n are values only, kept as their coordinates a_j over K; the
+library does no arithmetic in K_n.  K_n is free over K on 1, pi, ...,
+pi^(e_n - 1), so a value lies in K_n (x) W for a K-subspace W exactly when
+each coordinate vector lies in W (``analytic._span_margin``).
 """
 
 from fractions import Fraction
@@ -12,8 +17,10 @@ from functools import lru_cache
 from math import comb
 
 from .errors import PrecisionError
-from .linalg import RingOps, solve, mat_transpose
-from .padics import FieldElement
+
+# highest layer index a CyclotomicLayer accepts; the e_n = p^(n-1)(p-1)
+# coordinates grow p-fold with each layer
+LAYER_CAP = 3
 
 
 @lru_cache(maxsize=None)
@@ -31,12 +38,12 @@ def _cyclotomic_shift_coeffs(p: int, n: int):
 class CyclotomicLayer:
     """Layer index n, with ramification index e_n = p^(n-1)(p-1)."""
 
-    def __init__(self, field, n: int, cap: int = 3):
+    def __init__(self, field, n: int):
         if n < 1:
             raise ValueError("layer index must be >= 1")
-        if n > cap:
+        if n > LAYER_CAP:
             raise ValueError(
-                f"layer {n} exceeds the configured cap {cap} "
+                f"layer {n} exceeds the cap {LAYER_CAP} "
                 f"(e_{n} = {field.p ** (n - 1) * (field.p - 1)} coordinates)")
         self.field = field
         self.p = field.p
@@ -79,35 +86,6 @@ class CyclotomicLayer:
         self._pow_rows_cache[key] = rows
         return rows
 
-    # -- elements -------------------------------------------------------
-
-    def element(self, coords):
-        out = [self.field.coerce(c) for c in coords]
-        if len(out) != self.e:
-            raise ValueError(f"expected {self.e} coordinates")
-        return CyclotomicElement(self, out)
-
-    def zero(self, prec=None):
-        return CyclotomicElement(self, [self.field.zero(prec)] * self.e)
-
-    def one(self, prec=None):
-        z = self.field.zero(prec)
-        return CyclotomicElement(self, [self.field.one(prec)] + [z] * (self.e - 1))
-
-    def uniformizer(self, prec=None):
-        z = self.field.zero(prec)
-        o = self.field.one(prec)
-        coords = [z, o] + [z] * (self.e - 2)
-        return CyclotomicElement(self, coords)
-
-    def from_field(self, a):
-        a = self.field.coerce(a)
-        z = self.field.zero(a.prec)
-        return CyclotomicElement(self, [a] + [z] * (self.e - 1))
-
-    def ops(self, guard=4):
-        return RingOps(self.zero, self.one, guard)
-
 
 class CyclotomicElement:
     """Element of K_n as a coordinate vector in powers of pi_n over K."""
@@ -145,69 +123,6 @@ class CyclotomicElement:
                 f"indistinguishable from zero at O(p^{self.prec})")
         return v
 
-    def __add__(self, other):
-        return CyclotomicElement(self.layer,
-                                 [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        return CyclotomicElement(self.layer, [-a for a in self.coords])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        layer = self.layer
-        if isinstance(other, (int, FieldElement)):
-            return CyclotomicElement(layer, [c * other for c in self.coords])
-        e = layer.e
-        raw = [None] * (2 * e - 1)
-        for k in range(2 * e - 1):
-            acc = None
-            lo = max(0, k - e + 1)
-            for i in range(lo, min(k, e - 1) + 1):
-                a, b = self.coords[i], other.coords[k - i]
-                if a.is_zero and b.is_zero:
-                    continue
-                term = a * b
-                acc = term if acc is None else acc + term
-            raw[k] = acc
-        zero = layer.field.zero()
-        coords = [(c if c is not None else zero) for c in raw[:e]]
-        mod = layer.p ** (layer.field.work_prec + 8)
-        rows = layer.pow_rows(2 * e - 2, mod)
-        for k in range(e, 2 * e - 1):
-            if raw[k] is None:
-                continue
-            row = rows[k]
-            for i in range(e):
-                if row[i]:
-                    coords[i] = coords[i] + raw[k] * _signed(row[i], mod)
-        return CyclotomicElement(layer, coords)
-
-    __rmul__ = __mul__
-
-    def mul_by_pi(self):
-        """Multiplication by the uniformizer: a shift plus one reduction row."""
-        layer = self.layer
-        e = layer.e
-        top = self.coords[e - 1]
-        coords = [layer.field.zero(self.prec)] + list(self.coords[:-1])
-        if not top.is_zero:
-            mp = layer.minimal_polynomial
-            for i in range(e):
-                if mp[i]:
-                    coords[i] = coords[i] - top * mp[i]
-        return CyclotomicElement(layer, coords)
-
-    def __truediv__(self, other):
-        return self * invert(other)
-
-    def inverse(self):
-        return invert(self)
-
-    def equals(self, other):
-        return (self - other).is_zero
-
     def __repr__(self):
         nz = [(j, c) for j, c in enumerate(self.coords) if not c.is_zero]
         if not nz:
@@ -216,36 +131,3 @@ class CyclotomicElement:
         more = "..." if len(nz) > 3 else ""
         return f"K_{self.layer.n}({parts}{more})"
 
-
-def _signed(c, mod):
-    """Lift a residue to the symmetric range for hand-off to exact scalars."""
-    return c - mod if c > mod // 2 else c
-
-
-def invert(a: CyclotomicElement) -> CyclotomicElement:
-    """Inverse via the K-linear multiplication matrix (dimension e_n)."""
-    layer = a.layer
-    if a.is_zero:
-        raise PrecisionError(
-            f"division by a value indistinguishable from zero at O(p^{a.prec})")
-    e = layer.e
-    # columns: coordinates of a * pi^j (each step is a shift + one reduction)
-    cols = []
-    prod = a
-    for j in range(e):
-        cols.append(list(prod.coords))
-        if j < e - 1:
-            prod = prod.mul_by_pi()
-    A = mat_transpose(cols)
-    field = layer.field
-    ops = RingOps(field.zero, field.one)
-    rhs = [field.one()] + [field.zero()] * (e - 1)
-    x, resid = solve(A, rhs, ops)
-    if x is None:
-        raise PrecisionError("inversion system inconsistent at precision")
-    return CyclotomicElement(layer, x)
-
-
-def cyclo_valuation(a: CyclotomicElement) -> Fraction:
-    """v_p of a nonzero element, an exact rational with denominator | e_n."""
-    return a.valuation()

@@ -1,9 +1,8 @@
-"""Exact linear algebra over a p-adic coefficient ring.
+"""Exact linear algebra over the unramified field K.
 
-Works generically over any element type implementing +, -, *,
-``inverse()``, ``is_zero`` and ``valuation_or_none``/``prec``
-(FieldElement and CyclotomicElement both do).  Each pivot row is scaled
-by one inverse of its pivot.  Pivots are chosen by minimal valuation
+Entries are ``FieldElement``s; a question over a cyclotomic layer K_n is
+asked coordinate by coordinate over K.  Each pivot row is scaled by one
+inverse of its pivot.  Pivots are chosen by minimal valuation
 (maximal norm) and every rank/solve verdict records the certifying pivot
 valuations.  An entry whose residue is nonzero but sits within ``guard``
 digits of its own precision cannot be classified and raises
@@ -16,7 +15,8 @@ from .errors import PrecisionError
 
 
 class RingOps:
-    """Adapter bundling the zero/one constructors of the coefficient ring."""
+    """The zero/one constructors of K and the guard band of the
+    classifier."""
 
     def __init__(self, zero, one, guard=4):
         self.zero = zero

@@ -506,14 +506,11 @@ class UnramifiedField:
     def inverse(self, a):
         v = a.valuation()
         p = self.p
+        # every relative digit of a survives: val -v, prec a.prec - 2v
+        rel = a.prec - v
         if self.f == 1:
-            # the 1 is known to a.prec
-            if a.prec <= 0:
-                return FieldElement(self, None, a.prec - v, self._zeros)
-            rel = min(a.prec, a.prec - v)
             return FieldElement(self, -v, rel - v,
                                 (pow(a.res[0], -1, p ** rel),))
-        rel = a.prec - v
         x = _fp_invmod(a.res, self.defpoly, p)
         x = tuple(x) + self._zeros[len(x):]
         # Newton: x <- x(2 - a x), doubling the correct digits each pass

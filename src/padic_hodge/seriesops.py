@@ -200,6 +200,17 @@ def gamma_action(f: TruncatedSeries, c) -> TruncatedSeries:
                            f.effective_bound(), False)
 
 
+def _log_column(p: int, n: int, e: int, mod: int) -> list:
+    """Residues of p^e * log(1+x) to degree n, mod ``mod``: entry k is
+    (-1)^(k+1) p^(e - v(k)) (k / p^v(k))^(-1), entry 0 is 0."""
+    col = [0] * (n + 1)
+    for k in range(1, n + 1):
+        v = vp_int(k, p)
+        r = p ** (e - v) * pow(k // p ** v, -1, mod) % mod
+        col[k] = r if k % 2 else (-r) % mod
+    return col
+
+
 def log_series(field, n: int) -> TruncatedSeries:
     """log(1+x) truncated to degree n (exact residues, profile (0, 1))."""
     cache = _field_cache(field)
@@ -209,15 +220,7 @@ def log_series(field, n: int) -> TruncatedSeries:
         e = _floor_logp(max(n, 1), p)
         prec = field.work_prec + 16
         rel = prec - (-e)
-        mod = p ** rel
-        col = [0] * (n + 1)
-        for i in range(1, n + 1):
-            v = vp_int(i, p)
-            u = i // p ** v
-            r = p ** (e - v) * pow(u, -1, mod) % mod
-            if i % 2 == 0:
-                r = (-r) % mod
-            col[i] = r
+        col = _log_column(p, n, e, p ** rel)
         cols = [col] + [[0] * (n + 1) for _ in range(field.f - 1)]
         cache[key] = TruncatedSeries(field, n, -e, rel, cols,
                                      (Fraction(0), 1, 0), False)
@@ -239,16 +242,8 @@ def ilog_series(field, n: int) -> TruncatedSeries:
         e = _floor_logp(max(n + 1, 1), p)
         big = field.work_prec + 16 + e * (math.ceil(math.log2(max(n, 2))) + 2)
         rel = big + e
-        mod = p ** rel
         # u = log(1+x)/x with exact residues at the elevated window
-        col = [0] * (n + 1)
-        for i in range(n + 1):
-            v = vp_int(i + 1, p)
-            u = (i + 1) // p ** v
-            r = p ** (e - v) * pow(u, -1, mod) % mod
-            if i % 2 == 1:
-                r = (-r) % mod
-            col[i] = r
+        col = _log_column(p, n + 1, e, p ** rel)[1:]
         u_series = TruncatedSeries(field, n, -e, rel,
                                    [col] + [[0] * (n + 1)
                                             for _ in range(field.f - 1)],
@@ -429,7 +424,6 @@ class CycloEvaluation:
     value: CyclotomicElement
     tail: Fraction | None
     prec: int
-    layer: CyclotomicLayer
 
     @property
     def certainty(self):
@@ -487,7 +481,7 @@ def cyclotomic_evaluate(f: TruncatedSeries,
               for j in range(e)]
     value = CyclotomicElement(layer, coords)
     tail = tail_valuation_bound(f, Fraction(1, e)) if not f.tail_zero else None
-    return CycloEvaluation(value, tail, f.prec, layer)
+    return CycloEvaluation(value, tail, f.prec)
 
 
 def divide_by_log(f: TruncatedSeries, n_max: int = 1) -> TruncatedSeries:

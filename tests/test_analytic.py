@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from padic_hodge.errors import TailBoundError
+from padic_hodge.errors import PrecisionError, TailBoundError
 from padic_hodge.padics import UnramifiedField
+from padic_hodge.cyclotomic import CyclotomicLayer, CyclotomicElement
+from padic_hodge.linalg import RingOps
 from padic_hodge.series import TruncatedSeries, INFINITE
 from padic_hodge import seriesops as so
 from padic_hodge.seriesops import LogPolynomial
@@ -16,7 +18,8 @@ from padic_hodge.modules import FilteredPhiModule, Subspace, modular_form_module
 from padic_hodge.analytic import (VectorSeries, phi_vec, phi_growth_order,
                                   check_membership, wronskian_det,
                                   phi_orbit_wedge, orbit_relation,
-                                  contradiction_pipeline, det_log_divisibility)
+                                  contradiction_pipeline, det_log_divisibility,
+                                  _span_margin)
 from padic_hodge import generators as gen
 
 
@@ -186,6 +189,58 @@ def test_membership_psi_zero_flag(K5):
     assert rep2.psi_zero is False and not rep2.verdict
 
 
+def _values_with_residuals(layer, basis, x, ks, rng):
+    """Values sum_j pi^j (w_j + p^(k_j) u_j x) with w_j a random integer
+    combination of ``basis`` and u_j a unit; k_j = None leaves w_j alone."""
+    K, p = layer.field, layer.p
+    coords = []
+    for k in ks:
+        s, t = rng.randint(-50, 50), rng.randint(-50, 50)
+        vec = [K.coerce(s * a + t * b) for a, b in zip(*basis)]
+        if k is not None:
+            u = K.element([rng.randint(1, p - 1)]
+                          + [rng.randint(0, p) for _ in range(K.f - 1)])
+            vec = [c + u * (p ** k * xi) for c, xi in zip(vec, x)]
+        coords.append(vec)
+    return [CyclotomicElement(layer, [vec[i] for vec in coords])
+            for i in range(len(x))]
+
+
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_span_margin_reads_coordinates(p, f):
+    # the span of (1, a, 0) and (0, b, 1) is cut out by the primitive form
+    # (a, -1, b), which sends x = (0, 1, 0) to a unit: the residual of the
+    # pi^j-coordinate vector w_j + p^k u x has valuation exactly k
+    K = UnramifiedField(p, f, 20)
+    ops = RingOps(K.zero, K.one, 4)
+    rng = random.Random(70 + 10 * p + f)
+    a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+    basis = [[1, a, 0], [0, b, 1]]
+    kbasis = [[K.coerce(c) for c in vec] for vec in basis]
+    x = [0, 1, 0]
+    certainty = Fraction(30)
+    for n in (1, 2):
+        layer = CyclotomicLayer(K, n)
+        e = layer.e
+        for _ in range(4):
+            ks = [rng.choice([None, rng.randint(0, 35)]) for _ in range(e)]
+            values = _values_with_residuals(layer, basis, x, ks, rng)
+            expect = min([certainty] + [k + Fraction(j, e)
+                                        for j, k in enumerate(ks)
+                                        if k is not None])
+            assert _span_margin(values, kbasis, ops, certainty) == expect
+        inside = _values_with_residuals(layer, basis, x, [None] * e, rng)
+        assert _span_margin(inside, kbasis, ops, certainty) == certainty
+        # a residual of valuation 42 at precision 44 sits inside the guard
+        # band: the margin cannot be read off
+        ks = [None] * e
+        ks[rng.randrange(e)] = K.work_prec - 2
+        guarded = _values_with_residuals(layer, basis, x, ks, rng)
+        with pytest.raises(PrecisionError):
+            _span_margin(guarded, kbasis, ops, certainty)
+
+
 # -- wronskians and orbits ----------------------------------------------------------
 
 def test_wronskian_log_one(K5):
@@ -336,7 +391,6 @@ def test_pipeline_orbit_wedge_mode(K5div):
 def test_pipeline_soundness_evaluations(K5div):
     # whenever the verdict is forced zero on a constructed series, the
     # determinant evaluates below precision at the layer points
-    from padic_hodge.cyclotomic import CyclotomicLayer
     from padic_hodge.seriesops import cyclotomic_evaluate
     m = modular_form_module(5, 2, 0, field=K5div)
     rng = random.Random(58)

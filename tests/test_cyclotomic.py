@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_hodge.cyclotomic import CyclotomicLayer, cyclo_valuation, invert
+from padic_hodge.cyclotomic import CyclotomicLayer, CyclotomicElement
 from padic_hodge.series import TruncatedSeries
 from padic_hodge.seriesops import cyclotomic_evaluate, log_series
 from padic_hodge.errors import PrecisionError
@@ -22,53 +22,54 @@ def test_layer_minimal_polynomial_is_eisenstein(K5):
 
 def test_layer_cap(K5):
     with pytest.raises(ValueError):
-        CyclotomicLayer(K5, 4)        # above the default cap
-    CyclotomicLayer(K5, 4, cap=4)     # explicit override
+        CyclotomicLayer(K5, 4)
+
+
+def _element(layer, coords):
+    """The layer value sum_j coords[j] pi^j, zero-padded to e coordinates."""
+    field = layer.field
+    coords = list(coords) + [0] * (layer.e - len(coords))
+    return CyclotomicElement(layer, [field.coerce(c) for c in coords])
 
 
 def test_uniformizer_valuations(K5):
     L1 = CyclotomicLayer(K5, 1)
     L2 = CyclotomicLayer(K5, 2)
-    pi1, pi2 = L1.uniformizer(), L2.uniformizer()
     # Newton polygon of the Eisenstein polynomial
-    assert cyclo_valuation(pi1) == Fraction(1, 4)
-    assert cyclo_valuation(L1.from_field(5)) == 1
-    assert cyclo_valuation(pi2 * pi2) == Fraction(1, 10)
-
-
-def test_valuation_multiplicative(K5):
-    rng = random.Random(2)
-    L1 = CyclotomicLayer(K5, 1)
-    for _ in range(20):
-        a = L1.element([rng.randint(-20, 20) for _ in range(4)])
-        b = L1.element([rng.randint(-20, 20) for _ in range(4)])
-        if a.is_zero or b.is_zero:
-            continue
-        assert cyclo_valuation(a * b) == cyclo_valuation(a) + cyclo_valuation(b)
+    assert _element(L1, [0, 1]).valuation() == Fraction(1, 4)
+    assert _element(L1, [5]).valuation() == 1
+    assert _element(L2, [0, 0, 1]).valuation() == Fraction(1, 10)
 
 
 def test_zero_signal(K5):
     L1 = CyclotomicLayer(K5, 1)
     with pytest.raises(PrecisionError):
-        cyclo_valuation(L1.zero())
+        _element(L1, []).valuation()
 
 
-def test_root_of_unity_relation(K5):
-    # zeta = 1 + pi satisfies zeta^5 = 1 in layer 1
-    L1 = CyclotomicLayer(K5, 1)
-    z = L1.one() + L1.uniformizer()
-    acc = L1.one()
-    for _ in range(5):
-        acc = acc * z
-    assert (acc - L1.one()).is_zero
+def _ints(value, mod):
+    """Integer coordinates of an integral layer value, reduced mod ``mod``."""
+    out = []
+    for c in value.coords:
+        q = c.lift_fraction()
+        assert q.denominator == 1
+        out.append(int(q) % mod)
+    return out
 
 
-def test_inverse(K5):
-    L1 = CyclotomicLayer(K5, 1)
-    pi = L1.uniformizer()
-    inv = invert(pi)
-    assert (pi * inv - L1.one()).is_zero
-    assert cyclo_valuation(inv) == Fraction(-1, 4)
+def _layer_mul(a, b, mp, mod):
+    """Product of two integer coordinate vectors in Z[X]/(mp(X), mod) for
+    the monic minimal polynomial ``mp``."""
+    e = len(mp) - 1
+    raw = [0] * (2 * e - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            raw[i + j] += x * y
+    for k in range(2 * e - 2, e - 1, -1):
+        c = raw[k]
+        for i in range(e + 1):
+            raw[k - e + i] -= c * mp[i]
+    return [x % mod for x in raw[:e]]
 
 
 def test_evaluation_simple_cases(K5):
@@ -77,8 +78,7 @@ def test_evaluation_simple_cases(K5):
     # 1 + x evaluates to the class of 1 + pi
     s = TruncatedSeries.make(K5, [1, 1], n=10)
     ev = cyclotomic_evaluate(s, L1)
-    expect = L1.one() + L1.uniformizer()
-    assert (ev.value - expect).is_zero
+    assert _ints(ev.value, 5 ** ev.value.prec) == [1, 1, 0, 0]
     # x at layer 2 evaluates to pi_2, valuation exactly 1/e_2
     s2 = TruncatedSeries.make(K5, [0, 1], n=10)
     ev2 = cyclotomic_evaluate(s2, L2)
@@ -100,14 +100,16 @@ def test_log_vanishes_at_root_of_unity(K5):
 
 
 def test_evaluation_is_ring_hom(K5):
+    # evaluation at pi_1 against plain integers modulo (Phi_5(1+X), 5^m)
     rng = random.Random(6)
     L1 = CyclotomicLayer(K5, 1)
+    mp = L1.minimal_polynomial
     for _ in range(10):
         f = TruncatedSeries.make(K5, [rng.randint(0, 60) for _ in range(9)], n=8)
         g = TruncatedSeries.make(K5, [rng.randint(0, 60) for _ in range(9)], n=8)
-        lhs = cyclotomic_evaluate(f * g, L1).value
-        rhs = cyclotomic_evaluate(f, L1).value * cyclotomic_evaluate(g, L1).value
-        assert (lhs - rhs).is_zero
-        lhs2 = cyclotomic_evaluate(f + g, L1).value
-        rhs2 = cyclotomic_evaluate(f, L1).value + cyclotomic_evaluate(g, L1).value
-        assert (lhs2 - rhs2).is_zero
+        vf, vg, vprod, vsum = (cyclotomic_evaluate(s, L1).value
+                               for s in (f, g, f * g, f + g))
+        mod = 5 ** min(v.prec for v in (vf, vg, vprod, vsum))
+        a, b = _ints(vf, mod), _ints(vg, mod)
+        assert _ints(vprod, mod) == _layer_mul(a, b, mp, mod)
+        assert _ints(vsum, mod) == [(x + y) % mod for x, y in zip(a, b)]

@@ -9,7 +9,6 @@ import pytest
 from padic_hodge.linalg import (RingOps, solve, kernel, det, charpoly, echelon,
                                 _best_pivot)
 from padic_hodge.padics import FieldElement, UnramifiedField
-from padic_hodge.cyclotomic import CyclotomicLayer, CyclotomicElement
 from padic_hodge.polyroots import (newton_root_valuations, find_k_roots,
                                    poly_eval)
 from padic_hodge.errors import PrecisionError
@@ -172,8 +171,6 @@ def _echelon_by_division(matrix, ops):
 
 
 def _shape(x):
-    if isinstance(x, CyclotomicElement):
-        return tuple(_shape(c) for c in x.coords)
     return (x.val, x.prec, x.res)
 
 
@@ -214,21 +211,6 @@ def test_echelon_one_inverse_per_pivot(monkeypatch, f):
         assert len(calls) <= len(square)
         if not d.is_zero:
             assert len(calls) == len(square)
-
-
-def test_echelon_one_inverse_per_pivot_cyclotomic(monkeypatch, K5):
-    layer = CyclotomicLayer(K5, 1)
-    ops = layer.ops()
-    rng = random.Random(44)
-    mat = [[layer.element([rng.randint(-20, 20) for _ in range(layer.e)])
-            for _ in range(3)] for _ in range(2)]
-    expect = _echelon_by_division(mat, ops)
-    calls = _count_inverses(monkeypatch, CyclotomicElement)
-    rows, pivots, _ = echelon(mat, ops, reduce_above=True)
-    monkeypatch.undo()
-    assert len(calls) == len(pivots) == 2
-    assert [[_shape(x) for x in row] for row in rows] == \
-        [[_shape(x) for x in row] for row in expect]
 
 
 def test_poly_eval_keeps_leading_digits_at_negative_valuation(K5):

@@ -216,10 +216,9 @@ def _mul_prec(a, b):
 def test_extension_arithmetic_matches_rational_oracle(p, f):
     """Each operation against exact arithmetic in Q[t]/(g), with its
     precision rule written out.  The inverse of an element of valuation v
-    has val -v; at f > 1 it keeps every relative digit (prec - 2v), at f = 1
-    its 1 is known to the element's precision, so its prec is
-    min(prec, prec - v) - v.  Int and Fraction operands are known to
-    work_prec, and a division by one is coordinate-wise."""
+    has val -v and keeps every relative digit (prec - 2v), at every f.  Int
+    and Fraction operands are known to work_prec, and a division by one is
+    coordinate-wise."""
     K = UnramifiedField(p, f, 20)
     g, W = K.defpoly, K.work_prec
     rng = random.Random(10 * p + f)
@@ -234,13 +233,11 @@ def test_extension_arithmetic_matches_rational_oracle(p, f):
         assert prod.prec == a.val + b.val + min(a.prec - a.val, b.prec - b.val)
         assert _agrees(prod, _qt_mul(qa, qb, g), p)
         inv = b.inverse()
-        if f > 1:
-            assert (inv.val, inv.prec) == (-b.val, b.prec - 2 * b.val)
+        assert (inv.val, inv.prec) == (-b.val, b.prec - 2 * b.val)
         assert _agrees(inv, _qt_inverse(qb, g), p)
         quo = a / b
         assert _agrees(quo, _qt_mul(qa, _qt_inverse(qb, g), g), p)
-        if f > 1:
-            assert quo.prec >= min(a.prec - b.val, a.val + b.prec - 2 * b.val)
+        assert quo.prec >= min(a.prec - b.val, a.val + b.prec - 2 * b.val)
         assert (a - a).is_zero and (a - a).prec == 30
         # the same rules, bit for bit, over operands of low precision and
         # tracked zeros
@@ -264,7 +261,7 @@ def test_extension_arithmetic_matches_rational_oracle(p, f):
                     x / y
                 continue
             v = y.val
-            rel = min(y.prec, y.prec - v) if f == 1 else y.prec - v
+            rel = y.prec - v
             iy = y.inverse()
             assert _canonical(iy, _qt_inverse(ly, g), rel - v, p)
             assert _canonical(x / y, _qt_mul(lx, _qt_inverse(ly, g), g),

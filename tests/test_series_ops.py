@@ -8,6 +8,7 @@ logarithm of an explicit gamma.
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -105,33 +106,55 @@ def test_psi_phi_identity_over_extension(K25):
         assert so.psi_op(so.phi_op(g)).truncate(25).equals(g)
 
 
+def _int_compose(coeffs, h, mod):
+    """f(h(X)) for integer polynomials by Horner, coefficients mod ``mod``."""
+    acc = [coeffs[-1] % mod]
+    for c in reversed(coeffs[:-1]):
+        new = [0] * (len(acc) + len(h) - 1)
+        for i, a in enumerate(acc):
+            for j, b in enumerate(h):
+                new[i + j] += a * b
+        new[0] += c
+        acc = [v % mod for v in new]
+    return acc
+
+
+def _layer_reduce(poly, mp, mod):
+    """Remainder of an integer polynomial modulo the monic ``mp`` and ``mod``."""
+    e = len(mp) - 1
+    poly = list(poly) + [0] * e
+    for k in range(len(poly) - 1, e - 1, -1):
+        c = poly[k]
+        for i in range(e + 1):
+            poly[k - e + i] -= c * mp[i]
+    return [c % mod for c in poly[:e]]
+
+
 def test_psi_averaging_oracle(K5):
-    # psi extracts the (1+x)^(5k) part: compare against the explicit
-    # average over 5th roots of unity computed in the cyclotomic layer
+    # psi extracts the (1+x)^(5k) part: phi(psi(f)) is the average of
+    # f(z(1+x) - 1) over z in mu_5.  At x = pi_1 = zeta - 1 the points are
+    # z(1 + pi) - 1 = (1+X)^k - 1, k = 1..5, so 5 phi(psi(f))(pi) is the sum
+    # of f((1+X)^k - 1) in plain integers modulo (Phi_5(1+X), 5^m)
     from padic_hodge.cyclotomic import CyclotomicLayer
     from padic_hodge.seriesops import cyclotomic_evaluate
     rng = random.Random(9)
-    f = TruncatedSeries.make(K5, [rng.randint(0, 600) for _ in range(26)], n=25)
+    coeffs = [rng.randint(0, 600) for _ in range(26)]
+    f = TruncatedSeries.make(K5, coeffs, n=25)
     psif = so.psi_op(f)
-    # phi(psi(f)) should equal the mu_p-average of f(zeta(1+x) - 1); test
-    # the equality of evaluations at x = pi (layer 1) where both sides are
-    # explicit: average_z f(z(1+pi) - 1) over z in mu_5 = 1 + pi-orbit sums
     L1 = CyclotomicLayer(K5, 1)
     lhs = cyclotomic_evaluate(so.phi_op(psif).truncate(25), L1).value
-    zeta = L1.one() + L1.uniformizer()
-    acc = None
-    z = L1.one()
-    one_plus_pi = L1.one() + L1.uniformizer()
-    for _ in range(5):
-        # evaluate f at z*(1+pi) - 1 by Horner in the layer
-        xval = z * one_plus_pi - L1.one()
-        val = L1.from_field(f.coeff(f.n))
-        for i in range(f.n - 1, -1, -1):
-            val = val * xval + L1.from_field(f.coeff(i))
-        acc = val if acc is None else acc + val
-        z = z * zeta
-    rhs = acc * K5.coerce(Fraction(1, 5))
-    assert (lhs - rhs).is_zero
+    mod = 5 ** (lhs.prec + 1)
+    acc = [0] * (25 * 5 + 1)
+    for k in range(1, 6):
+        h = [0] + [comb(k, i) for i in range(1, k + 1)]
+        for i, c in enumerate(_int_compose(coeffs, h, mod)):
+            acc[i] += c
+    fives = []
+    for c in lhs.coords:
+        q = 5 * c.lift_fraction()
+        assert q.denominator == 1
+        fives.append(int(q) % mod)
+    assert fives == _layer_reduce(acc, L1.minimal_polynomial, mod)
 
 
 # -- D ---------------------------------------------------------------------
