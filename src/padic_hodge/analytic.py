@@ -228,15 +228,25 @@ def _span_margin(values, basis, ops, certainty):
     so the values are members exactly when each pi^j-coordinate vector
     solves over K: then the margin is the certainty.  Otherwise it is the
     valuation min_j (resid_j + j/e) of the residual sum_j pi^j rho_j, capped
-    at the certainty.  PrecisionError from a solve propagates."""
+    at the certainty.  A coordinate whose solve is undecided contributes
+    only its certified floor + j/e: the margin stands when a decided
+    residual lies strictly below every such floor, and the PrecisionError
+    propagates otherwise."""
     A = mat_transpose(basis)
     e = values[0].layer.e
-    margin = certainty
+    decided, undecided = [], []
     for j in range(e):
-        x, resid = solve(A, [v.coords[j] for v in values], ops)
+        try:
+            x, resid = solve(A, [v.coords[j] for v in values], ops)
+        except PrecisionError as err:
+            undecided.append((err.floor + Fraction(j, e), err))
+            continue
         if x is None:
-            margin = min(margin, min(resid) + Fraction(j, e))
-    return margin
+            decided.append(min(resid) + Fraction(j, e))
+    if undecided and not (decided and
+                          min(decided) < min(f for f, _ in undecided)):
+        raise undecided[0][1]
+    return min([certainty] + decided)
 
 
 def _status(level):

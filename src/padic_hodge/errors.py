@@ -13,7 +13,11 @@ class PadicError(Exception):
 
 class PrecisionError(PadicError, ArithmeticError):
     """A decision fell inside the precision guard band, or a value was
-    indistinguishable from zero where a nonzero value was required."""
+    indistinguishable from zero where a nonzero value was required.
+    ``floor``, where set, is a certified lower bound on the undecided
+    valuation."""
+
+    floor = None
 
 
 class TailBoundError(PadicError):

@@ -64,12 +64,23 @@ def mat_transpose(A):
 
 
 def _best_pivot(rows, r, c, ops):
-    """Row index >= r with the minimal-valuation entry in column c, or None."""
-    best, best_val = None, None
+    """Row index >= r with the minimal-valuation entry in column c, or None.
+    An entry inside the guard band raises PrecisionError once the column is
+    read, its ``floor`` the least certified lower bound of the column."""
+    best, best_val, err = None, None, None
     for i in range(r, len(rows)):
-        kind, v = ops.classify(rows[i][c])
+        try:
+            kind, v = ops.classify(rows[i][c])
+        except PrecisionError as exc:
+            err = err or exc
+            continue
         if kind == "nonzero" and (best_val is None or v < best_val):
             best, best_val = i, v
+    if err is not None:
+        err.floor = min(x.prec if x.is_zero else
+                        min(x.valuation_or_none(), x.prec - ops.guard)
+                        for x in (row[c] for row in rows[r:]))
+        raise err
     return best, best_val
 
 
@@ -115,7 +126,6 @@ def solve(A, b, ops):
     The residual of an inconsistent system is reported through the second
     return slot: (x, None) on success, (None, residual_valuations) otherwise.
     """
-    n = len(A)
     m = len(A[0]) if A else 0
     aug = [list(row) + [bb] for row, bb in zip(A, b)]
     rows, pivots, cert = echelon(aug, ops, reduce_above=True)

@@ -12,6 +12,12 @@ K-linear power phi^f, divided by f).  Weak admissibility demands
 t_H = t_N globally and t_H <= t_N on every phi-stable subspace; the
 enumeration of those subspaces is complete exactly in the regimes the
 constructor of the lattice certifies, and errors loudly otherwise.
+
+The degrees of a stable subspace S come from the lattice's own data:
+t_N(S) = v(det phi^f on S)/f is the sum of the root valuations recorded
+with S while the lattice is built, and t_H(S) reads each dim(S meet Fil)
+as dim S + dim Fil - dim(S + Fil), one rank.  ``induced_submodule``
+builds the whole induced module and is kept only as the tests' oracle.
 """
 
 from fractions import Fraction
@@ -32,49 +38,23 @@ class Subspace:
     def __init__(self, field, dim_ambient, vectors):
         self.field = field
         self.dim_ambient = dim_ambient
-        ops = RingOps(field.zero, field.one)
-        self.basis = column_space_basis([list(v) for v in vectors], ops) \
-            if vectors else []
+        self.basis = column_space_basis([list(v) for v in vectors],
+                                        RingOps(field.zero, field.one))
 
     @property
     def dimension(self):
         return len(self.basis)
 
-    def contains_vector(self, v, ops=None):
-        ops = ops or RingOps(self.field.zero, self.field.one)
-        ok, _ = in_span(self.basis, list(v), ops)
-        return ok
-
     def contains(self, other):
         ops = RingOps(self.field.zero, self.field.one)
-        return all(self.contains_vector(v, ops) for v in other.basis)
+        return all(in_span(self.basis, list(v), ops)[0] for v in other.basis)
 
     def equals(self, other):
         return self.dimension == other.dimension and self.contains(other)
 
-    def intersect(self, other):
-        """Kernel-based intersection."""
-        if not self.basis or not other.basis:
-            return Subspace(self.field, self.dim_ambient, [])
-        ops = RingOps(self.field.zero, self.field.one)
-        # rows of [basis_self^T | -basis_other^T], kernel gives coefficients
-        rows = []
-        for i in range(self.dim_ambient):
-            row = [b[i] for b in self.basis] + [-b[i] for b in other.basis]
-            rows.append(row)
-        ker = kernel(rows, ops)
-        vecs = []
-        for coeffs in ker:
-            v = [self.field.zero() for _ in range(self.dim_ambient)]
-            for c, b in zip(coeffs[:len(self.basis)], self.basis):
-                v = [x + c * y for x, y in zip(v, b)]
-            vecs.append(v)
-        return Subspace(self.field, self.dim_ambient, vecs)
-
     def sum(self, other):
         return Subspace(self.field, self.dim_ambient,
-                        [list(v) for v in self.basis] +
-                        [list(v) for v in other.basis])
+                        self.basis + other.basis)
 
     def __repr__(self):
         return f"Subspace(dim {self.dimension} of {self.dim_ambient})"
@@ -111,6 +91,7 @@ class FilteredPhiModule:
         if validate:
             self._validate()
         self._lattice = None
+        self._t_N = None      # t_N of each _lattice member
         self._degrees = None  # (t_H, t_N) of each _lattice member, or None
 
     # -- validation ------------------------------------------------------
@@ -158,13 +139,20 @@ class FilteredPhiModule:
 
     def hodge_degree(self):
         """(h: {j: h_j}, t_H)."""
-        h = {}
-        entries = self.filtration
-        for idx, (j, sub) in enumerate(entries):
-            nxt = entries[idx + 1][1].dimension if idx + 1 < len(entries) else 0
-            h[j] = sub.dimension - nxt
-        t_h = sum(j * m for j, m in h.items())
-        return h, t_h
+        return self._induced_hodge(self.full_space())
+
+    def _induced_hodge(self, S):
+        """(h: {j: h_j}, t_H) of the filtration induced on S, over the jumps
+        with h_j > 0.  Each dim(S meet Fil) is dim S + dim Fil - dim(S + Fil):
+        one rank, with no kernel and no solve."""
+        ops = self.ops()
+        dims = [F.dimension if S.dimension == self.d else
+                S.dimension + F.dimension - len(echelon(S.basis + F.basis,
+                                                        ops)[1])
+                for _, F in self.filtration] + [0]
+        h = {j: dims[l] - dims[l + 1]
+             for l, (j, _) in enumerate(self.filtration) if dims[l] > dims[l + 1]}
+        return h, sum(j * m for j, m in h.items())
 
     @property
     def t_H(self):
@@ -219,7 +207,7 @@ class FilteredPhiModule:
 
     def phi_stable_subspaces(self):
         """The complete finite list of phi-stable K-subspaces (0 and the
-        full space included).
+        full space included), recording the t_N of each.
 
         Complete when the characteristic polynomial of the linearized phi^f
         is squarefree, or for d <= 3 through the primary decomposition;
@@ -238,12 +226,13 @@ class FilteredPhiModule:
             raise EnumerationUnsupportedError(
                 f"cannot certify the factor structure of a degree-{res_deg} "
                 f"residual factor; non-generic, unsupported")
-        components = []  # list of chains: each chain is a list of Subspace
-        for r, mult in roots:
-            components.append(self._primary_chain(B, r, mult, ops))
+        # one chain per primary component, with the valuation that each of
+        # its dimensions adds to v(det B)
+        components = [(r.valuation(), self._primary_chain(B, r, mult, ops))
+                      for r, mult in roots]
         if res_deg:
             # an irreducible residual factor of multiplicity one: its kernel
-            # is a simple component
+            # is a simple component, and all its roots share one valuation
             if sum(m for _, m in roots) + res_deg != self.d:
                 raise EnumerationUnsupportedError(
                     "residual factor has multiplicity > 1; unsupported")
@@ -252,27 +241,23 @@ class FilteredPhiModule:
             if comp.dimension != res_deg:
                 raise PrecisionError(
                     "kernel of the irreducible factor has unexpected dimension")
-            components.append([None, comp])  # None encodes the zero choice
-        # B-invariant subspaces: sums of one choice per component chain
-        candidates = []
-        for pick in iter_product(*components):
-            vecs = []
-            for sub in pick:
-                if sub is not None:
-                    vecs.extend([list(v) for v in sub.basis])
-            candidates.append(Subspace(field, self.d, vecs))
-        # deduplicate and filter by phi-stability (sigma-semilinear!)
-        out = []
-        for S in candidates:
-            if any(S.dimension == T.dimension and T.equals(S) for T in out):
-                continue
-            stable, _ = self.is_phi_stable(S)
-            if stable:
-                out.append(S)
-        out.sort(key=lambda s: s.dimension)
-        self._lattice = out
-        self._degrees = [None] * len(out)
-        return out
+            components.append((Fraction(residual[0].valuation(), res_deg),
+                               [None, comp]))  # None encodes the zero choice
+        # B-invariant subspaces: sums of one choice per component chain, all
+        # distinct since the components are independent; at f = 1 phi is B
+        # itself, so only f > 1 needs the (sigma-semilinear) stability check
+        members = []
+        for pick in iter_product(*(chain for _, chain in components)):
+            chosen = [(v, T) for (v, _), T in zip(components, pick)
+                      if T is not None]
+            S = Subspace(field, self.d, [b for _, T in chosen for b in T.basis])
+            if field.f == 1 or self.is_phi_stable(S)[0]:
+                members.append((S, Fraction(
+                    sum(v * T.dimension for v, T in chosen), field.f)))
+        members.sort(key=lambda m: m[0].dimension)
+        self._lattice, self._t_N = map(list, zip(*members))
+        self._degrees = [None] * len(members)
+        return self._lattice
 
     def _poly_of_matrix(self, B, poly, ops):
         """poly(B) for a coefficient list over K."""
@@ -286,42 +271,31 @@ class FilteredPhiModule:
         return acc
 
     def _primary_chain(self, B, eigval, mult, ops):
-        """Invariant-subspace chain of the primary component of an
-        eigenvalue: None (zero choice) plus the strictly increasing
-        B-invariant subspaces inside the component."""
-        field = self.field
+        """None (the zero choice) and the kernels of (B - eigval)^k for
+        k = 1..mult: the B-invariant subspaces of the primary component of
+        eigval when it is one Jordan block."""
         n = self.d
         shifted = [[(B[i][j] - eigval) if i == j else B[i][j]
                     for j in range(n)] for i in range(n)]
-        if mult == 1:
-            line = Subspace(field, n, kernel(shifted, ops))
-            if line.dimension != 1:
-                raise PrecisionError("eigenline has unexpected dimension")
-            return [None, line]
-        # nilpotent structure on the component
+        chain = [None, Subspace(self.field, n, kernel(shifted, ops))]
         power = shifted
-        for _ in range(mult - 1):
+        for _ in range(1, mult):
             power = mat_mul(power, shifted, ops)
-        comp = Subspace(field, n, kernel(power, ops))
-        if comp.dimension != mult:
+            chain.append(Subspace(self.field, n, kernel(power, ops)))
+        if chain[-1].dimension != mult:
             raise PrecisionError("primary component has unexpected dimension")
-        ker1 = Subspace(field, n, kernel(shifted, ops)).intersect(comp)
-        if ker1.dimension == mult:
+        if chain[1].dimension == mult > 1:
             raise EnumerationUnsupportedError(
                 "scalar block of dimension >= 2: the invariant lattice is "
                 "infinite; non-generic, unsupported")
-        if mult == 2:
-            return [None, ker1, comp]
-        if mult == 3:
-            if ker1.dimension != 1:
-                raise EnumerationUnsupportedError(
-                    "multiple Jordan blocks share an eigenvalue; the "
-                    "invariant lattice is infinite; non-generic, unsupported")
-            sq = mat_mul(shifted, shifted, ops)
-            ker2 = Subspace(field, n, kernel(sq, ops)).intersect(comp)
-            return [None, ker1, ker2, comp]
-        raise EnumerationUnsupportedError(
-            f"primary component of multiplicity {mult} > 3; unsupported")
+        if chain[1].dimension != 1:
+            raise EnumerationUnsupportedError(
+                "multiple Jordan blocks share an eigenvalue; the "
+                "invariant lattice is infinite; non-generic, unsupported")
+        if mult > 3:
+            raise EnumerationUnsupportedError(
+                f"primary component of multiplicity {mult} > 3; unsupported")
+        return chain
 
     # -- induced structures ---------------------------------------------------
 
@@ -332,9 +306,6 @@ class FilteredPhiModule:
             raise ValueError("use the zero-module conventions directly")
         field = self.field
         ops = self.ops()
-        stable, wit = self.is_phi_stable(S)
-        if not stable:
-            raise NotStableError("subspace is not phi-stable", witness=wit)
         basis_cols = mat_transpose([list(b) for b in S.basis])
         # matrix X with phi(basis_i) = sum_j X[j][i] basis_j
         cols = []
@@ -342,36 +313,48 @@ class FilteredPhiModule:
             img = self.apply_phi(v)
             x, _ = solve(basis_cols, img, ops)
             if x is None:
-                raise NotStableError("image escapes the subspace at precision",
+                raise NotStableError("subspace is not phi-stable",
                                      witness=img)
             cols.append(x)
         X = mat_transpose(cols)
-        # induced filtration: intersections with the ambient steps, recorded
-        # at the jumps where the dimension actually drops
-        inters = [S.intersect(sub) for _, sub in self.filtration]
-        dims = [I.dimension for I in inters] + [0]
-        chain = []
-        for l, (j, _) in enumerate(self.filtration):
-            if dims[l] > dims[l + 1]:
-                rows = []
-                for v in inters[l].basis:
-                    c, _ = solve(basis_cols, list(v), ops)
-                    rows.append(c)
-                chain.append((j, Subspace(field, S.dimension, rows)))
+        # induced filtration in the coordinates of S: Fil^j S is the kernel
+        # of c -> sum c_i s_i modulo Fil^j; a step is kept where its
+        # dimension drops
+        steps = [(j, Subspace(field, S.dimension, [
+            k[:S.dimension] for k in kernel(
+                [[b[i] for b in S.basis] + [-v[i] for v in F.basis]
+                 for i in range(self.d)], ops)]))
+            for j, F in self.filtration]
+        dims = [T.dimension for _, T in steps] + [0]
+        chain = [step for l, step in enumerate(steps) if dims[l] > dims[l + 1]]
         return FilteredPhiModule(field, X, chain, self.guard, validate=False)
 
     # -- degrees of stable subspaces ------------------------------------------
 
     def sub_degrees(self, S: Subspace):
-        """(t_H, t_N) of the induced filtered module on a stable subspace,
-        with the zero-module convention (0, 0)."""
+        """(t_H, t_N) of the filtered module induced on a phi-stable
+        subspace, with the zero-module convention (0, 0).
+
+        Read from the lattice member equal to S, and computed at most once
+        per member: t_N is the root-valuation sum recorded with the member,
+        t_H comes from ranks (``_induced_hodge``).  Raises NotStableError
+        when S is not a member of the lattice."""
         if S.dimension == 0:
             return 0, Fraction(0)
-        sub = self.induced_submodule(S)
-        return sub.t_H, sub.t_N
+        lattice = self.phi_stable_subspaces()
+        i = next((i for i, T in enumerate(lattice) if T is S), None)
+        if i is None:
+            i = next((i for i, T in enumerate(lattice)
+                      if T.dimension == S.dimension and T.equals(S)), None)
+        if i is None:
+            raise NotStableError("subspace is not phi-stable",
+                                 witness=self.is_phi_stable(S)[1])
+        if self._degrees[i] is None:
+            self._degrees[i] = (self._induced_hodge(S)[1], self._t_N[i])
+        return self._degrees[i]
 
     def induced_fil_dim(self, S: Subspace, j: int) -> int:
-        return S.intersect(self.fil_at(j)).dimension
+        return sum(m for i, m in self._induced_hodge(S)[0].items() if i >= j)
 
     # -- admissibility and slope verdicts --------------------------------------
 
@@ -385,15 +368,13 @@ class FilteredPhiModule:
             if fil_zero_at is not None and \
                     self.induced_fil_dim(S, fil_zero_at) != 0:
                 continue
-            if self._degrees[i] is None:
-                self._degrees[i] = self.sub_degrees(S)
-            th, tn = self._degrees[i]
+            th, tn = self._degrees[i] or self.sub_degrees(S)
             yield CertificateRow(S, th, tn, Fraction(th - tn, S.dimension))
 
     def is_weakly_admissible(self) -> Certificate:
         """t_H = t_N globally and t_H <= t_N on every phi-stable subspace."""
-        equal = (self.t_H == self.t_N)
         rows = list(self._rows())
+        equal = self.t_H == rows[-1].t_N  # the last row is the full space
         witness = next((r for r in rows if r.t_H > r.t_N), None)
         if witness is not None:
             return Certificate(
@@ -461,7 +442,14 @@ class FilteredPhiModule:
         scale = field.scalar(Fraction(field.p) ** (-k))
         A = [[c * scale for c in row] for row in self.phi_matrix]
         filt = [(j - k, sub) for j, sub in self.filtration]
-        return FilteredPhiModule(field, A, filt, self.guard, validate=False)
+        tw = FilteredPhiModule(field, A, filt, self.guard, validate=False)
+        if self._lattice is not None:
+            # twisting keeps every stable subspace; t_N drops by k per dimension
+            tw._lattice = list(self._lattice)
+            tw._t_N = [t - k * S.dimension
+                       for S, t in zip(self._lattice, self._t_N)]
+            tw._degrees = [None] * len(self._lattice)
+        return tw
 
     def adapted_basis(self):
         """Vectors v_1..v_d with levels so that Fil^j = span(v_i: level_i >= j).
@@ -469,14 +457,11 @@ class FilteredPhiModule:
         Built by extending a basis of the deepest step backwards through the
         chain; levels are the jumps at which each vector enters.
         """
-        field = self.field
         ops = self.ops()
-        vectors = []
-        levels = []
+        vectors, levels = [], []
         for j, sub in reversed(self.filtration):
             for v in sub.basis:
-                ok, _ = in_span(vectors, list(v), ops) if vectors else (False, None)
-                if not ok:
+                if not in_span(vectors, list(v), ops)[0]:
                     vectors.append(list(v))
                     levels.append(j)
         return vectors, levels
@@ -523,12 +508,8 @@ class FilteredPhiModule:
         m, levels, _ = self.in_adapted_coordinates()
         idxsets = list(combinations(range(self.d), v))
         ops = self.ops()
-        D = len(idxsets)
-        A = [[None] * D for _ in range(D)]
-        for col, J in enumerate(idxsets):
-            for row, I in enumerate(idxsets):
-                sub = [[m.phi_matrix[i][j] for j in J] for i in I]
-                A[row][col] = det(sub, ops)
+        A = [[det([[m.phi_matrix[i][j] for j in J] for i in I], ops)
+              for J in idxsets] for I in idxsets]
         wedge_levels = [sum(levels[i] for i in I) for I in idxsets]
         return FilteredPhiModule(field, A,
                                  _level_filtration(field, wedge_levels),
@@ -541,15 +522,12 @@ class FilteredPhiModule:
         if k not in jumps:
             raise ValueError(f"{k} is not a filtration jump of this module")
         idx = jumps.index(k)
-        filt = [(j, sub) for j, sub in self.filtration]
+        filt = list(self.filtration)
         if idx > 0 and jumps[idx - 1] == k - 1:
             # the step merges into the previous one
             filt.pop(idx)
         else:
             filt[idx] = (k - 1, filt[idx][1])
-        if not filt:
-            raise ValueError("cannot erase the only filtration step of a "
-                             "one-step filtration")
         return FilteredPhiModule(self.field, self.phi_matrix, filt,
                                  self.guard, validate=False)
 

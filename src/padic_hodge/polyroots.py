@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .errors import PrecisionError, EnumerationUnsupportedError
-from .padics import FieldElement
 
 # deepest level of the digit descent before a cluster counts as unresolved
 _DESCENT_DEPTH = 6

@@ -21,7 +21,6 @@ integer Taylor shifts from the packed kernel module.
 """
 
 from fractions import Fraction
-from dataclasses import dataclass
 import math
 
 from . import intpoly

@@ -241,6 +241,51 @@ def test_span_margin_reads_coordinates(p, f):
             _span_margin(guarded, kbasis, ops, certainty)
 
 
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_span_margin_reads_past_an_undecided_coordinate(p, f):
+    # one pi^j-coordinate's residual sits in its guard band (valuation 42 at
+    # precision 44), so it is known only to lie at or above its floor
+    # 40 + j/e; a decided residual of another coordinate below that floor
+    # decides the margin, and one that could lie above it does not
+    K = UnramifiedField(p, f, 20)
+    ops = RingOps(K.zero, K.one, 4)
+    rng = random.Random(170 + 10 * p + f)
+    a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+    basis = [[1, a, 0], [0, b, 1]]
+    kbasis = [[K.coerce(c) for c in vec] for vec in basis]
+    x = [0, 1, 0]
+    high = K.work_prec - 2
+    for n in (1, 2):
+        e = CyclotomicLayer(K, n).e
+        for _ in range(3):
+            guarded, low = rng.sample(range(e), 2)
+            ks = [rng.choice([None, rng.randint(0, 35)]) for _ in range(e)]
+            ks[guarded] = high
+            ks[low] = rng.randint(0, 30)
+            values = _values_with_residuals(CyclotomicLayer(K, n), basis, x,
+                                            ks, rng)
+            expect = min([Fraction(50)] + [k + Fraction(j, e)
+                                           for j, k in enumerate(ks)
+                                           if k is not None and j != guarded])
+            assert _span_margin(values, kbasis, ops, Fraction(50)) == expect
+        # a decided residual of valuation 40: at pi^0 it lies below the
+        # floor 40 + 1/e of an undecided pi^1-coordinate, at pi^1 (40 + 1/e)
+        # it could lie above the floor 40 of an undecided pi^0-coordinate
+        edge = K.work_prec - 4
+        ks = [None] * e
+        ks[0], ks[1] = edge, high
+        values = _values_with_residuals(CyclotomicLayer(K, n), basis, x, ks,
+                                        rng)
+        assert _span_margin(values, kbasis, ops, Fraction(50)) == edge
+        ks[0], ks[1] = high, edge
+        values = _values_with_residuals(CyclotomicLayer(K, n), basis, x, ks,
+                                        rng)
+        with pytest.raises(PrecisionError) as info:
+            _span_margin(values, kbasis, ops, Fraction(50))
+        assert info.value.floor == edge
+
+
 # -- wronskians and orbits ----------------------------------------------------------
 
 def test_wronskian_log_one(K5):

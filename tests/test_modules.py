@@ -10,9 +10,11 @@ import pytest
 
 from padic_hodge.padics import UnramifiedField
 from padic_hodge.modules import (FilteredPhiModule, Subspace, CertificateRow,
-                                 modular_form_module, tensor_slope_check)
+                                 _mat_inverse, modular_form_module,
+                                 tensor_slope_check)
 from padic_hodge.errors import (EnumerationUnsupportedError, NotStableError,
-                                PadicError)
+                                PadicError, PrecisionError)
+from padic_hodge.linalg import RingOps, mat_mul
 from padic_hodge import generators as gen
 
 
@@ -378,14 +380,15 @@ def _fresh(m):
 
 
 def _oracle_rows(m, j=None):
-    """Rows rebuilt by calling sub_degrees on every lattice member, keeping
-    those with induced Fil^j = 0 when j is given."""
+    """Rows rebuilt from the induced module of every lattice member, keeping
+    those whose induced Fil^j is 0 when j is given."""
     rows = []
-    for S in m.phi_stable_subspaces():
-        if S.dimension == 0 or (j is not None and m.induced_fil_dim(S, j)):
+    for S in m.phi_stable_subspaces()[1:]:
+        sub = m.induced_submodule(S)
+        if j is not None and sub.fil_at(j).dimension:
             continue
-        th, tn = m.sub_degrees(S)
-        rows.append(CertificateRow(S, th, tn, Fraction(th - tn, S.dimension)))
+        rows.append(CertificateRow(S, sub.t_H, sub.t_N,
+                                   Fraction(sub.t_H - sub.t_N, S.dimension)))
     return rows
 
 
@@ -438,29 +441,46 @@ def test_certificates_match_rebuilt_rows(name, module, admissible):
 @pytest.mark.parametrize("name,module,admissible", CERT_MODULES, ids=CERT_IDS)
 def test_certificates_build_each_submodule_once(name, module, admissible,
                                                 monkeypatch):
+    # the certificates build no induced module, and the degrees of each
+    # lattice member are computed once: fil1's re-check of the sum reads the
+    # member equal to the sum
     m = _fresh(module)
-    calls = []
-    induced = FilteredPhiModule.induced_submodule
+    seen, reads, computed = [], [], []
+    sub_degrees = FilteredPhiModule.sub_degrees
+    induced_hodge = FilteredPhiModule._induced_hodge
+
+    def reading(self, S):
+        seen.append(S)
+        reads.append(S)
+        try:
+            return sub_degrees(self, S)
+        finally:
+            reads.pop()
 
     def counting(self, S):
-        calls.append(S)
-        return induced(self, S)
+        if reads:
+            computed.append(S)
+        return induced_hodge(self, S)
 
-    monkeypatch.setattr(FilteredPhiModule, "induced_submodule", counting)
+    def building(self, S):
+        raise AssertionError("a certificate built an induced module")
+
+    monkeypatch.setattr(FilteredPhiModule, "sub_degrees", reading)
+    monkeypatch.setattr(FilteredPhiModule, "_induced_hodge", counting)
+    monkeypatch.setattr(FilteredPhiModule, "induced_submodule", building)
     m.is_weakly_admissible()
     m.max_subspace_slope()
     m.slope_bound_check(0)
     if admissible:
         f1 = m.fil1()
+        assert any(T is f1 for T in seen) == bool(f1.dimension)
     else:
         with pytest.raises(PadicError):
             m.fil1()
     members = [S for S in m.phi_stable_subspaces() if S.dimension]
     for S in members:
-        assert sum(T is S for T in calls) == 1
-    # besides the members, only fil1's re-check of the sum builds one
-    rest = [T for T in calls if not any(T is S for S in members)]
-    assert len(rest) == (1 if admissible and f1.dimension else 0)
+        assert sum(T is S for T in computed) == 1
+    assert len(computed) == len(members)
 
 
 @pytest.mark.parametrize("name,module,admissible", CERT_MODULES, ids=CERT_IDS)
@@ -498,6 +518,183 @@ def test_returned_rows_do_not_alias_the_memo():
     cert = m.slope_bound_check(m.max_subspace_slope())
     cert.rows.clear()
     assert m.slope_bound_check(m.max_subspace_slope()).rows == again.rows
+
+
+# -- lattice degrees against the induced-module oracle ------------------------
+
+def _random_phi(K, rng, d):
+    """(A, P) with A = P D sigma(P)^-1 for a random unimodular integer P and
+    D of one shape: distinct integer slopes; at d = 3 the companion matrix
+    of X^3 - p u (an irreducible residual of slope 1/3); at f = 1 a 2x2
+    Jordan block or the companion matrix of X^2 - p u X + p u' (slope 1/2);
+    at f > 1 an antidiagonal block with a non-rational unit, whose
+    B-eigenlines are not phi-stable.  The columns of P are eigenvectors of
+    the split shape.  (A double root at f > 1 is left out: the root search
+    descends every residue class around it, which takes tens of seconds.)"""
+    p = K.p
+
+    def unit():
+        return K.element([rng.randint(1, p - 1)] +
+                         [rng.randint(0, p - 1) for _ in range(K.f - 1)])
+
+    shapes = ["split", "cubic" if d == 3 else "split"] + \
+        (["swap"] if K.f > 1 else ["jordan", "quadratic"])
+    shape = rng.choice(shapes)
+    slopes = rng.sample(range(-3, 3), d)
+    D = [[unit() * K.scalar(Fraction(p) ** s) if i == j else K.zero()
+          for j in range(d)] for i, s in enumerate(slopes)]
+    if shape == "quadratic":
+        D[0][0], D[0][1] = K.zero(), -(unit() * K.coerce(p))
+        D[1][0], D[1][1] = K.one(), unit() * K.coerce(p)
+    elif shape == "cubic":
+        D = [[K.zero(), K.zero(), unit() * K.coerce(p)],
+             [K.one(), K.zero(), K.zero()], [K.zero(), K.one(), K.zero()]]
+    elif shape == "jordan":
+        D[1][1], D[0][1] = D[0][0], K.one()
+    elif shape == "swap":  # B-eigenvalues a sigma(b), b sigma(a), apart mod p
+        a = K.element([rng.randint(1, p - 1), rng.randint(1, p - 1)])
+        D[0][1], D[1][0] = a * K.scalar(Fraction(p) ** slopes[0]), K.one()
+        D[0][0] = D[1][1] = K.zero()
+    P = gen._unimodular(K, rng, d)
+    ops = RingOps(K.zero, K.one)
+    return mat_mul(P, mat_mul(D, _mat_inverse(P, ops), ops), ops), P
+
+
+def _random_module(K, rng, d):
+    """A module with phi from _random_phi and a random filtration, generally
+    not admissible: nested steps spanned by leading runs of vectors, each a
+    column of P or a small random integer vector."""
+    A, P = _random_phi(K, rng, d)
+    full = [[K.one() if i == j else K.zero() for j in range(d)]
+            for i in range(d)]
+    while True:
+        vecs = [[row[i] for row in P] if rng.random() < 0.4 else
+                [K.coerce(rng.randint(-3, 3)) for _ in range(d)]
+                for i in rng.sample(range(d), d - 1)]
+        dims = sorted(rng.sample(range(1, d), rng.randint(0, d - 1)),
+                      reverse=True)
+        jumps = sorted(rng.sample(range(-3, 4), len(dims) + 1))
+        steps = [Subspace(K, d, full)] + [Subspace(K, d, vecs[:k])
+                                          for k in dims]
+        if [S.dimension for S in steps[1:]] == dims:
+            return FilteredPhiModule(K, A, list(zip(jumps, steps)))
+
+
+def _assert_degrees_match_oracle(m):
+    """sub_degrees, induced_fil_dim and hodge_degree against the induced
+    module of every lattice member."""
+    dims = [S.dimension for _, S in m.filtration] + [0]
+    assert m.hodge_degree()[0] == {j: a - b for j, a, b in
+                                   zip(m.jumps(), dims, dims[1:])}
+    lattice = m.phi_stable_subspaces()
+    assert lattice[0].dimension == 0 and lattice[-1].dimension == m.d
+    for S in lattice[1:]:
+        assert m.is_phi_stable(S)[0]
+        sub = m.induced_submodule(S)
+        assert m.sub_degrees(S) == (sub.t_H, sub.t_N)
+        for j in _jump_range(m):
+            assert m.induced_fil_dim(S, j) == sub.fil_at(j).dimension
+    assert m.sub_degrees(m.full_space()) == (m.t_H, m.t_N)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_lattice_degrees_match_induced_modules(p, f, d):
+    K = UnramifiedField(p, f, 20)
+    rng = random.Random(1000 * p + 100 * f + d)
+    checked = 0
+    for _ in range(4):
+        m = _random_module(K, rng, d)
+        try:
+            m.phi_stable_subspaces()
+        except EnumerationUnsupportedError:
+            continue
+        _assert_degrees_match_oracle(m)
+        checked += 1
+    assert checked >= 2
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_tensor_lattice_degrees_match_induced_modules(p):
+    K = UnramifiedField(p, 1, 20, work_margin=60)
+    rng = random.Random(50 + p)
+    checked = 0
+    for _ in range(3):
+        tp = _random_module(K, rng, 2).tensor_product(
+            _random_module(K, rng, 2))
+        try:
+            tp.phi_stable_subspaces()
+        except EnumerationUnsupportedError:
+            continue
+        _assert_degrees_match_oracle(tp)
+        checked += 1
+    assert checked >= 1
+    # four simple eigenlines at f = 2: all sixteen sums are members
+    K = UnramifiedField(5, 2, 20, work_margin=140)
+    rng = random.Random(2)
+    tp = gen.random_wa_module_d2(K, rng).tensor_product(
+        gen.random_wa_module_d2(K, rng))
+    _assert_degrees_match_oracle(tp)
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_twist_keeps_the_lattice(f):
+    # twist(k) hands its lattice over when the parent's is built; either way
+    # it matches a module built afresh from the twisted matrix
+    K = UnramifiedField(5, f, 20)
+    rng = random.Random(60 + f)
+    for _ in range(2):
+        m = _random_module(K, rng, rng.choice([2, 3]))
+        try:
+            m.phi_stable_subspaces()
+        except EnumerationUnsupportedError:
+            continue
+        for k in range(-2, 3):
+            before = _fresh(m)
+            before.phi_stable_subspaces()
+            for tw in (before.twist(k), _fresh(m).twist(k)):
+                fresh = _fresh(tw)
+                got, want = tw.phi_stable_subspaces(), \
+                    fresh.phi_stable_subspaces()
+                assert len(got) == len(want)
+                assert all(S.equals(T) for S, T in zip(got, want))
+                assert [tw.sub_degrees(S) for S in got] == \
+                    [fresh.sub_degrees(S) for S in want]
+                _assert_degrees_match_oracle(tw)
+            if k:
+                handed = before.twist(k).phi_stable_subspaces()
+                assert all(S is T for S, T in zip(handed, before._lattice))
+
+
+@pytest.mark.parametrize("name,module,admissible", CERT_MODULES, ids=CERT_IDS)
+def test_certificate_module_degrees_match_induced_modules(name, module,
+                                                          admissible):
+    _assert_degrees_match_oracle(_fresh(module))
+
+
+def test_lattice_errors_still_fire(K5):
+    # a scalar block has an infinite invariant lattice
+    scalar = FilteredPhiModule(K5, [[K5.one(), K5.zero()],
+                                    [K5.zero(), K5.one()]], [(0, full2(K5))])
+    with pytest.raises(EnumerationUnsupportedError):
+        scalar.sub_degrees(scalar.full_space())
+    with pytest.raises(EnumerationUnsupportedError):
+        scalar.is_weakly_admissible()
+    # det phi of valuation 41 at precision 44: its Newton polygon is
+    # undecided
+    near = FilteredPhiModule(K5, [[K5.one(), K5.zero()],
+                                  [K5.zero(), K5.coerce(5 ** 41)]],
+                             [(0, full2(K5))], validate=False)
+    with pytest.raises(PrecisionError):
+        near.phi_stable_subspaces()
+    with pytest.raises(PrecisionError):
+        near.sub_degrees(near.full_space())
+    # a line that is not an eigenline is not a member
+    m = modular_form_module(5, 2, 1, field=K5)
+    with pytest.raises(NotStableError) as info:
+        m.sub_degrees(line(K5, [1, 1]))
+    assert info.value.witness is not None
 
 
 def _level_sum_dims(level_lists):
@@ -552,7 +749,6 @@ def test_filtration_validation(K5):
         FilteredPhiModule(K5, A, [(0, line(K5, [1, 0])), (1, full2(K5))])
     with pytest.raises(ValueError):
         FilteredPhiModule(K5, A, [(0, line(K5, [1, 0]))])  # first not full
-    from padic_hodge.errors import PrecisionError
     sing = [[K5.one(), K5.one()], [K5.one(), K5.one()]]
     with pytest.raises(PrecisionError):
         FilteredPhiModule(K5, sing, [(0, full2(K5))])
