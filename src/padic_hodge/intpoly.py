@@ -26,22 +26,14 @@ def _limb_bits(mod: int, length: int) -> int:
 
 
 def pack(coeffs, limb_bytes: int) -> int:
-    buf = bytearray(limb_bytes * len(coeffs))
-    pos = 0
-    for c in coeffs:
-        buf[pos:pos + limb_bytes] = c.to_bytes(limb_bytes, "little")
-        pos += limb_bytes
-    return int.from_bytes(buf, "little")
+    return int.from_bytes(b"".join(c.to_bytes(limb_bytes, "little")
+                                   for c in coeffs), "little")
 
 
 def unpack(n: int, count: int, limb_bytes: int):
     raw = n.to_bytes(limb_bytes * count, "little")
-    out = []
-    pos = 0
-    for _ in range(count):
-        out.append(int.from_bytes(raw[pos:pos + limb_bytes], "little"))
-        pos += limb_bytes
-    return out
+    return [int.from_bytes(raw[pos:pos + limb_bytes], "little")
+            for pos in range(0, limb_bytes * count, limb_bytes)]
 
 
 def polymul(a, b, mod: int, out_len: int):
@@ -57,11 +49,10 @@ def polymul(a, b, mod: int, out_len: int):
     b = [x % mod for x in b]
     bits = _limb_bits(mod, min(len(a), len(b)))
     lb = bits // 8
-    prod = pack(a, lb) * pack(b, lb)
-    total = len(a) + len(b) - 1
-    keep = min(out_len, total)
-    res = unpack(prod, total, lb)[:keep]
-    out = [c % mod for c in res]
+    keep = min(out_len, len(a) + len(b) - 1)
+    # the limbs above `keep` are never read: mask them off before unpacking
+    prod = pack(a, lb) * pack(b, lb) & ((1 << (bits * keep)) - 1)
+    out = [c % mod for c in unpack(prod, keep, lb)]
     if keep < out_len:
         out.extend([0] * (out_len - keep))
     return out
@@ -93,12 +84,7 @@ def taylor_shift(coeffs, delta: int, mod: int):
     lo = taylor_shift(coeffs[:h], delta, mod)
     hi = taylor_shift(coeffs[h:], delta, mod)
     shifted_hi = polymul(hi, list(_binomial_row(h, delta, mod)), mod, n)
-    out = [0] * n
-    for i, c in enumerate(lo):
-        out[i] = c
-    for i, c in enumerate(shifted_hi):
-        out[i] = (out[i] + c) % mod
-    return out
+    return [(c + s) % mod for c, s in zip(lo, shifted_hi)] + shifted_hi[h:]
 
 
 def stretch(coeffs, factor: int, out_len: int):

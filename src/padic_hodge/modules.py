@@ -92,6 +92,7 @@ class FilteredPhiModule:
             self._validate()
         self._lattice = None
         self._t_N = None      # t_N of each _lattice member
+        self._hodge = None    # (h, t_H) of each _lattice member, or None
         self._degrees = None  # (t_H, t_N) of each _lattice member, or None
 
     # -- validation ------------------------------------------------------
@@ -256,6 +257,7 @@ class FilteredPhiModule:
                     sum(v * T.dimension for v, T in chosen), field.f)))
         members.sort(key=lambda m: m[0].dimension)
         self._lattice, self._t_N = map(list, zip(*members))
+        self._hodge = [None] * len(members)
         self._degrees = [None] * len(members)
         return self._lattice
 
@@ -341,6 +343,13 @@ class FilteredPhiModule:
         when S is not a member of the lattice."""
         if S.dimension == 0:
             return 0, Fraction(0)
+        i = self._member(S)
+        if self._degrees[i] is None:
+            self._degrees[i] = (self._member_hodge(i)[1], self._t_N[i])
+        return self._degrees[i]
+
+    def _member(self, S: Subspace) -> int:
+        """Index of the lattice member equal to S (NotStableError if none)."""
         lattice = self.phi_stable_subspaces()
         i = next((i for i, T in enumerate(lattice) if T is S), None)
         if i is None:
@@ -349,24 +358,28 @@ class FilteredPhiModule:
         if i is None:
             raise NotStableError("subspace is not phi-stable",
                                  witness=self.is_phi_stable(S)[1])
-        if self._degrees[i] is None:
-            self._degrees[i] = (self._induced_hodge(S)[1], self._t_N[i])
-        return self._degrees[i]
+        return i
+
+    def _member_hodge(self, i: int):
+        """(h, t_H) induced on lattice member i, ranked once per module."""
+        if self._hodge[i] is None:
+            self._hodge[i] = self._induced_hodge(self._lattice[i])
+        return self._hodge[i]
 
     def induced_fil_dim(self, S: Subspace, j: int) -> int:
-        return sum(m for i, m in self._induced_hodge(S)[0].items() if i >= j)
+        return _fil_dim(self._induced_hodge(S)[0], j)
 
     # -- admissibility and slope verdicts --------------------------------------
 
     def _rows(self, fil_zero_at=None):
         """CertificateRow(S, t_H, t_N, lambda) of each nonzero stable subspace
-        in lattice order, or of those with induced Fil^fil_zero_at = 0; the
-        degrees of each member are computed at most once per module."""
+        in lattice order, or of those with induced Fil^fil_zero_at = 0; each
+        member is ranked, and its degrees read, at most once per module."""
         for i, S in enumerate(self.phi_stable_subspaces()):
             if S.dimension == 0:
                 continue
             if fil_zero_at is not None and \
-                    self.induced_fil_dim(S, fil_zero_at) != 0:
+                    _fil_dim(self._member_hodge(i)[0], fil_zero_at) != 0:
                 continue
             th, tn = self._degrees[i] or self.sub_degrees(S)
             yield CertificateRow(S, th, tn, Fraction(th - tn, S.dimension))
@@ -374,7 +387,7 @@ class FilteredPhiModule:
     def is_weakly_admissible(self) -> Certificate:
         """t_H = t_N globally and t_H <= t_N on every phi-stable subspace."""
         rows = list(self._rows())
-        equal = self.t_H == rows[-1].t_N  # the last row is the full space
+        equal = rows[-1].t_H == rows[-1].t_N  # the last row is the full space
         witness = next((r for r in rows if r.t_H > r.t_N), None)
         if witness is not None:
             return Certificate(
@@ -419,7 +432,8 @@ class FilteredPhiModule:
                 total = total.sum(row.subspace)
         if total.dimension == 0:
             return total
-        if self.induced_fil_dim(total, 0) != 0:
+        # the sum of stable subspaces is a member, ranked at most once
+        if _fil_dim(self._member_hodge(self._member(total))[0], 0) != 0:
             raise PadicError("sum not admissible: the sum of qualifying "
                              "subspaces meets Fil^0")
         th, tn = self.sub_degrees(total)
@@ -448,6 +462,7 @@ class FilteredPhiModule:
             tw._lattice = list(self._lattice)
             tw._t_N = [t - k * S.dimension
                        for S, t in zip(self._lattice, self._t_N)]
+            tw._hodge = [None] * len(self._lattice)
             tw._degrees = [None] * len(self._lattice)
         return tw
 
@@ -534,6 +549,11 @@ class FilteredPhiModule:
     def __repr__(self):
         return (f"FilteredPhiModule(d={self.d}, f={self.field.f}, "
                 f"jumps={self.jumps()})")
+
+
+def _fil_dim(h, j):
+    """dim Fil^j from the Hodge numbers {jump: multiplicity}."""
+    return sum(m for i, m in h.items() if i >= j)
 
 
 def _level_filtration(field, levels):

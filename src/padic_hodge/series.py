@@ -16,8 +16,12 @@ Tail knowledge takes one of three forms:
   differentiation, which moves coefficients down without growing them);
 * nothing, in which case any tail-sensitive question raises TailBoundError.
 
-The x <-> (1+x) basis conversions that make phi, psi and D cheap are exact
-integer Taylor shifts from the packed kernel module.
+An exact polynomial also keeps its coordinates in the basis (1+x)^k
+(``ycoords``), in the same window, where phi, psi and D are index maps.  They
+are made by one exact integer Taylor shift per coordinate column the first
+time an operator asks, or handed over by the operator that made the series;
+every other constructor starts without them, and a truncated series never
+keeps them.
 """
 
 from fractions import Fraction
@@ -40,9 +44,10 @@ def _floor_logp(i: int, p: int) -> int:
 
 class TruncatedSeries:
     __slots__ = ("field", "n", "shift", "rel", "coords", "bound", "tail_zero",
-                 "_vmin")
+                 "_vmin", "_ycoords")
 
-    def __init__(self, field, n, shift, rel, coords, bound=None, tail_zero=False):
+    def __init__(self, field, n, shift, rel, coords, bound=None, tail_zero=False,
+                 ycoords=None):
         self.field = field
         self.n = n
         self.shift = shift
@@ -51,6 +56,7 @@ class TruncatedSeries:
         self.bound = _norm_profile(bound)
         self.tail_zero = tail_zero
         self._vmin = None
+        self._ycoords = ycoords
 
     # -- constructors ---------------------------------------------------
 
@@ -133,6 +139,21 @@ class TruncatedSeries:
                              *(r for col in self.coords for r in col))
                 self._vmin = self.shift + round(math.log(g, p))
         return self._vmin
+
+    def ycoords(self):
+        """Residue columns of the tracked coefficients in the basis (1+x)^k,
+        k = 0..n, in the series' window, by one Taylor shift per column.
+
+        An exact polynomial keeps them (a series is never changed after it
+        is made).  A truncated series makes them afresh on every call: they
+        are not a truncation of the coordinates of the full series."""
+        if self._ycoords is not None:
+            return self._ycoords
+        mod = self.field.p ** self.rel
+        ys = [intpoly.taylor_shift(col, -1, mod) for col in self.coords]
+        if self.tail_zero:
+            self._ycoords = ys
+        return ys
 
     @property
     def is_zero(self):

@@ -3,9 +3,16 @@ Gauss norms on the radii rho_n, growth orders, and log-divisibility.
 
 phi substitutes x -> (1+x)^p - 1 with a Frobenius twist of the coefficients;
 psi is its left inverse, extracting the part of f supported on p-th powers
-of (1+x); both are cheap in the (1+x)-power basis, reached by an exact
-integer Taylor shift.  D is the derivation (1+x) d/dx.  The gamma-action
-substitutes x -> (1+x)^c - 1 through the p-adic binomial series of c.
+of (1+x); D is the derivation (1+x) d/dx.  In the basis (1+x)^k all three
+are index maps: phi sends k to pk, psi keeps the k divisible by p, and D
+multiplies coordinate k by k.  On an exact polynomial they work on the
+series' kept (1+x)-coordinates (``TruncatedSeries.ycoords``; D only when the
+input already has them), hand each output its own, and build the output's
+x-basis coefficients in the same call by one Taylor shift back (D directly).
+phi and psi on a truncated series make its coordinates afresh on each call,
+so they convert there and back by two exact integer Taylor shifts.
+The gamma-action substitutes x -> (1+x)^c - 1 through the p-adic binomial
+series of c.
 Values at the cyclotomic layers are decided at ``DECISION_LEVEL``,
 valuation 1 (modulo p^1).
 """
@@ -80,17 +87,14 @@ def phi_op(f: TruncatedSeries) -> TruncatedSeries:
     mod = p ** f.rel
     full = p * f.n
     n_out = full if f.tail_zero else f.n
-    cols = _apply_sigma_cols(f, f.coords, mod)
-    out = []
-    for col in cols:
-        y = intpoly.taylor_shift(col, -1, mod)
-        # the stretched vector must be converted back at full length: the
-        # high powers of (1+x) contribute to every low x-degree
-        y = intpoly.stretch(y, p, full + 1)
-        back = intpoly.taylor_shift(y, 1, mod)
-        out.append(back[:n_out + 1])
+    ys = [intpoly.stretch(y, p, full + 1)
+          for y in _apply_sigma_cols(f, f.ycoords(), mod)]
+    # the stretched vector must be converted back at full length: the high
+    # powers of (1+x) contribute to every low x-degree
+    out = [intpoly.taylor_shift(y, 1, mod)[:n_out + 1] for y in ys]
     return TruncatedSeries(field, n_out, f.shift, f.rel, out,
-                           f.effective_bound(), f.tail_zero)
+                           f.effective_bound(), f.tail_zero,
+                           ys if f.tail_zero else None)
 
 
 def psi_op(f: TruncatedSeries) -> TruncatedSeries:
@@ -104,20 +108,18 @@ def psi_op(f: TruncatedSeries) -> TruncatedSeries:
     if f.n < p:
         raise ValueError(f"psi needs truncation degree >= p, got {f.n}")
     mod = p ** f.rel
-    out = []
-    for col in f.coords:
-        y = intpoly.taylor_shift(col, -1, mod)
-        y = intpoly.contract(y, p)
-        out.append(intpoly.taylor_shift(y, 1, mod))
-    n_out = f.n // p
-    out = _apply_sigma_cols(f, out, mod, inverse=True)
-    return TruncatedSeries(field, n_out, f.shift, f.rel, out,
-                           _bump_profile(f.effective_bound(), 1), f.tail_zero)
+    ys = _apply_sigma_cols(f, [intpoly.contract(y, p) for y in f.ycoords()],
+                           mod, inverse=True)
+    out = [intpoly.taylor_shift(y, 1, mod) for y in ys]
+    return TruncatedSeries(field, f.n // p, f.shift, f.rel, out,
+                           _bump_profile(f.effective_bound(), 1), f.tail_zero,
+                           ys if f.tail_zero else None)
 
 
 def d_op(f: TruncatedSeries) -> TruncatedSeries:
     """D = (1+x) d/dx; drops the top coefficient unless the input is an
-    exact polynomial."""
+    exact polynomial.  Kept (1+x)-coordinates y_k of the input become the
+    output's k*y_k."""
     field = f.field
     mod = field.p ** f.rel
     n_out = f.n if f.tail_zero else f.n - 1
@@ -132,9 +134,12 @@ def d_op(f: TruncatedSeries) -> TruncatedSeries:
                 acc += (i + 1) * col[i + 1]
             g[i] = acc % mod
         out.append(g)
+    ys = None
+    if f._ycoords is not None:
+        ys = [[k * y % mod for k, y in enumerate(col)] for col in f._ycoords]
     return TruncatedSeries(field, n_out, f.shift, f.rel, out,
                            _bump_profile(f.effective_bound(), 0, 1),
-                           f.tail_zero)
+                           f.tail_zero, ys)
 
 
 def _binomial_column(c_res, n, rel, p, extra):

@@ -28,6 +28,26 @@ def test_polymul_matches_naive():
         assert intpoly.polymul(a, b, mod, out_len) == naive_mul(a, b, mod, out_len)
 
 
+@pytest.mark.parametrize("mod", [5, 5 ** 230], ids=["p^1", "p^230"])
+def test_polymul_edges_against_naive(mod):
+    # out_len above, at and below the full length a*b; unequal and length-1
+    # operands; operand entries at and above mod
+    rng = random.Random(mod % 1000 + 7)
+    shapes = [(1, 1), (1, 9), (9, 1), (3, 17), (17, 3), (40, 40)]
+    for la, lb in shapes:
+        full = la + lb - 1
+        for _ in range(3):
+            a = [rng.choice([0, mod - 1, mod, mod + 1, 3 * mod - 1,
+                             rng.randrange(mod), rng.randrange(5 * mod)])
+                 for _ in range(la)]
+            b = [rng.choice([0, mod - 1, mod, rng.randrange(mod),
+                             rng.randrange(mod, 7 * mod)])
+                 for _ in range(lb)]
+            for out_len in {1, max(full - 1, 1), full, full + 1, full + 5}:
+                assert intpoly.polymul(a, b, mod, out_len) == \
+                    naive_mul(a, b, mod, out_len)
+
+
 def test_taylor_shift_matches_binomials():
     rng = random.Random(2)
     mod = 5 ** 20

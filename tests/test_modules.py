@@ -504,6 +504,27 @@ def test_n_condition_reads_only_fil_zero_members(name, module, admissible,
         assert all(a is b for a, b in zip(read, expect))
 
 
+@pytest.mark.parametrize("seed", [3, 8])
+def test_certificates_rank_each_member_at_most_once(seed, monkeypatch):
+    # the Fil^0 filter of n_condition and fil1 and the degrees of the rows
+    # share one rank per member; t_H of the full space is the last row's
+    m = gen.random_wa_module_d3(UnramifiedField(5, 1, 20),
+                                random.Random(seed))
+    calls = []
+    induced_hodge = FilteredPhiModule._induced_hodge
+
+    def counting(self, S):
+        calls.append(S)
+        return induced_hodge(self, S)
+
+    monkeypatch.setattr(FilteredPhiModule, "_induced_hodge", counting)
+    m.is_weakly_admissible()
+    m.n_condition(0)
+    m.fil1()
+    members = [S for S in m.phi_stable_subspaces() if S.dimension]
+    assert len(calls) <= len(members)
+
+
 def test_returned_rows_do_not_alias_the_memo():
     _, module, _ = CERT_MODULES[2]
     m = _fresh(module)

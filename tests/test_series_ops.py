@@ -14,7 +14,7 @@ import pytest
 
 from padic_hodge.padics import UnramifiedField
 from padic_hodge.series import TruncatedSeries
-from padic_hodge import seriesops as so
+from padic_hodge import intpoly, seriesops as so
 from padic_hodge.errors import PsiNotZeroError
 
 
@@ -395,3 +395,126 @@ def test_ilog_cache_keeps_the_longest_series():
     assert shorter.shift == fresh.shift and shorter.equals(fresh)
     assert so.ilog_series(field, 50) is longer
     assert _ilog_keys(field) == ["ilog"]
+
+
+# -- phi, psi and D on kept (1+x)-coordinates against the two-shift formula ----
+
+def _sigma_cols(field, rel, cols, inverse=False):
+    if field.f == 1:
+        return cols
+    mod = field.p ** rel
+    rows = field._sigma_inv_rows if inverse else field._sigma_rows
+    return [[sum(rows[l][m] * cols[l][i] for l in range(field.f)) % mod
+             for i in range(len(cols[0]))] for m in range(field.f)]
+
+
+def _two_shift_phi(f):
+    """phi: sigma, Taylor shift to the (1+x)-basis, stretch, shift back."""
+    p, mod = f.field.p, f.field.p ** f.rel
+    full = p * f.n
+    n_out = full if f.tail_zero else f.n
+    out = []
+    for col in _sigma_cols(f.field, f.rel, f.coords):
+        y = intpoly.stretch(intpoly.taylor_shift(col, -1, mod), p, full + 1)
+        out.append(intpoly.taylor_shift(y, 1, mod)[:n_out + 1])
+    return TruncatedSeries(f.field, n_out, f.shift, f.rel, out,
+                           f.effective_bound(), f.tail_zero)
+
+
+def _two_shift_psi(f):
+    """psi: Taylor shift to the (1+x)-basis, contract, shift back, sigma^-1."""
+    p, mod = f.field.p, f.field.p ** f.rel
+    out = [intpoly.taylor_shift(
+        intpoly.contract(intpoly.taylor_shift(col, -1, mod), p), 1, mod)
+        for col in f.coords]
+    b = f.effective_bound()
+    return TruncatedSeries(f.field, f.n // p, f.shift, f.rel,
+                           _sigma_cols(f.field, f.rel, out, inverse=True),
+                           None if b is None else (b[0] + b[1], b[1], b[2]),
+                           f.tail_zero)
+
+
+def _x_basis_d(f):
+    """D = (1+x) d/dx on x-basis coefficients: i a_i + (i+1) a_(i+1)."""
+    mod = f.field.p ** f.rel
+    n_out = f.n if f.tail_zero else f.n - 1
+    out = [[(i * c[i] + (i + 1) * c[i + 1]) % mod for i in range(n_out + 1)]
+           for c in (col + [0] for col in f.coords)]
+    b = f.effective_bound()
+    return TruncatedSeries(f.field, n_out, f.shift, f.rel, out,
+                           None if b is None else (b[0], b[1], b[2] + 1),
+                           f.tail_zero)
+
+
+_ORACLES = {so.phi_op: _two_shift_phi, so.psi_op: _two_shift_psi,
+            so.d_op: _x_basis_d}
+_CHAINS = [(so.phi_op,), (so.psi_op,), (so.d_op,),
+           (so.phi_op, so.psi_op), (so.d_op, so.phi_op), (so.d_op, so.psi_op),
+           (so.psi_op, so.d_op), (so.phi_op, so.d_op)]
+
+
+def _keeps_fresh_coordinates(s):
+    """Kept (1+x)-coordinates, if any, are those of the series' residues."""
+    if s._ycoords is None:
+        return True
+    mod = s.field.p ** s.rel
+    return s.tail_zero and s._ycoords == [intpoly.taylor_shift(col, -1, mod)
+                                          for col in s.coords]
+
+
+def _check_chains(s):
+    for chain in _CHAINS:
+        got, want = s, _layout(s)
+        for op in chain:
+            got = op(got)
+            assert _keeps_fresh_coordinates(got)
+            want = _layout(_ORACLES[op](TruncatedSeries(s.field, *want)))
+            assert _layout(got) == want, [op.__name__ for op in chain]
+    assert _keeps_fresh_coordinates(s)
+
+
+def _random_series(field, rng, n, tail_zero, bound=None, scale=1):
+    p, f = field.p, field.f
+    coeffs = [field.element([rng.randrange(p ** 20) for _ in range(f)])
+              for _ in range(n + 1)]
+    return TruncatedSeries.make(field, coeffs, n=n, bound=bound,
+                                tail_zero=tail_zero)._scalar_mul(scale)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_operators_on_kept_coordinates_match_two_shifts(p, f):
+    field = UnramifiedField(p, f, 20)
+    rng = random.Random(1000 * p + f)
+    for _ in range(2):
+        n = rng.randint(2 * p + 1, 4 * p)
+        exact = _random_series(field, rng, n, True,
+                               scale=Fraction(p) ** rng.randint(-2, 2))
+        # D before and after the first operator made the coordinates
+        assert exact._ycoords is None
+        assert _layout(so.d_op(exact)) == _layout(_x_basis_d(exact))
+        _check_chains(exact)
+        for bound in (None, (0, 0), (1, 1, 0)):
+            _check_chains(_random_series(field, rng, n, False, bound))
+
+
+@pytest.mark.parametrize("p, f", [(3, 1), (5, 2), (7, 3), (11, 1)])
+def test_derived_series_carry_no_stale_coordinates(p, f):
+    field = UnramifiedField(p, f, 20)
+    rng = random.Random(p + 100 * f)
+    n = 3 * p
+    g = _random_series(field, rng, n, True)
+    so.phi_op(g)  # g now keeps its (1+x)-coordinates
+    assert g._ycoords is not None
+    h = _random_series(field, rng, n, True)
+    divisible = TruncatedSeries.make(
+        field, [p * rng.randrange(p ** 20) for _ in range(n + 1)], n=n)
+    so.psi_op(divisible)
+    derived = [g._scalar_mul(Fraction(p, 3)), g._scalar_mul(field.coerce(2)),
+               divisible.normalized(), g.truncate(n + 3), g.truncate(n - 2),
+               g.truncate(n - 2).as_polynomial(), g.as_polynomial(), g + h,
+               g - g, -g, TruncatedSeries.one(field, n)]
+    assert divisible.normalized().shift == divisible.shift + 1
+    for s in derived:
+        assert _keeps_fresh_coordinates(s)
+        _check_chains(s)
