@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 from .errors import PrecisionError, TailBoundError
 from .cyclotomic import CyclotomicLayer
-from .linalg import solve, mat_transpose
+from .linalg import solve, mat_transpose, inverse
 from .series import TruncatedSeries, INFINITE
 from .seriesops import (phi_op, d_op, psi_op, cyclotomic_evaluate, log_order,
                         rho_norm, growth_order, _slope_interval,
                         DECISION_LEVEL)
-from .modules import FilteredPhiModule, Subspace, _mat_inverse
+from .modules import FilteredPhiModule, Subspace
 
 
 class VectorSeries:
@@ -141,8 +141,8 @@ def phi_growth_order(g: VectorSeries, n_max: int = 3) -> PhiOrder:
     cur = g.components
     ys = []
     try:
-        Ainv = _mat_inverse(module.phi_matrix, module.ops())
-        twisted = [[field.sigma_inv(a) for a in row] for row in Ainv]
+        twisted = [[field.sigma_inv(a) for a in row]
+                   for row in inverse(module.phi_matrix)]
         for n in range(1, n_max + 1):
             cur = _mat_apply(twisted, cur)
             vals = []
@@ -221,7 +221,7 @@ def _layer_values(components, layer):
     return values, min(ev.certainty for ev in evs), min(floors)
 
 
-def _span_margin(values, basis, ops, certainty):
+def _span_margin(values, basis, certainty):
     """Membership margin of the layer values in K_n (x) span(basis).
 
     K_n is free over K on 1, pi, ..., pi^(e-1) and the span is a K-subspace,
@@ -237,7 +237,7 @@ def _span_margin(values, basis, ops, certainty):
     decided, undecided = [], []
     for j in range(e):
         try:
-            x, resid = solve(A, [v.coords[j] for v in values], ops)
+            x, resid = solve(A, [v.coords[j] for v in values])
         except PrecisionError as err:
             undecided.append((err.floor + Fraction(j, e), err))
             continue
@@ -309,7 +309,7 @@ def check_membership(g: VectorSeries, v: int, J, r, n_max: int,
             try:
                 margin = _span_margin(values,
                                       _phi_power_basis(module, filj, n),
-                                      module.ops(), certainty)
+                                      certainty)
             except PrecisionError:
                 rows.append(ConditionRow(j, n, "subspace", "indeterminate",
                                          None))
@@ -436,7 +436,7 @@ def orbit_relation(g: VectorSeries, v_max: int) -> OrbitRelation:
             M = [[flat[t * v + k] for t in range(v)] for k in range(v)]
             rhs = [flat[v * v + k] for k in range(v)]
             den = _series_det(M)
-            if den.is_zero or den.vmin > den.prec - g.module.guard:
+            if den.is_zero or den.vmin > den.prec - g.module.field.guard:
                 continue
             coeffs = []
             for i in range(v):
@@ -560,7 +560,7 @@ def det_log_divisibility(gs, n_max: int = 1) -> DetDivisibilityReport:
                     rows.append((idx, j, n, _status(floor), floor))
                     continue
                 margin = _span_margin(values, [list(v) for v in filj.basis],
-                                      module.ops(), certainty)
+                                      certainty)
                 rows.append((idx, j, n, _status(margin), margin))
     if any(row[3] != "member" for row in rows):
         return DetDivisibilityReport(False, 0, module.t_H, rows)

@@ -35,8 +35,7 @@ EXIT_ERROR = 2
 def _load_config(args) -> Config:
     cfg = Config()
     if getattr(args, "config", None):
-        with open(args.config) as fobj:
-            cfg = config_from_json(json.load(fobj), args.config)
+        cfg = config_from_json(ser.load_json(args.config), args.config)
     return cfg.with_overrides(
         precision=getattr(args, "precision", None),
         truncation=getattr(args, "trunc", None),
@@ -212,7 +211,8 @@ def cmd_mf_rank_table(args):
 
 def _series_field_for(args, cfg):
     return UnramifiedField(cfg.p, getattr(args, "f", None) or cfg.f,
-                           cfg.precision, work_margin=division_margin(cfg, 0))
+                           cfg.precision, work_margin=division_margin(cfg, 0),
+                           guard=cfg.guard)
 
 
 def cmd_series_apply(args):
@@ -242,8 +242,7 @@ def cmd_series_apply(args):
 def cmd_series_order(args):
     cfg = _load_config(args)
     field = _series_field_for(args, cfg)
-    with open(args.infile) as fobj:
-        node = json.load(fobj)
+    node = ser.load_json(args.infile)
     if "terms" in node:
         lp = ser.logpoly_from_json(node, field)
         order = so.growth_order(lp)
@@ -258,8 +257,7 @@ def cmd_series_order(args):
 
 
 def _load_vector_series(path, module):
-    with open(path) as fobj:
-        node = json.load(fobj)
+    node = ser.load_json(path)
     comps = node.get("components")
     if not isinstance(comps, list) or len(comps) != module.d:
         raise PadicError(

@@ -11,10 +11,10 @@ condition to the structured/estimated order machinery.
 
 from fractions import Fraction
 
-from .linalg import mat_mul, RingOps
+from .linalg import mat_mul, inverse
 from .series import TruncatedSeries
 from .seriesops import LogPolynomial
-from .modules import FilteredPhiModule, Subspace, _mat_inverse
+from .modules import FilteredPhiModule, Subspace
 from .analytic import VectorSeries
 
 
@@ -57,9 +57,8 @@ def _conjugated_phi(field, rng, slopes, units):
     D = [[field.coerce(Fraction(units[i]) * Fraction(p) ** slopes[i])
           if i == j else field.zero() for j in range(d)] for i in range(d)]
     P = _unimodular(field, rng, d)
-    ops = RingOps(field.zero, field.one)
     sigmaP = [[field.sigma(c) for c in row] for row in P]
-    return mat_mul(P, mat_mul(D, _mat_inverse(sigmaP, ops), ops), ops)
+    return mat_mul(P, mat_mul(D, inverse(sigmaP)))
 
 
 def split_module(field, rng, d=2, jumps_mode="wa"):

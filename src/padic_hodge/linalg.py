@@ -1,47 +1,42 @@
 """Exact linear algebra over the unramified field K.
 
 Entries are ``FieldElement``s; a question over a cyclotomic layer K_n is
-asked coordinate by coordinate over K.  Each pivot row is scaled by one
-inverse of its pivot.  Pivots are chosen by minimal valuation
-(maximal norm) and every rank/solve verdict records the certifying pivot
-valuations.  An entry whose residue is nonzero but sits within ``guard``
-digits of its own precision cannot be classified and raises
-``PrecisionError`` instead of silently deciding a verdict.
+asked coordinate by coordinate over K.  Zero and one come from the entries'
+own field.  Each pivot row is scaled by one inverse of its pivot.  Pivots
+are chosen by minimal valuation (maximal norm) and every rank/solve verdict
+records the certifying pivot valuations.  An entry whose residue is nonzero
+but sits within its field's ``guard`` digits of its own precision cannot be
+classified and raises ``PrecisionError`` instead of silently deciding a
+verdict.
 
 Matrices are lists of rows; vectors are lists.
 """
 
+from itertools import combinations
+
 from .errors import PrecisionError
 
 
-class RingOps:
-    """The zero/one constructors of K and the guard band of the
-    classifier."""
-
-    def __init__(self, zero, one, guard=4):
-        self.zero = zero
-        self.one = one
-        self.guard = guard
-
-    def classify(self, x):
-        """-> ('zero', prec) | ('unit-ish', val); raises inside the guard band."""
-        if x.is_zero:
-            return ("zero", x.prec)
-        v = x.valuation_or_none()
-        if v > x.prec - self.guard:
-            raise PrecisionError(
-                f"entry with valuation {v} inside the guard band of O(p^{x.prec})")
-        return ("nonzero", v)
+def classify(x):
+    """-> ('zero', prec) | ('nonzero', val); raises inside the guard band of
+    x's field."""
+    if x.is_zero:
+        return ("zero", x.prec)
+    v = x.valuation_or_none()
+    if v > x.prec - x.field.guard:
+        raise PrecisionError(
+            f"entry with valuation {v} inside the guard band of O(p^{x.prec})")
+    return ("nonzero", v)
 
 
-def mat_mul(A, B, ops):
+def mat_mul(A, B):
     n, k = len(A), len(B)
     m = len(B[0]) if B else 0
     out = []
     for i in range(n):
         row = []
         for j in range(m):
-            acc = ops.zero()
+            acc = B[0][0].field.zero()
             for l in range(k):
                 acc = acc + A[i][l] * B[l][j]
             row.append(acc)
@@ -49,10 +44,10 @@ def mat_mul(A, B, ops):
     return out
 
 
-def mat_vec(A, v, ops):
+def mat_vec(A, v):
     out = []
     for row in A:
-        acc = ops.zero()
+        acc = row[0].field.zero()
         for a, x in zip(row, v):
             acc = acc + a * x
         out.append(acc)
@@ -63,14 +58,14 @@ def mat_transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def _best_pivot(rows, r, c, ops):
+def _best_pivot(rows, r, c):
     """Row index >= r with the minimal-valuation entry in column c, or None.
     An entry inside the guard band raises PrecisionError once the column is
     read, its ``floor`` the least certified lower bound of the column."""
     best, best_val, err = None, None, None
     for i in range(r, len(rows)):
         try:
-            kind, v = ops.classify(rows[i][c])
+            kind, v = classify(rows[i][c])
         except PrecisionError as exc:
             err = err or exc
             continue
@@ -78,13 +73,13 @@ def _best_pivot(rows, r, c, ops):
             best, best_val = i, v
     if err is not None:
         err.floor = min(x.prec if x.is_zero else
-                        min(x.valuation_or_none(), x.prec - ops.guard)
+                        min(x.valuation_or_none(), x.prec - x.field.guard)
                         for x in (row[c] for row in rows[r:]))
         raise err
     return best, best_val
 
 
-def echelon(matrix, ops, reduce_above=False):
+def echelon(matrix, reduce_above=False):
     """Row echelon form.
 
     Returns (rows, pivots, cert) where pivots is a list of (row, col) and
@@ -99,7 +94,7 @@ def echelon(matrix, ops, reduce_above=False):
     for c in range(m):
         if r >= n:
             break
-        i, v = _best_pivot(rows, r, c, ops)
+        i, v = _best_pivot(rows, r, c)
         if i is None:
             continue
         rows[r], rows[i] = rows[i], rows[r]
@@ -120,7 +115,7 @@ def echelon(matrix, ops, reduce_above=False):
     return rows, pivots, cert
 
 
-def solve(A, b, ops):
+def solve(A, b):
     """One solution x of A x = b, or None if certifiably inconsistent.
 
     The residual of an inconsistent system is reported through the second
@@ -128,7 +123,7 @@ def solve(A, b, ops):
     """
     m = len(A[0]) if A else 0
     aug = [list(row) + [bb] for row, bb in zip(A, b)]
-    rows, pivots, cert = echelon(aug, ops, reduce_above=True)
+    rows, pivots, cert = echelon(aug, reduce_above=True)
     piv_cols = [c for _, c in pivots]
     if m in piv_cols:
         # pivot in the constant column: inconsistent; residual valuation is
@@ -136,38 +131,40 @@ def solve(A, b, ops):
         # before the pivot row was normalized)
         resid = [v for (r, c), v in zip(pivots, cert) if c == m]
         return None, resid
-    x = [ops.zero() for _ in range(m)]
+    x = [A[0][0].field.zero() for _ in range(m)]
     for r, c in pivots:
         x[c] = rows[r][m]
     return x, None
 
 
-def kernel(A, ops):
+def kernel(A):
     """Basis of the right kernel of A (list of vectors)."""
     m = len(A[0]) if A else 0
-    rows, pivots, _ = echelon(A, ops, reduce_above=True)
+    rows, pivots, _ = echelon(A, reduce_above=True)
     piv_cols = {c: r for r, c in pivots}
     free = [c for c in range(m) if c not in piv_cols]
     basis = []
     for fc in free:
-        v = [ops.zero() for _ in range(m)]
-        v[fc] = ops.one()
+        field = A[0][0].field
+        v = [field.zero() for _ in range(m)]
+        v[fc] = field.one()
         for c, r in piv_cols.items():
             v[c] = -(rows[r][fc])
         basis.append(v)
     return basis
 
 
-def det(A, ops):
+def det(A):
     """Determinant by fraction-free-ish elimination with norm pivoting."""
     n = len(A)
     rows = [list(r) for r in A]
     sign = 1
-    acc = ops.one()
+    field = A[0][0].field
+    acc = field.one()
     for c in range(n):
-        i, _ = _best_pivot(rows, c, c, ops)
+        i, _ = _best_pivot(rows, c, c)
         if i is None:
-            return ops.zero()
+            return field.zero()
         if i != c:
             rows[c], rows[i] = rows[i], rows[c]
             sign = -sign
@@ -185,37 +182,50 @@ def det(A, ops):
     return acc
 
 
-def charpoly(A, ops):
+def charpoly(A):
     """Coefficients [c_0, ..., c_d] of det(X*I - A), monic, via principal
     minors (intended for the small dimensions handled here)."""
     d = len(A)
-    from itertools import combinations
-    coeffs = [ops.zero() for _ in range(d + 1)]
-    coeffs[d] = ops.one()
+    field = A[0][0].field
+    coeffs = [field.zero() for _ in range(d + 1)]
+    coeffs[d] = field.one()
     for k in range(1, d + 1):
-        e_k = ops.zero()
+        e_k = field.zero()
         for subset in combinations(range(d), k):
             sub = [[A[i][j] for j in subset] for i in subset]
-            e_k = e_k + det(sub, ops)
+            e_k = e_k + det(sub)
         c = e_k if k % 2 == 0 else -e_k
         coeffs[d - k] = c
     return coeffs
 
 
-def column_space_basis(vectors, ops):
+def inverse(A):
+    """A^-1 by Gauss-Jordan on [A | I]; PrecisionError if A is singular at
+    precision."""
+    n = len(A)
+    field = A[0][0].field
+    aug = [list(row) + [field.one() if i == j else field.zero()
+                        for j in range(n)] for i, row in enumerate(A)]
+    rows, pivots, _ = echelon(aug, reduce_above=True)
+    if len(pivots) != n:
+        raise PrecisionError("matrix not invertible at precision")
+    out = [[None] * n for _ in range(n)]
+    for r, c in pivots:
+        for j in range(n):
+            out[c][j] = rows[r][n + j]
+    return out
+
+
+def column_space_basis(vectors):
     """Echelonized basis of the span of the given vectors (as rows in, rows out)."""
     if not vectors:
         return []
-    rows, pivots, _ = echelon(vectors, ops, reduce_above=True)
+    rows, pivots, _ = echelon(vectors, reduce_above=True)
     return [rows[r] for r, _ in pivots]
 
 
-def in_span(vectors, target, ops):
-    """Is target in span(vectors)?  Returns (bool, residual_valuations)."""
+def in_span(vectors, target):
+    """Is target in span(vectors)?"""
     if not vectors:
-        if all(t.is_zero for t in target):
-            return True, None
-        return False, [t.valuation_or_none() for t in target if not t.is_zero]
-    A = mat_transpose(vectors)
-    x, resid = solve(A, target, ops)
-    return (x is not None), resid
+        return all(t.is_zero for t in target)
+    return solve(mat_transpose(vectors), target)[0] is not None

@@ -18,6 +18,10 @@ t_N(S) = v(det phi^f on S)/f is the sum of the root valuations recorded
 with S while the lattice is built, and t_H(S) reads each dim(S meet Fil)
 as dim S + dim Fil - dim(S + Fil), one rank.  ``induced_submodule``
 builds the whole induced module and is kept only as the tests' oracle.
+
+Every rank, span and root decision reads the guard band of the module's
+field (``UnramifiedField.guard``); a module has no precision setting of its
+own.
 """
 
 from fractions import Fraction
@@ -27,8 +31,8 @@ from itertools import combinations, product as iter_product
 from .errors import (PrecisionError, EnumerationUnsupportedError,
                      NotStableError, PadicError)
 from .padics import UnramifiedField
-from .linalg import (RingOps, echelon, solve, kernel, det, charpoly, mat_mul,
-                     mat_vec, mat_transpose, column_space_basis, in_span)
+from .linalg import (echelon, solve, kernel, det, charpoly, mat_mul, mat_vec,
+                     mat_transpose, column_space_basis, in_span, inverse)
 from .polyroots import find_k_roots, newton_root_valuations
 
 
@@ -38,16 +42,14 @@ class Subspace:
     def __init__(self, field, dim_ambient, vectors):
         self.field = field
         self.dim_ambient = dim_ambient
-        self.basis = column_space_basis([list(v) for v in vectors],
-                                        RingOps(field.zero, field.one))
+        self.basis = column_space_basis([list(v) for v in vectors])
 
     @property
     def dimension(self):
         return len(self.basis)
 
     def contains(self, other):
-        ops = RingOps(self.field.zero, self.field.one)
-        return all(in_span(self.basis, list(v), ops)[0] for v in other.basis)
+        return all(in_span(self.basis, list(v)) for v in other.basis)
 
     def equals(self, other):
         return self.dimension == other.dimension and self.contains(other)
@@ -78,11 +80,10 @@ class Certificate:
 
 class FilteredPhiModule:
     def __init__(self, field: UnramifiedField, phi_matrix, filtration,
-                 guard: int = 4, validate: bool = True):
+                 validate: bool = True):
         self.field = field
         self.d = len(phi_matrix)
         self.phi_matrix = [[field.coerce(c) for c in row] for row in phi_matrix]
-        self.guard = guard
         self.filtration = []
         for j, sub in filtration:
             if not isinstance(sub, Subspace):
@@ -93,16 +94,13 @@ class FilteredPhiModule:
         self._lattice = None
         self._t_N = None      # t_N of each _lattice member
         self._hodge = None    # (h, t_H) of each _lattice member, or None
-        self._degrees = None  # (t_H, t_N) of each _lattice member, or None
 
     # -- validation ------------------------------------------------------
 
     def _validate(self):
-        ops = self.ops()
         if any(len(row) != self.d for row in self.phi_matrix):
             raise ValueError("phi matrix must be square")
-        dt = det(self.phi_matrix, ops)
-        if dt.is_zero:
+        if self.d and det(self.phi_matrix).is_zero:
             raise PrecisionError("phi not invertible at precision")
         jumps = [j for j, _ in self.filtration]
         if jumps != sorted(jumps) or len(set(jumps)) != len(jumps):
@@ -117,9 +115,6 @@ class FilteredPhiModule:
         for (_, big), (_, small) in zip(self.filtration, self.filtration[1:]):
             if not big.contains(small):
                 raise ValueError("filtration steps are not nested")
-
-    def ops(self):
-        return RingOps(self.field.zero, self.field.one, self.guard)
 
     # -- filtration accessors ---------------------------------------------
 
@@ -146,10 +141,8 @@ class FilteredPhiModule:
         """(h: {j: h_j}, t_H) of the filtration induced on S, over the jumps
         with h_j > 0.  Each dim(S meet Fil) is dim S + dim Fil - dim(S + Fil):
         one rank, with no kernel and no solve."""
-        ops = self.ops()
         dims = [F.dimension if S.dimension == self.d else
-                S.dimension + F.dimension - len(echelon(S.basis + F.basis,
-                                                        ops)[1])
+                S.dimension + F.dimension - len(echelon(S.basis + F.basis)[1])
                 for _, F in self.filtration] + [0]
         h = {j: dims[l] - dims[l + 1]
              for l, (j, _) in enumerate(self.filtration) if dims[l] > dims[l + 1]}
@@ -164,17 +157,15 @@ class FilteredPhiModule:
         field = self.field
         B = self.phi_matrix
         cur = self.phi_matrix
-        ops = self.ops()
         for _ in range(1, field.f):
             cur = [[field.sigma(c) for c in row] for row in cur]
-            B = mat_mul(B, cur, ops)
+            B = mat_mul(B, cur)
         return B
 
     def newton_slopes(self):
         """Sorted Frobenius slopes (each repeated with multiplicity)."""
-        B = self.linearized_frobenius()
-        cp = charpoly(B, self.ops())
-        vals = newton_root_valuations(cp, self.guard)
+        vals = newton_root_valuations(
+            _charpoly(self.linearized_frobenius(), self.field))
         f = self.field.f
         return sorted(Fraction(v, f) for v in vals)
 
@@ -193,14 +184,12 @@ class FilteredPhiModule:
         """phi(v) = A sigma(v)."""
         field = self.field
         sv = [field.sigma(c) for c in v]
-        return mat_vec(self.phi_matrix, sv, self.ops())
+        return mat_vec(self.phi_matrix, sv)
 
     def is_phi_stable(self, S: Subspace):
-        ops = self.ops()
         for v in S.basis:
             img = self.apply_phi(v)
-            ok, _ = in_span(S.basis, img, ops)
-            if not ok:
+            if not in_span(S.basis, img):
                 return False, img
         return True, None
 
@@ -218,10 +207,8 @@ class FilteredPhiModule:
         if self._lattice is not None:
             return self._lattice
         field = self.field
-        ops = self.ops()
         B = self.linearized_frobenius()
-        cp = charpoly(B, ops)
-        roots, residual = find_k_roots(cp, field, self.guard)
+        roots, residual = find_k_roots(_charpoly(B, field), field)
         res_deg = len(residual) - 1
         if res_deg not in (0, 2, 3):
             raise EnumerationUnsupportedError(
@@ -229,7 +216,7 @@ class FilteredPhiModule:
                 f"residual factor; non-generic, unsupported")
         # one chain per primary component, with the valuation that each of
         # its dimensions adds to v(det B)
-        components = [(r.valuation(), self._primary_chain(B, r, mult, ops))
+        components = [(r.valuation(), self._primary_chain(B, r, mult))
                       for r, mult in roots]
         if res_deg:
             # an irreducible residual factor of multiplicity one: its kernel
@@ -237,8 +224,8 @@ class FilteredPhiModule:
             if sum(m for _, m in roots) + res_deg != self.d:
                 raise EnumerationUnsupportedError(
                     "residual factor has multiplicity > 1; unsupported")
-            mat = self._poly_of_matrix(B, residual, ops)
-            comp = Subspace(field, self.d, kernel(mat, ops))
+            mat = self._poly_of_matrix(B, residual)
+            comp = Subspace(field, self.d, kernel(mat))
             if comp.dimension != res_deg:
                 raise PrecisionError(
                     "kernel of the irreducible factor has unexpected dimension")
@@ -258,32 +245,31 @@ class FilteredPhiModule:
         members.sort(key=lambda m: m[0].dimension)
         self._lattice, self._t_N = map(list, zip(*members))
         self._hodge = [None] * len(members)
-        self._degrees = [None] * len(members)
         return self._lattice
 
-    def _poly_of_matrix(self, B, poly, ops):
+    def _poly_of_matrix(self, B, poly):
         """poly(B) for a coefficient list over K."""
-        n = self.d
-        acc = [[poly[-1] * (ops.one() if i == j else ops.zero())
+        n, field = self.d, self.field
+        acc = [[poly[-1] * (field.one() if i == j else field.zero())
                 for j in range(n)] for i in range(n)]
         for c in reversed(poly[:-1]):
-            acc = mat_mul(acc, B, ops)
+            acc = mat_mul(acc, B)
             for i in range(n):
                 acc[i][i] = acc[i][i] + c
         return acc
 
-    def _primary_chain(self, B, eigval, mult, ops):
+    def _primary_chain(self, B, eigval, mult):
         """None (the zero choice) and the kernels of (B - eigval)^k for
         k = 1..mult: the B-invariant subspaces of the primary component of
         eigval when it is one Jordan block."""
         n = self.d
         shifted = [[(B[i][j] - eigval) if i == j else B[i][j]
                     for j in range(n)] for i in range(n)]
-        chain = [None, Subspace(self.field, n, kernel(shifted, ops))]
+        chain = [None, Subspace(self.field, n, kernel(shifted))]
         power = shifted
         for _ in range(1, mult):
-            power = mat_mul(power, shifted, ops)
-            chain.append(Subspace(self.field, n, kernel(power, ops)))
+            power = mat_mul(power, shifted)
+            chain.append(Subspace(self.field, n, kernel(power)))
         if chain[-1].dimension != mult:
             raise PrecisionError("primary component has unexpected dimension")
         if chain[1].dimension == mult > 1:
@@ -307,13 +293,12 @@ class FilteredPhiModule:
         if S.dimension == 0:
             raise ValueError("use the zero-module conventions directly")
         field = self.field
-        ops = self.ops()
         basis_cols = mat_transpose([list(b) for b in S.basis])
         # matrix X with phi(basis_i) = sum_j X[j][i] basis_j
         cols = []
         for v in S.basis:
             img = self.apply_phi(v)
-            x, _ = solve(basis_cols, img, ops)
+            x, _ = solve(basis_cols, img)
             if x is None:
                 raise NotStableError("subspace is not phi-stable",
                                      witness=img)
@@ -325,11 +310,11 @@ class FilteredPhiModule:
         steps = [(j, Subspace(field, S.dimension, [
             k[:S.dimension] for k in kernel(
                 [[b[i] for b in S.basis] + [-v[i] for v in F.basis]
-                 for i in range(self.d)], ops)]))
+                 for i in range(self.d)])]))
             for j, F in self.filtration]
         dims = [T.dimension for _, T in steps] + [0]
         chain = [step for l, step in enumerate(steps) if dims[l] > dims[l + 1]]
-        return FilteredPhiModule(field, X, chain, self.guard, validate=False)
+        return FilteredPhiModule(field, X, chain, validate=False)
 
     # -- degrees of stable subspaces ------------------------------------------
 
@@ -337,16 +322,14 @@ class FilteredPhiModule:
         """(t_H, t_N) of the filtered module induced on a phi-stable
         subspace, with the zero-module convention (0, 0).
 
-        Read from the lattice member equal to S, and computed at most once
-        per member: t_N is the root-valuation sum recorded with the member,
-        t_H comes from ranks (``_induced_hodge``).  Raises NotStableError
-        when S is not a member of the lattice."""
+        Read from the lattice member equal to S: t_N is the root-valuation
+        sum recorded with the member, t_H comes from ranks
+        (``_induced_hodge``), computed at most once per member.  Raises
+        NotStableError when S is not a member of the lattice."""
         if S.dimension == 0:
             return 0, Fraction(0)
         i = self._member(S)
-        if self._degrees[i] is None:
-            self._degrees[i] = (self._member_hodge(i)[1], self._t_N[i])
-        return self._degrees[i]
+        return self._member_hodge(i)[1], self._t_N[i]
 
     def _member(self, S: Subspace) -> int:
         """Index of the lattice member equal to S (NotStableError if none)."""
@@ -374,14 +357,14 @@ class FilteredPhiModule:
     def _rows(self, fil_zero_at=None):
         """CertificateRow(S, t_H, t_N, lambda) of each nonzero stable subspace
         in lattice order, or of those with induced Fil^fil_zero_at = 0; each
-        member is ranked, and its degrees read, at most once per module."""
+        member is ranked at most once per module."""
         for i, S in enumerate(self.phi_stable_subspaces()):
             if S.dimension == 0:
                 continue
             if fil_zero_at is not None and \
                     _fil_dim(self._member_hodge(i)[0], fil_zero_at) != 0:
                 continue
-            th, tn = self._degrees[i] or self.sub_degrees(S)
+            th, tn = self.sub_degrees(S)
             yield CertificateRow(S, th, tn, Fraction(th - tn, S.dimension))
 
     def is_weakly_admissible(self) -> Certificate:
@@ -456,14 +439,13 @@ class FilteredPhiModule:
         scale = field.scalar(Fraction(field.p) ** (-k))
         A = [[c * scale for c in row] for row in self.phi_matrix]
         filt = [(j - k, sub) for j, sub in self.filtration]
-        tw = FilteredPhiModule(field, A, filt, self.guard, validate=False)
+        tw = FilteredPhiModule(field, A, filt, validate=False)
         if self._lattice is not None:
             # twisting keeps every stable subspace; t_N drops by k per dimension
             tw._lattice = list(self._lattice)
             tw._t_N = [t - k * S.dimension
                        for S, t in zip(self._lattice, self._t_N)]
             tw._hodge = [None] * len(self._lattice)
-            tw._degrees = [None] * len(self._lattice)
         return tw
 
     def adapted_basis(self):
@@ -472,11 +454,10 @@ class FilteredPhiModule:
         Built by extending a basis of the deepest step backwards through the
         chain; levels are the jumps at which each vector enters.
         """
-        ops = self.ops()
         vectors, levels = [], []
         for j, sub in reversed(self.filtration):
             for v in sub.basis:
-                if not in_span(vectors, list(v), ops)[0]:
+                if not in_span(vectors, list(v)):
                     vectors.append(list(v))
                     levels.append(j)
         return vectors, levels
@@ -488,14 +469,12 @@ class FilteredPhiModule:
         steps spanned by standard basis vectors.
         """
         field = self.field
-        ops = self.ops()
         vectors, levels = self.adapted_basis()
         P = mat_transpose(vectors)  # columns are the adapted vectors
-        Pinv = _mat_inverse(P, ops)
         sigmaP = [[field.sigma(c) for c in row] for row in P]
-        A_ad = mat_mul(Pinv, mat_mul(self.phi_matrix, sigmaP, ops), ops)
+        A_ad = mat_mul(inverse(P), mat_mul(self.phi_matrix, sigmaP))
         mod = FilteredPhiModule(field, A_ad, _level_filtration(field, levels),
-                                self.guard, validate=False)
+                                validate=False)
         return mod, levels, P
 
     def tensor_product(self, other: "FilteredPhiModule") -> "FilteredPhiModule":
@@ -512,7 +491,7 @@ class FilteredPhiModule:
              for row1 in m1.phi_matrix for row2 in m2.phi_matrix]
         levels = [a + b for a in lv1 for b in lv2]
         return FilteredPhiModule(field, A, _level_filtration(field, levels),
-                                 self.guard, validate=False)
+                                 validate=False)
 
     def wedge_power(self, v: int) -> "FilteredPhiModule":
         """Lambda^v with the filtration induced from the tensor convolution:
@@ -522,13 +501,12 @@ class FilteredPhiModule:
         field = self.field
         m, levels, _ = self.in_adapted_coordinates()
         idxsets = list(combinations(range(self.d), v))
-        ops = self.ops()
-        A = [[det([[m.phi_matrix[i][j] for j in J] for i in I], ops)
+        A = [[det([[m.phi_matrix[i][j] for j in J] for i in I])
               for J in idxsets] for I in idxsets]
         wedge_levels = [sum(levels[i] for i in I) for I in idxsets]
         return FilteredPhiModule(field, A,
                                  _level_filtration(field, wedge_levels),
-                                 self.guard, validate=False)
+                                 validate=False)
 
     def erase_filtration_step(self, k: int) -> "FilteredPhiModule":
         """Same phi; the filtration step at jump k erased (Fil^k becomes
@@ -544,11 +522,16 @@ class FilteredPhiModule:
         else:
             filt[idx] = (k - 1, filt[idx][1])
         return FilteredPhiModule(self.field, self.phi_matrix, filt,
-                                 self.guard, validate=False)
+                                 validate=False)
 
     def __repr__(self):
         return (f"FilteredPhiModule(d={self.d}, f={self.field.f}, "
                 f"jumps={self.jumps()})")
+
+
+def _charpoly(B, field):
+    """charpoly(B), or the constant 1 of ``field`` for the empty matrix."""
+    return charpoly(B) if B else [field.one()]
 
 
 def _fil_dim(h, j):
@@ -567,20 +550,6 @@ def _level_filtration(field, levels):
             for j in sorted(set(levels))]
 
 
-def _mat_inverse(A, ops):
-    n = len(A)
-    aug = [list(row) + [ops.one() if i == j else ops.zero()
-                        for j in range(n)] for i, row in enumerate(A)]
-    rows, pivots, _ = echelon(aug, ops, reduce_above=True)
-    if len(pivots) != n:
-        raise PrecisionError("matrix not invertible at precision")
-    out = [[None] * n for _ in range(n)]
-    for r, c in pivots:
-        for j in range(n):
-            out[c][j] = rows[r][n + j]
-    return out
-
-
 def tensor_slope_check(m1: FilteredPhiModule, m2: FilteredPhiModule,
                        c1, c2) -> Certificate:
     """Verify the slope bound lambda <= c1 + c2 on the tensor product of two
@@ -595,7 +564,6 @@ def tensor_slope_check(m1: FilteredPhiModule, m2: FilteredPhiModule,
 
 
 def modular_form_module(p: int, k_weight: int, a_p, filtration_line=None,
-                        precision: int = 20, guard: int = 4,
                         field: UnramifiedField | None = None) -> FilteredPhiModule:
     """The rank-2 filtered module of a weight-k eigenform with Frobenius
     normalized so that t_N = t_H = -(k-1).
@@ -607,7 +575,7 @@ def modular_form_module(p: int, k_weight: int, a_p, filtration_line=None,
     if k_weight < 2:
         raise ValueError("weight must be >= 2")
     a_p = Fraction(a_p)
-    field = field or UnramifiedField(p, 1, precision)
+    field = field or UnramifiedField(p, 1)
     from .padics import vp_fraction
     if a_p != 0 and vp_fraction(a_p, p) < 0:
         raise ValueError("a_p must be integral at p")
@@ -621,15 +589,16 @@ def modular_form_module(p: int, k_weight: int, a_p, filtration_line=None,
     full = Subspace(field, 2, [[field.one(), field.zero()],
                                [field.zero(), field.one()]])
     filt = [(-(k_weight - 1), full), (0, line)]
-    return FilteredPhiModule(field, mat, filt, guard)
+    return FilteredPhiModule(field, mat, filt)
 
 
 def mf_rank_table(p, k_weight, a_p, j_min, j_max, precision=20, guard=4):
     """Rows (j, dim fil1, rank) for the twisted eigenform module."""
     if j_min > j_max:
         raise ValueError("jmin must be <= jmax")
-    base = modular_form_module(p, k_weight, a_p, precision=precision,
-                               guard=guard)
+    base = modular_form_module(p, k_weight, a_p,
+                               field=UnramifiedField(p, 1, precision,
+                                                     guard=guard))
     rows = []
     prev_rank = None
     for j in range(j_min, j_max + 1):

@@ -310,12 +310,18 @@ class UnramifiedField:
 
     Internal computations run at a working precision a little above the
     user-facing one so that derived verdicts keep their guard digits.
+    ``guard`` is that band: every verdict over the field (a pivot, a rank,
+    a Newton polygon vertex) raises PrecisionError rather than decide an
+    entry whose valuation lies within ``guard`` digits of its own
+    precision.
     """
 
-    def __init__(self, p, f=1, precision=20, defpoly=None, work_margin=24):
+    def __init__(self, p, f=1, precision=20, defpoly=None, work_margin=24,
+                 guard=4):
         self.p = p
         self.f = f
         self.prec = precision
+        self.guard = guard
         # dividing by log(1+x) costs ~N/(p-1) digits per division (its
         # inverse has radius-limited coefficients), so series-heavy callers
         # pass a larger margin to keep end results certified at `precision`

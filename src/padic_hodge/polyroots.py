@@ -42,12 +42,13 @@ def poly_divide_linear(coeffs, root, field):
     return out, acc
 
 
-def newton_root_valuations(coeffs, guard=4):
+def newton_root_valuations(coeffs):
     """Multiset of root valuations of a monic polynomial from its Newton
     polygon (valuations of the roots in an algebraic closure).
 
     Raises PrecisionError when a hull vertex would be decided by a
-    coefficient that is indistinguishable from zero at its precision.
+    coefficient that is indistinguishable from zero at its precision, or
+    whose valuation lies inside the guard band of its field.
     """
     d = len(coeffs) - 1
     pts = []
@@ -59,7 +60,7 @@ def newton_root_valuations(coeffs, guard=4):
                 raise ValueError("polynomial is not monic at precision")
             unknown.append((k, c.prec))
         else:
-            if k < d and v > c.prec - guard:
+            if k < d and v > c.prec - c.field.guard:
                 raise PrecisionError(
                     f"coefficient {k} valuation {v} inside the guard band")
             pts.append((k, Fraction(v)))
@@ -182,7 +183,7 @@ def _strip_root(work, r, field):
     return work, mult
 
 
-def find_k_roots(g, field, guard=4, _depth=0):
+def find_k_roots(g, field, _depth=0):
     """All K-rational roots of a monic polynomial with multiplicities.
 
     Returns (roots, residual): roots as a list of (root, multiplicity) and
@@ -194,7 +195,7 @@ def find_k_roots(g, field, guard=4, _depth=0):
     g = list(g)
     if len(g) <= 1:
         return [], g
-    vals = newton_root_valuations(g, guard)
+    vals = newton_root_valuations(g)
     candidates = []
     unresolved = False
     for v in sorted(set(vals)):
@@ -207,7 +208,7 @@ def find_k_roots(g, field, guard=4, _depth=0):
         dg = poly_derivative(g, field)
         lead_inv = field.inverse(dg[-1])
         dmonic = [c * lead_inv for c in dg]
-        droots, _ = find_k_roots(dmonic, field, guard, _depth + 1)
+        droots, _ = find_k_roots(dmonic, field, _depth + 1)
         for r, _m in droots:
             if poly_eval(g, r, field).is_zero and \
                not any((r - c).is_zero for c in candidates):
@@ -220,7 +221,7 @@ def find_k_roots(g, field, guard=4, _depth=0):
             roots.append((r, mult))
     if unresolved:
         if len(work) > 1 and any(v.denominator == 1
-                                 for v in newton_root_valuations(work, guard)):
+                                 for v in newton_root_valuations(work)):
             # integer-slope mass remains and the search could not separate it
             raise EnumerationUnsupportedError(
                 "root cluster could not be separated (non-generic Frobenius)")

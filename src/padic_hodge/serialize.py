@@ -219,7 +219,7 @@ def module_from_json(node, path="module", precision=None, work_margin=None,
     defpoly = node.get("defpoly")
     try:
         field = UnramifiedField(p, f, prec, defpoly=defpoly,
-                               work_margin=margin)
+                               work_margin=margin, guard=guard)
     except ValueError as e:
         _fail(f"{path}.defpoly", str(e))
     d = node["dim"]
@@ -250,26 +250,27 @@ def module_from_json(node, path="module", precision=None, work_margin=None,
                          for ci, c in enumerate(vec)])
         filtration.append((j, Subspace(field, d, vecs)))
     try:
-        return FilteredPhiModule(field, phi, filtration, guard)
+        return FilteredPhiModule(field, phi, filtration)
     except (ValueError, ArithmeticError) as e:
         _fail(path, f"invariant violation: {e}")
 
 
-def parse_module_file(pathname, precision=None, work_margin=None, guard=4):
-    """Load and fully validate a filtered module from a JSON file."""
+def load_json(pathname):
+    """The parsed contents of a JSON file; a file that does not parse raises
+    SchemaError naming its path."""
     with open(pathname) as fobj:
         try:
-            node = json.load(fobj)
+            return json.load(fobj)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{pathname}: invalid JSON: {e}") from e
-    return module_from_json(node, path=str(pathname), precision=precision,
-                            work_margin=work_margin, guard=guard)
+
+
+def parse_module_file(pathname, precision=None, work_margin=None, guard=4):
+    """Load and fully validate a filtered module from a JSON file."""
+    return module_from_json(load_json(pathname), path=str(pathname),
+                            precision=precision, work_margin=work_margin,
+                            guard=guard)
 
 
 def parse_series_file(pathname, field):
-    with open(pathname) as fobj:
-        try:
-            node = json.load(fobj)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{pathname}: invalid JSON: {e}") from e
-    return series_from_json(node, field, path=str(pathname))
+    return series_from_json(load_json(pathname), field, path=str(pathname))

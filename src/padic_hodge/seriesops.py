@@ -11,6 +11,8 @@ input already has them), hand each output its own, and build the output's
 x-basis coefficients in the same call by one Taylor shift back (D directly).
 phi and psi on a truncated series make its coordinates afresh on each call,
 so they convert there and back by two exact integer Taylor shifts.
+Over f > 1 the rows of sigma(t^l) are known only to the field's
+``_sigma_prec`` digits, so phi and psi claim no more than those rows give.
 The gamma-action substitutes x -> (1+x)^c - 1 through the p-adic binomial
 series of c.
 Values at the cyclotomic layers are decided at ``DECISION_LEVEL``,
@@ -40,28 +42,33 @@ def _field_cache(field):
     return cache
 
 
-def _sigma_residue_matrix(field, rel, inverse=False):
-    """S[l][m]: coordinate m of sigma(t^l) as a residue mod p^rel."""
-    mod = field.p ** rel
-    rows = field._sigma_inv_rows if inverse else field._sigma_rows
-    return [[r % mod for r in row] for row in rows]
+def _apply_sigma_cols(f, cols, inverse=False):
+    """(sigma, or sigma^-1, applied to coordinate columns of f; the relative
+    window the result is known in).
 
-
-def _apply_sigma_cols(f, cols, mod, inverse=False):
+    Row l of the map is the residue vector of sigma(t^l): row 0 is exact,
+    the others are known modulo p^_sigma_prec, so the window is capped at
+    _sigma_prec plus the least valuation in columns l >= 1."""
     field = f.field
     if field.f == 1:
-        return cols
-    S = _sigma_residue_matrix(field, f.rel, inverse)
+        return cols, f.rel
+    p = field.p
+    rel = f.rel
+    g = math.gcd(*(r for col in cols[1:] for r in col))
+    if g:
+        rel = min(rel, field._sigma_prec + vp_int(g, p))
+    mod = p ** rel
+    rows = field._sigma_inv_rows if inverse else field._sigma_rows
     length = len(cols[0])
     out = []
     for m in range(field.f):
         acc = [0] * length
         for l in range(field.f):
-            s = S[l][m]
+            s = rows[l][m] % mod
             if s:
                 acc = [(a + s * c) % mod for a, c in zip(acc, cols[l])]
         out.append(acc)
-    return out
+    return out, rel
 
 
 def _bump_profile(bound, db=0, dh=0):
@@ -84,15 +91,15 @@ def phi_op(f: TruncatedSeries) -> TruncatedSeries:
     """
     field = f.field
     p = field.p
-    mod = p ** f.rel
     full = p * f.n
     n_out = full if f.tail_zero else f.n
-    ys = [intpoly.stretch(y, p, full + 1)
-          for y in _apply_sigma_cols(f, f.ycoords(), mod)]
+    ys, rel = _apply_sigma_cols(f, f.ycoords())
+    mod = p ** rel
+    ys = [intpoly.stretch(y, p, full + 1) for y in ys]
     # the stretched vector must be converted back at full length: the high
     # powers of (1+x) contribute to every low x-degree
     out = [intpoly.taylor_shift(y, 1, mod)[:n_out + 1] for y in ys]
-    return TruncatedSeries(field, n_out, f.shift, f.rel, out,
+    return TruncatedSeries(field, n_out, f.shift, rel, out,
                            f.effective_bound(), f.tail_zero,
                            ys if f.tail_zero else None)
 
@@ -107,11 +114,10 @@ def psi_op(f: TruncatedSeries) -> TruncatedSeries:
     p = field.p
     if f.n < p:
         raise ValueError(f"psi needs truncation degree >= p, got {f.n}")
-    mod = p ** f.rel
-    ys = _apply_sigma_cols(f, [intpoly.contract(y, p) for y in f.ycoords()],
-                           mod, inverse=True)
-    out = [intpoly.taylor_shift(y, 1, mod) for y in ys]
-    return TruncatedSeries(field, f.n // p, f.shift, f.rel, out,
+    ys, rel = _apply_sigma_cols(
+        f, [intpoly.contract(y, p) for y in f.ycoords()], inverse=True)
+    out = [intpoly.taylor_shift(y, 1, p ** rel) for y in ys]
+    return TruncatedSeries(field, f.n // p, f.shift, rel, out,
                            _bump_profile(f.effective_bound(), 1), f.tail_zero,
                            ys if f.tail_zero else None)
 

@@ -15,6 +15,7 @@ from .padics import UnramifiedField
 from .series import TruncatedSeries
 from . import seriesops as so
 from .seriesops import LogPolynomial
+from .linalg import det
 from .modules import (FilteredPhiModule, Subspace, modular_form_module,
                       tensor_slope_check)
 from .analytic import contradiction_pipeline, det_log_divisibility
@@ -69,7 +70,8 @@ def division_margin(cfg: Config, divisions: int) -> int:
 
 def _series_field(cfg: Config, divisions: int = 0) -> UnramifiedField:
     return UnramifiedField(cfg.p, cfg.f, cfg.precision,
-                           work_margin=division_margin(cfg, divisions))
+                           work_margin=division_margin(cfg, divisions),
+                           guard=cfg.guard)
 
 
 def _random_series(field, rng, n):
@@ -225,9 +227,7 @@ def suite_slopes(rng, count, cfg):
         M = gen.random_wa_module(field, rng, d=d)
         slopes = M.newton_slopes()
         tn = sum(slopes, Fraction(0))
-        from .linalg import det as _det
-        B = M.linearized_frobenius()
-        dv = _det(B, M.ops()).valuation()
+        dv = det(M.linearized_frobenius()).valuation()
         ok = tn == Fraction(dv, field.f) and M.t_H == tn
         out.append(CaseResult(len(out), "slopes-sum-det", ok,
                               f"d={d} t_N={tn} v(det)={dv}"))
@@ -245,7 +245,8 @@ def suite_tensor_slope(rng, count, cfg):
     tensor entries eat relative precision in the induced-degree
     eliminations.
     """
-    field = UnramifiedField(cfg.p, cfg.f, cfg.precision, work_margin=140)
+    field = UnramifiedField(cfg.p, cfg.f, cfg.precision, work_margin=140,
+                            guard=cfg.guard)
     out = []
 
     def gap(m):

@@ -10,7 +10,6 @@ import pytest
 from padic_hodge.errors import PrecisionError, TailBoundError
 from padic_hodge.padics import UnramifiedField
 from padic_hodge.cyclotomic import CyclotomicLayer, CyclotomicElement
-from padic_hodge.linalg import RingOps
 from padic_hodge.series import TruncatedSeries, INFINITE
 from padic_hodge import seriesops as so
 from padic_hodge.seriesops import LogPolynomial
@@ -213,7 +212,6 @@ def test_span_margin_reads_coordinates(p, f):
     # (a, -1, b), which sends x = (0, 1, 0) to a unit: the residual of the
     # pi^j-coordinate vector w_j + p^k u x has valuation exactly k
     K = UnramifiedField(p, f, 20)
-    ops = RingOps(K.zero, K.one, 4)
     rng = random.Random(70 + 10 * p + f)
     a, b = rng.randint(-9, 9), rng.randint(-9, 9)
     basis = [[1, a, 0], [0, b, 1]]
@@ -229,16 +227,16 @@ def test_span_margin_reads_coordinates(p, f):
             expect = min([certainty] + [k + Fraction(j, e)
                                         for j, k in enumerate(ks)
                                         if k is not None])
-            assert _span_margin(values, kbasis, ops, certainty) == expect
+            assert _span_margin(values, kbasis, certainty) == expect
         inside = _values_with_residuals(layer, basis, x, [None] * e, rng)
-        assert _span_margin(inside, kbasis, ops, certainty) == certainty
+        assert _span_margin(inside, kbasis, certainty) == certainty
         # a residual of valuation 42 at precision 44 sits inside the guard
         # band: the margin cannot be read off
         ks = [None] * e
         ks[rng.randrange(e)] = K.work_prec - 2
         guarded = _values_with_residuals(layer, basis, x, ks, rng)
         with pytest.raises(PrecisionError):
-            _span_margin(guarded, kbasis, ops, certainty)
+            _span_margin(guarded, kbasis, certainty)
 
 
 @pytest.mark.parametrize("f", [1, 2])
@@ -249,7 +247,6 @@ def test_span_margin_reads_past_an_undecided_coordinate(p, f):
     # 40 + j/e; a decided residual of another coordinate below that floor
     # decides the margin, and one that could lie above it does not
     K = UnramifiedField(p, f, 20)
-    ops = RingOps(K.zero, K.one, 4)
     rng = random.Random(170 + 10 * p + f)
     a, b = rng.randint(-9, 9), rng.randint(-9, 9)
     basis = [[1, a, 0], [0, b, 1]]
@@ -268,7 +265,7 @@ def test_span_margin_reads_past_an_undecided_coordinate(p, f):
             expect = min([Fraction(50)] + [k + Fraction(j, e)
                                            for j, k in enumerate(ks)
                                            if k is not None and j != guarded])
-            assert _span_margin(values, kbasis, ops, Fraction(50)) == expect
+            assert _span_margin(values, kbasis, Fraction(50)) == expect
         # a decided residual of valuation 40: at pi^0 it lies below the
         # floor 40 + 1/e of an undecided pi^1-coordinate, at pi^1 (40 + 1/e)
         # it could lie above the floor 40 of an undecided pi^0-coordinate
@@ -277,12 +274,12 @@ def test_span_margin_reads_past_an_undecided_coordinate(p, f):
         ks[0], ks[1] = edge, high
         values = _values_with_residuals(CyclotomicLayer(K, n), basis, x, ks,
                                         rng)
-        assert _span_margin(values, kbasis, ops, Fraction(50)) == edge
+        assert _span_margin(values, kbasis, Fraction(50)) == edge
         ks[0], ks[1] = high, edge
         values = _values_with_residuals(CyclotomicLayer(K, n), basis, x, ks,
                                         rng)
         with pytest.raises(PrecisionError) as info:
-            _span_margin(values, kbasis, ops, Fraction(50))
+            _span_margin(values, kbasis, Fraction(50))
         assert info.value.floor == edge
 
 

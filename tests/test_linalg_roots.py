@@ -6,16 +6,12 @@ from itertools import permutations
 
 import pytest
 
-from padic_hodge.linalg import (RingOps, solve, kernel, det, charpoly, echelon,
+from padic_hodge.linalg import (classify, solve, kernel, det, charpoly, echelon,
                                 _best_pivot)
 from padic_hodge.padics import FieldElement, UnramifiedField
 from padic_hodge.polyroots import (newton_root_valuations, find_k_roots,
                                    poly_eval)
 from padic_hodge.errors import PrecisionError
-
-
-def ops_for(field):
-    return RingOps(field.zero, field.one)
 
 
 def rand_matrix(field, rng, n, den=(1, 2, 5)):
@@ -43,26 +39,24 @@ def det_fraction_oracle(rows):
 
 def test_det_matches_leibniz_oracle(K5):
     rng = random.Random(21)
-    ops = ops_for(K5)
     for n in (2, 3, 4):
         for _ in range(5):
             fracs = [[Fraction(rng.randint(-9, 9), rng.choice([1, 1, 5]))
                       for _ in range(n)] for _ in range(n)]
             mat = [[K5.coerce(x) for x in row] for row in fracs]
-            got = det(mat, ops)
+            got = det(mat)
             expect = K5.coerce(det_fraction_oracle(fracs))
             assert (got - expect).is_zero
 
 
 def test_solve_and_kernel(K5):
     rng = random.Random(22)
-    ops = ops_for(K5)
     for _ in range(10):
         A = rand_matrix(K5, rng, 3)
         x_true = [K5.coerce(rng.randint(-5, 5)) for _ in range(3)]
         b = [sum((A[i][j] * x_true[j] for j in range(3)), K5.zero())
              for i in range(3)]
-        x, resid = solve(A, b, ops)
+        x, resid = solve(A, b)
         if x is None:
             continue  # singular draw
         for got, want in zip(x, x_true):
@@ -70,14 +64,13 @@ def test_solve_and_kernel(K5):
     # an inconsistent system reports residual valuations
     A = [[K5.one(), K5.one()], [K5.one(), K5.one()]]
     b = [K5.zero(), K5.coerce(25)]
-    x, resid = solve(A, b, ops)
+    x, resid = solve(A, b)
     assert x is None and resid == [2]
 
 
 def test_kernel_dimension(K5):
-    ops = ops_for(K5)
     A = [[K5.one(), K5.coerce(2), K5.coerce(3)]]
-    ker = kernel(A, ops)
+    ker = kernel(A)
     assert len(ker) == 2
     for v in ker:
         img = sum((A[0][j] * v[j] for j in range(3)), K5.zero())
@@ -86,19 +79,32 @@ def test_kernel_dimension(K5):
 
 def test_charpoly_companion(K5):
     # companion matrix of X^2 + 5 has exactly that characteristic polynomial
-    ops = ops_for(K5)
     C = [[K5.zero(), K5.coerce(-5)], [K5.one(), K5.zero()]]
-    cp = charpoly(C, ops)
+    cp = charpoly(C)
     assert (cp[0] - K5.coerce(5)).is_zero
     assert cp[1].is_zero
     assert (cp[2] - K5.one()).is_zero
 
 
 def test_guard_band_raises(K5):
-    ops = RingOps(K5.zero, K5.one, guard=4)
+    assert K5.guard == 4
     nearly = K5.coerce(5 ** 41)  # valuation 41 inside the 44-digit window
     with pytest.raises(PrecisionError):
-        ops.classify(nearly)
+        classify(nearly)
+
+
+def test_newton_polygon_reads_the_field_guard():
+    # a coefficient of valuation 38 at precision 44 clears a guard of 4
+    # digits and sits inside a guard of 8
+    for guard, decides in ((4, True), (8, False)):
+        K = UnramifiedField(5, 1, 20, guard=guard)
+        g = [K.coerce(5 ** 38), K.one()]
+        assert g[0].prec == 44
+        if decides:
+            assert newton_root_valuations(g) == [Fraction(38)]
+        else:
+            with pytest.raises(PrecisionError):
+                newton_root_valuations(g)
 
 
 def test_newton_polygon_examples(K5):
@@ -148,7 +154,7 @@ def test_find_roots_in_extension(K25):
 
 # -- one pivot inverse per echelon row ---------------------------------------
 
-def _echelon_by_division(matrix, ops):
+def _echelon_by_division(matrix):
     """Reference elimination that divides every entry of a pivot row by the
     pivot (the same pivot order as linalg.echelon with reduce_above)."""
     rows = [list(r) for r in matrix]
@@ -156,7 +162,7 @@ def _echelon_by_division(matrix, ops):
     for c in range(len(rows[0])):
         if r >= len(rows):
             break
-        i, _ = _best_pivot(rows, r, c, ops)
+        i, _ = _best_pivot(rows, r, c)
         if i is None:
             continue
         rows[r], rows[i] = rows[i], rows[r]
@@ -189,16 +195,15 @@ def _count_inverses(monkeypatch, cls):
 @pytest.mark.parametrize("f", [1, 2])
 def test_echelon_one_inverse_per_pivot(monkeypatch, f):
     field = UnramifiedField(5, f, 20)
-    ops = ops_for(field)
     rng = random.Random(40 + f)
     for n, m in ((3, 3), (3, 5), (4, 2)):
         mat = [[field.element(
             [Fraction(rng.randint(-30, 30), rng.choice((1, 2, 5)))
              for _ in range(f)]) for _ in range(m)] for _ in range(n)]
         mat[-1] = [a + b for a, b in zip(mat[0], mat[1])]  # rank deficit
-        expect = _echelon_by_division(mat, ops)
+        expect = _echelon_by_division(mat)
         calls = _count_inverses(monkeypatch, FieldElement)
-        rows, pivots, _ = echelon(mat, ops, reduce_above=True)
+        rows, pivots, _ = echelon(mat, reduce_above=True)
         monkeypatch.undo()
         assert len(calls) == len(pivots) < n
         assert [[_shape(x) for x in row] for row in rows] == \
@@ -206,7 +211,7 @@ def test_echelon_one_inverse_per_pivot(monkeypatch, f):
         square = mat[:min(n, m)]
         square = [row[:len(square)] for row in square]
         calls = _count_inverses(monkeypatch, FieldElement)
-        d = det(square, ops)
+        d = det(square)
         monkeypatch.undo()
         assert len(calls) <= len(square)
         if not d.is_zero:

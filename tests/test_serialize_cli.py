@@ -272,6 +272,37 @@ def test_malformed_config_exits_2(tmp_path, capsys, config, where):
     assert f"error: {path}{where}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["slopes", "-m", "{path}"],
+    ["slopes", "-m", "supersingular", "--config", "{path}"],
+    ["series", "apply", "--op", "phi", "--in", "{path}"],
+    ["series", "order", "--in", "{path}"],
+    ["amember", "-m", "supersingular", "--series", "{path}"],
+    ["contradict", "-m", "supersingular", "--which", "dim2-det",
+     "--series", "{path}"],
+], ids=["module", "config", "series-apply", "series-order", "amember",
+        "contradict"])
+def test_invalid_json_names_its_path(tmp_path, capsys, argv):
+    path = tmp_path / "broken.json"
+    path.write_text("{")
+    assert main([arg.format(path=path) for arg in argv]) == 2
+    assert f"error: {path}: invalid JSON: " in capsys.readouterr().err
+
+
+def test_verify_builds_every_field_at_the_configured_guard(monkeypatch):
+    guards = []
+    init = UnramifiedField.__init__
+
+    def spy(self, *args, **kw):
+        init(self, *args, **kw)
+        guards.append(self.guard)
+
+    monkeypatch.setattr(UnramifiedField, "__init__", spy)
+    code, _ = run_cli("verify", "slopes", "--count", "1", "--guard", "7")
+    assert code == 0
+    assert guards and set(guards) == {7}
+
+
 def test_config_file_keys_are_read(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"p": 5, "f": 1, "precision": 30}))

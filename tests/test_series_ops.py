@@ -518,3 +518,31 @@ def test_derived_series_carry_no_stale_coordinates(p, f):
     for s in derived:
         assert _keeps_fresh_coordinates(s)
         _check_chains(s)
+
+
+@pytest.mark.parametrize("op, n", [(so.phi_op, 1), (so.psi_op, 25)])
+def test_sigma_rows_bound_the_claimed_window(op, n):
+    # the rows of sigma(t^l), l >= 1, are known to _sigma_prec digits: an
+    # operator on x*t held to 62 digits claims no more than those rows give,
+    # and agrees with the same sigma in a 100-digit field to what it claims
+    K = UnramifiedField(5, 2, 20)
+    big = UnramifiedField(5, 2, 100, defpoly=K.defpoly)
+
+    def x_times(c):
+        return TruncatedSeries.make(c.field, [c.field.zero(c.prec), c], n=n,
+                                    prec=c.prec)
+
+    out = op(x_times(K.gen(62)))
+    ref = op(x_times(big.gen(100)))
+    assert out.prec == K._sigma_prec < 62
+    for i in range(out.n + 1):
+        assert (big.coerce(out.coeff(i)) - ref.coeff(i)).is_zero
+    # row 0 of sigma is exact: Q_p coefficients, and every f = 1 series,
+    # keep their whole window
+    assert op(x_times(K.one(62))).prec == 62
+    lg = so.log_series(K, 25)
+    assert op(lg).prec == lg.prec > K._sigma_prec
+    assert op(x_times(UnramifiedField(5, 1, 20).one(62))).prec == 62
+    # psi still inverts phi on the capped window
+    s = x_times(K.gen(62))
+    assert so.psi_op(so.phi_op(s)).truncate(n).equals(s)
