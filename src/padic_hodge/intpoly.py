@@ -2,9 +2,14 @@
 
 A coefficient vector with entries in [0, mod) is packed into one Python
 integer using fixed-width limbs sized so that a full convolution cannot
-overflow a limb.  Polynomial products then become single big-integer
-multiplications, and Taylor shifts f(x) -> f(x + delta) become a
-divide-and-conquer stack of such products.  Composition f(g(x)) is
+overflow a limb.  A polynomial product is a two-point Kronecker
+substitution (Harvey, arXiv:0712.4046): each operand is split into its
+even- and odd-index halves, packed at limbs of 2W bits and evaluated at
++2^W and -2^W, so the product costs two big-integer multiplications of half
+the width of a single-point packing.  Sum and difference of the two values
+give the even and odd coefficients of the product exactly, because each of
+them is non-negative and below 2^(2W).  Taylor shifts f(x) -> f(x + delta)
+are a divide-and-conquer stack of such products.  Composition f(g(x)) is
 Brent-Kung baby-step/giant-step: the baby powers of g are packed once, each
 block of f becomes an integer combination of those packed integers, and
 only the giant steps cost polynomial products.  Everything here is exact
@@ -41,6 +46,18 @@ def polymul(a, b, mod: int, out_len: int):
 
     Returns the first ``out_len`` coefficients of a*b, entries reduced to
     [0, mod).
+
+    Two-point Kronecker substitution (Harvey, arXiv:0712.4046).  Split
+    a = E(x^2) + x O(x^2) into even- and odd-index halves and pack each half
+    in limbs of 2W bits, 2W = ``_limb_bits``, so that a(2^W) = E + (O << W)
+    and a(-2^W) = E - (O << W) are integers of half the width a single-point
+    packing would take.  The product c = a*b is evaluated at both points,
+    c(2^W) + c(-2^W) = 2 C_e(2^2W) and c(2^W) - c(-2^W) = 2^(W+1) C_o(2^2W),
+    where C_e and C_o hold the even and odd coefficients of c.  Every
+    coefficient of c is a sum of at most min(len a, len b) products of
+    residues in [0, mod), so it is non-negative and below 2^(2W): the two
+    packed halves read back exactly, limb by limb, and nothing carries
+    between limbs.
     """
     if not a or not b:
         return [0] * out_len
@@ -48,13 +65,19 @@ def polymul(a, b, mod: int, out_len: int):
     a = [x % mod for x in a]
     b = [x % mod for x in b]
     bits = _limb_bits(mod, min(len(a), len(b)))
-    lb = bits // 8
+    lb, w = bits // 8, bits // 2
     keep = min(out_len, len(a) + len(b) - 1)
+    a_even, a_odd = pack(a[0::2], lb), pack(a[1::2], lb) << w
+    b_even, b_odd = pack(b[0::2], lb), pack(b[1::2], lb) << w
+    at_plus = (a_even + a_odd) * (b_even + b_odd)
+    at_minus = (a_even - a_odd) * (b_even - b_odd)
     # the limbs above `keep` are never read: mask them off before unpacking
-    prod = pack(a, lb) * pack(b, lb) & ((1 << (bits * keep)) - 1)
-    out = [c % mod for c in unpack(prod, keep, lb)]
-    if keep < out_len:
-        out.extend([0] * (out_len - keep))
+    n_even, n_odd = (keep + 1) // 2, keep // 2
+    even = ((at_plus + at_minus) >> 1) & ((1 << (bits * n_even)) - 1)
+    odd = ((at_plus - at_minus) >> (w + 1)) & ((1 << (bits * n_odd)) - 1)
+    out = [0] * out_len
+    out[0:keep:2] = [c % mod for c in unpack(even, n_even, lb)]
+    out[1:keep:2] = [c % mod for c in unpack(odd, n_odd, lb)]
     return out
 
 

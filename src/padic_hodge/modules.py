@@ -37,12 +37,14 @@ from .polyroots import find_k_roots, newton_root_valuations
 
 
 class Subspace:
-    """A K-subspace of K^d, held as an echelonized row basis."""
+    """A K-subspace of K^d, held as an echelonized row basis.  Every entry
+    is coerced into ``field``, so every rank decision reads its guard band."""
 
     def __init__(self, field, dim_ambient, vectors):
         self.field = field
         self.dim_ambient = dim_ambient
-        self.basis = column_space_basis([list(v) for v in vectors])
+        self.basis = column_space_basis([[field.coerce(c) for c in v]
+                                         for v in vectors])
 
     @property
     def dimension(self):
@@ -86,6 +88,8 @@ class FilteredPhiModule:
         self.phi_matrix = [[field.coerce(c) for c in row] for row in phi_matrix]
         self.filtration = []
         for j, sub in filtration:
+            if isinstance(sub, Subspace) and sub.field is not field:
+                sub = sub.basis  # decided again over the module's field
             if not isinstance(sub, Subspace):
                 sub = Subspace(field, self.d, sub)
             self.filtration.append((int(j), sub))
@@ -370,7 +374,9 @@ class FilteredPhiModule:
     def is_weakly_admissible(self) -> Certificate:
         """t_H = t_N globally and t_H <= t_N on every phi-stable subspace."""
         rows = list(self._rows())
-        equal = rows[-1].t_H == rows[-1].t_N  # the last row is the full space
+        # the last row is the full space; the zero module has no row, and
+        # t_H = t_N = 0
+        equal = not rows or rows[-1].t_H == rows[-1].t_N
         witness = next((r for r in rows if r.t_H > r.t_N), None)
         if witness is not None:
             return Certificate(

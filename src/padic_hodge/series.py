@@ -406,13 +406,15 @@ def tail_valuation_bound(series, weight: Fraction):
     N = series.n
     # g(i) = i*weight - b - s*floor(log_p(i+h)) increases between powers of
     # p, so the minimum over i > N is attained at N+1 or where the floor
-    # steps; candidate values at those points grow like p^k*weight - s*k,
-    # so a few dozen steps always cover the minimum.
+    # steps, at i = p^k - h for k > k0.  Those candidates are convex in k:
+    # step k -> k+1 adds p^k (p-1) weight - s, which grows with k.  So the
+    # scan (at most 39 steps) stops at the first one that does not fall.
     k0 = _floor_logp(N + 1 + h, p)
     best = Fraction(N + 1) * weight - b - s * k0
+    low = None
     for k in range(k0 + 1, k0 + 40):
-        i = max(p ** k - h, N + 1)
-        cand = Fraction(i) * weight - b - s * k
-        if cand < best:
-            best = cand
-    return best
+        cand = (p ** k - h) * weight - b - s * k
+        if low is not None and cand >= low:
+            break
+        low = cand
+    return min(best, low)

@@ -48,6 +48,25 @@ def test_polymul_edges_against_naive(mod):
                     naive_mul(a, b, mod, out_len)
 
 
+@pytest.mark.parametrize("digits", [1, 60, 230])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_polymul_worst_case_limbs(p, digits):
+    # every entry mod - 1: the middle coefficients of the product reach the
+    # limb bound, the only inputs where a limb one bit short would carry;
+    # lengths odd and even, and each half of the operands on both sides of
+    # CPython's Karatsuba cutoff (70 digits of 30 bits)
+    mod = p ** digits
+    for la in (1, 2, 3, 16, 17, 40, 41, 126, 313):
+        for lb in sorted({la, 1, 17, 41}):
+            a, b = [mod - 1] * la, [mod - 1] * lb
+            full = la + lb - 1
+            expect = naive_mul(a, b, mod, full + 2)
+            for out_len in {1, 2, full // 2, full // 2 + 1, max(full - 1, 1),
+                            full, full + 1, full + 2}:
+                assert intpoly.polymul(a, b, mod, out_len) == \
+                    expect[:out_len], (la, lb, out_len)
+
+
 def test_taylor_shift_matches_binomials():
     rng = random.Random(2)
     mod = 5 ** 20

@@ -790,6 +790,25 @@ def test_filtration_line_is_decided_at_the_field_guard():
                 FilteredPhiModule(K, A, [(0, full2(K)), (1, [vec])])
 
 
+def test_filtration_from_another_field_is_decided_at_the_module_guard():
+    # entries built over a guard-4 field are coerced into the guard-8
+    # module field, raw or wrapped in a guard-4 Subspace, and decided there
+    K4, K8 = UnramifiedField(5, 1, 20), UnramifiedField(5, 1, 20, guard=8)
+    A = [[K8.one(), K8.zero()], [K8.zero(), K8.coerce(5)]]
+    for K in (K8, K4):
+        with pytest.raises(PrecisionError):
+            FilteredPhiModule(K8, A, [(0, full2(K8)),
+                                      (1, [[K.coerce(5 ** 38), K.one()]])])
+    wrapped = Subspace(K4, 2, [[K4.coerce(5 ** 38), K4.one()]])
+    with pytest.raises(PrecisionError):
+        FilteredPhiModule(K8, A, [(0, full2(K8)), (1, wrapped)])
+    # a line clear of both guard bands keeps its dimension, over K8
+    m = FilteredPhiModule(K8, A, [(0, full2(K8)), (1, line(K4, [1, 1]))])
+    fil = m.filtration[1][1]
+    assert fil.field is K8 and fil.dimension == 1
+    assert all(c.field is K8 for v in fil.basis for c in v)
+
+
 def test_rank_staircase():
     # j -> rank(twist(M, j)) is non-decreasing and reaches f*d beyond the
     # negated minimal Hodge jump; large twists spread valuations, so use a

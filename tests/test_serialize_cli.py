@@ -153,6 +153,22 @@ def test_cli_admissible_negative_verdict(tmp_path):
     assert payload["witness"]["t_H"] == 0 and payload["witness"]["t_N"] == "-1"
 
 
+def test_cli_zero_module_answers(tmp_path):
+    # the zero module has t_H = t_N = 0 and no nonzero stable subspace: it
+    # is weakly admissible with fil1 = 0 and rank 0, not a negative verdict
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"p": 5, "dim": 0, "phi": [],
+                                "filtration": [{"jump": 0, "basis": []}]}))
+    code, out = run_cli("--json", "admissible", "-m", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] is True and payload["subspaces"] == []
+    code, out = run_cli("fil1", "-m", str(path))
+    assert code == 0 and out.startswith("dim\t0")
+    code, out = run_cli("rank", "-m", str(path))
+    assert code == 0 and out.strip() == "rank\t0"
+
+
 def test_cli_series_apply(tmp_path, K5):
     f = TruncatedSeries.make(K5, [1, 1], n=10)
     path = tmp_path / "series.json"

@@ -1,11 +1,13 @@
-"""TruncatedSeries.vmin against a trial-division oracle."""
+"""TruncatedSeries.vmin against a trial-division oracle, and the tail
+valuation bound against its full scan."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from padic_hodge.padics import UnramifiedField, vp_int
-from padic_hodge.series import TruncatedSeries
+from padic_hodge.series import TruncatedSeries, tail_valuation_bound, _floor_logp
 
 
 FIELDS = {(p, f): UnramifiedField(p, f, 20) for p in (3, 5, 7) for f in (1, 2)}
@@ -86,3 +88,29 @@ def test_vmin_least_valuation_in_second_coordinate(p):
         second[rng.randrange(20)] = random_residue(rng, p, rel, v)
         s = series(field, -2, rel, [first, second])
         assert s.vmin == vmin_oracle(s) == v - 2
+
+
+def full_scan_tail_bound(b, s, h, weight, p, N):
+    """min over i > N of i*weight - b - s*floor(log_p(i+h)), read at N+1 and
+    at the 39 powers of p above it where the floor steps."""
+    k0 = _floor_logp(N + 1 + h, p)
+    best = Fraction(N + 1) * weight - b - s * k0
+    for k in range(k0 + 1, k0 + 40):
+        i = max(p ** k - h, N + 1)
+        best = min(best, Fraction(i) * weight - b - s * k)
+    return best
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_tail_valuation_bound_matches_full_scan(p):
+    rng = random.Random(200 + p)
+    field = UnramifiedField(p, 1, 10)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        weight = rng.choice([Fraction(1, p ** (n - 1) * (p - 1)),
+                             Fraction(1, p ** n * (p - 1))])
+        b = Fraction(rng.randint(-60, 60), rng.randint(1, 6))
+        s, h, N = rng.randint(0, 300), rng.randint(0, 6), rng.randint(1, 400)
+        f = TruncatedSeries.zero(field, N, bound=(b, s, h), tail_zero=False)
+        assert tail_valuation_bound(f, weight) == \
+            full_scan_tail_bound(b, s, h, weight, p, N)
