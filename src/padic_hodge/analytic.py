@@ -212,13 +212,8 @@ def _layer_values(components, layer):
     """(values at pi_n, least certainty, certified valuation floor of the
     vector); TailBoundError from the evaluation propagates."""
     evs = [cyclotomic_evaluate(c, layer) for c in components]
-    values = [ev.value for ev in evs]
-    floors = []
-    for ev, e in zip(evs, values):
-        vv = e.valuation_or_none()
-        floors.append(ev.certainty if vv is None
-                      else min(Fraction(vv), ev.certainty))
-    return values, min(ev.certainty for ev in evs), min(floors)
+    return ([ev.value for ev in evs], min(ev.certainty for ev in evs),
+            min(ev.floor for ev in evs))
 
 
 def _span_margin(values, basis, certainty):
@@ -471,7 +466,8 @@ def contradiction_pipeline(module: FilteredPhiModule, which: str,
     exceeds the upper.
 
     The hypotheses on g are verified first through the membership report
-    (at the configured layers); an indeterminate membership yields the
+    (at the configured layers); an indeterminate membership, or a log order
+    whose layer test cannot be decided at the truncation degree, yields the
     verdict 'inconclusive', never 'forced zero'.
     """
     d = module.d
@@ -511,7 +507,12 @@ def contradiction_pipeline(module: FilteredPhiModule, which: str,
             "order bound: -t_N for the top wedge of the Phi-orbit")
     else:
         raise ValueError(f"unknown pipeline mode {which!r}")
-    ll = log_order(F, n_max=1)
+    try:
+        ll = log_order(F, n_max=1)
+    except TailBoundError as e:
+        provenance.append(f"log bound undecided: {e}")
+        return ContradictionReport(which, order_upper, 0, "inconclusive",
+                                   provenance, membership, F)
     provenance.append(
         "log bound: iterated certified division by log(1+x) (layers <= 1)")
     verdict = "forced zero" if (ll == INFINITE or ll > order_upper) \
@@ -535,7 +536,7 @@ def det_log_divisibility(gs, n_max: int = 1) -> DetDivisibilityReport:
     derivatives must land in K_n (x) Fil^j); it is pre-checked at the
     layers n <= n_max and the verdict compares the computed log order of
     the determinant against -t_H.  TailBoundError and PrecisionError from
-    the layer tests propagate.
+    the layer tests, and from the determinant's log order, propagate.
     """
     module = gs[0].module
     d = module.d

@@ -4,7 +4,10 @@ The layer is presented as K[X]/(Phi_{p^n}(1+X)), so the class of X is the
 uniformizer pi_n = zeta_n - 1 and valuations are read off the Eisenstein
 Newton polygon: v_p(sum a_j pi^j) = min_j (v_p(a_j) + j/e_n), the minimum
 being attained at a unique j because the fractional parts j/e_n are
-pairwise distinct.
+pairwise distinct.  A series takes its value at pi_n as its remainder
+modulo this minimal polynomial, one synthetic division per coordinate
+column (``seriesops.cyclotomic_evaluate``); ``pow_rows``, the table of the
+powers of X, is the slow oracle that division is tested against.
 
 Elements of K_n are values only, kept as their coordinates a_j over K; the
 library does no arithmetic in K_n.  K_n is free over K on 1, pi, ...,
@@ -51,7 +54,6 @@ class CyclotomicLayer:
         self.e = field.p ** (n - 1) * (field.p - 1)
         self.minimal_polynomial = list(_cyclotomic_shift_coeffs(field.p, n))
         self._validate_eisenstein()
-        self._pow_rows_cache = {}
 
     def _validate_eisenstein(self):
         mp = self.minimal_polynomial
@@ -64,11 +66,8 @@ class CyclotomicLayer:
 
     def pow_rows(self, max_deg: int, mod: int):
         """Integer rows of x^i mod the minimal polynomial, i = 0..max_deg,
-        entries reduced mod ``mod``."""
-        key = (max_deg, mod)
-        hit = self._pow_rows_cache.get(key)
-        if hit is not None:
-            return hit
+        entries reduced mod ``mod``: the table of powers that
+        ``cyclotomic_evaluate``'s synthetic division is checked against."""
         e = self.e
         rows = [[0] * e for _ in range(max_deg + 1)]
         rows[0][0] = 1
@@ -83,7 +82,6 @@ class CyclotomicLayer:
             else:
                 row = [c % mod for c in row]
             rows[i] = row
-        self._pow_rows_cache[key] = rows
         return rows
 
 

@@ -14,6 +14,9 @@ Brent-Kung baby-step/giant-step: the baby powers of g are packed once, each
 block of f becomes an integer combination of those packed integers, and
 only the giant steps cost polynomial products.  Everything here is exact
 integer arithmetic; reduction mod p^R happens only at unpack time.
+``remainder`` reduces modulo a monic integer polynomial by synthetic
+division; it is the one reduction of K = Q_p[t]/(g) and of the values at
+the cyclotomic layers.
 
 These kernels are internal: the series layer is responsible for precision
 bookkeeping and only hands in canonical residue vectors.
@@ -79,6 +82,26 @@ def polymul(a, b, mod: int, out_len: int):
     out[0:keep:2] = [c % mod for c in unpack(even, n_even, lb)]
     out[1:keep:2] = [c % mod for c in unpack(odd, n_odd, lb)]
     return out
+
+
+def remainder(coeffs, low, mod: int):
+    """Coefficients of sum_k coeffs[k] X^k modulo the monic
+    X^e + sum_j low[j] X^j, e = len(low), reduced to [0, mod).
+
+    Synthetic division from the top: the coefficient of each degree
+    k >= e, reduced mod ``mod``, is cleared by subtracting it times
+    X^(k-e) times the modulus.  A remainder modulo a monic polynomial is
+    unique, so the entries below e are reduced only at the end.
+    """
+    e = len(low)
+    r = list(coeffs) + [0] * (e - len(coeffs))
+    terms = [(j, c) for j, c in enumerate(low) if c]
+    for k in range(len(r) - 1, e - 1, -1):
+        top = r[k] % mod
+        if top:
+            for j, c in terms:
+                r[k - e + j] -= top * c
+    return [x % mod for x in r[:e]]
 
 
 @lru_cache(maxsize=None)

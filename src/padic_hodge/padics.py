@@ -11,9 +11,12 @@ pretending to be exactly 0.
 An element of K is stored on plain integers, like a truncated series: a
 valuation, one absolute precision for the whole element, and f residues,
 its coordinates in the power basis 1, t, ..., t^{f-1} of a monic defining
-polynomial that is irreducible mod p.  The Frobenius lift sigma is computed
-once at field construction by Hensel iteration from t^p, kept as the
-integer matrix of the residues of sigma(t^l), and verified to have order f.
+polynomial g that is irreducible mod p.  A product is the integer product
+of the two coordinate vectors, reduced modulo g and the residue window by
+one synthetic division (``intpoly.remainder``).  The Frobenius lift sigma
+is computed once at field construction by Hensel iteration from t^p, kept
+as the integer matrix of the residues of sigma(t^l), and verified to have
+order f.
 """
 
 from fractions import Fraction
@@ -21,6 +24,7 @@ from itertools import zip_longest
 from math import gcd
 
 from .errors import PrecisionError
+from . import intpoly
 
 
 def vp_int(n: int, p: int) -> int:
@@ -335,8 +339,6 @@ class UnramifiedField:
             raise ValueError("defining polynomial is not irreducible mod p")
         self.defpoly = defpoly
         self._zeros = (0,) * f
-        # exact integer rows expressing t^(f+i) for i = 0..f-2
-        self._red_rows = self._reduction_rows()
         if f > 1:
             # row l: residues of sigma(t^l) (resp. sigma^-1(t^l)), known
             # modulo p^_sigma_prec; sigma^-1 = sigma^(f-1)
@@ -432,20 +434,6 @@ class UnramifiedField:
 
     # -- construction internals ----------------------------------------
 
-    def _reduction_rows(self):
-        """Exact integer coordinates of t^f, ..., t^(2f-2)."""
-        f = self.f
-        if f == 1:
-            return []
-        rows = [[-c for c in self.defpoly[:f]]]
-        for _ in range(f - 2):
-            cur = rows[-1]
-            top = cur[-1]
-            nxt = [0] + cur[:-1]
-            nxt = [nxt[i] + top * rows[0][i] for i in range(f)]
-            rows.append(nxt)
-        return rows
-
     def _power_rows(self, a):
         """Residues of 1, a, ..., a^(f-1) for a unit a, at base 0."""
         rows = [(1,) + self._zeros[1:]]
@@ -503,11 +491,7 @@ class UnramifiedField:
             if x:
                 for j, y in enumerate(b, i):
                     raw[j] += x * y
-        out = raw[:f]
-        for c, row in zip(raw[f:], self._red_rows):
-            if c:
-                out = [x + c * r for x, r in zip(out, row)]
-        return tuple([x % mod for x in out])
+        return tuple(intpoly.remainder(raw, self.defpoly[:f], mod))
 
     def inverse(self, a):
         v = a.valuation()

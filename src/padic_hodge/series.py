@@ -324,18 +324,13 @@ class TruncatedSeries:
                     raw[k] = pm
                 else:
                     raw[k] = [(x + y) % mod for x, y in zip(raw[k], pm)]
-        cols = [raw[l] if raw[l] is not None else [0] * (n_out + 1)
-                for l in range(f)]
-        for k in range(f, 2 * f - 1):
-            if raw[k] is None:
-                continue
-            row = field._red_rows[k - f]
-            for l in range(f):
-                if row[l]:
-                    rl = row[l] % mod
-                    cols[l] = [(x + rl * y) % mod
-                               for x, y in zip(cols[l], raw[k])]
-        return TruncatedSeries(field, n_out, shift, rel, cols, bound, tz)
+        # reduce modulo g as intpoly.remainder does, a whole column per step
+        for k in range(2 * f - 2, f - 1, -1):
+            for j, c in enumerate(field.defpoly[:f], k - f):
+                if c:
+                    raw[j] = [(x - c * y) % mod
+                              for x, y in zip(raw[j], raw[k])]
+        return TruncatedSeries(field, n_out, shift, rel, raw[:f], bound, tz)
 
     __rmul__ = __mul__
 

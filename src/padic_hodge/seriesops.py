@@ -15,7 +15,8 @@ Over f > 1 the rows of sigma(t^l) are known only to the field's
 ``_sigma_prec`` digits, so phi and psi claim no more than those rows give.
 The gamma-action substitutes x -> (1+x)^c - 1 through the p-adic binomial
 series of c.
-Values at the cyclotomic layers are decided at ``DECISION_LEVEL``,
+Values at the cyclotomic layers are remainders modulo the layer's minimal
+polynomial (``intpoly.remainder``), decided at ``DECISION_LEVEL``,
 valuation 1 (modulo p^1).
 """
 
@@ -443,52 +444,46 @@ class CycloEvaluation:
             return Fraction(self.prec)
         return min(Fraction(self.prec), self.tail)
 
+    @property
+    def floor(self):
+        """Certified valuation floor: v_p(true value) >= floor, the observed
+        valuation capped at the certainty."""
+        v = self.value.valuation_or_none()
+        level = self.certainty
+        return level if v is None else min(Fraction(v), level)
+
     def classify(self, threshold=DECISION_LEVEL):
         """-> ('zero', floor) | ('nonzero', valuation).
 
-        The floor is the certified valuation v_p(true value) >= floor.  The
-        value counts as vanishing when the floor clears the decision
+        The value counts as vanishing when its floor clears the decision
         threshold; it counts as nonzero only when its observed valuation is
-        certified below the threshold.  If the certificates cannot even
-        decide at the requested threshold, TailBoundError asks the caller to
-        raise the truncation degree.
+        certified below the threshold (the floor is then that valuation).
+        If the certificates cannot even decide at the requested threshold,
+        TailBoundError asks the caller to raise the truncation degree.
         """
         level = self.certainty
         if level < threshold:
             raise TailBoundError(
                 f"certainty {level} below decision threshold {threshold}; "
                 f"raise the truncation degree")
-        v = self.value.valuation_or_none()
-        floor = level if v is None else min(Fraction(v), level)
-        if floor >= threshold:
-            return ("zero", floor)
-        return ("nonzero", v)
+        floor = self.floor
+        return ("zero" if floor >= threshold else "nonzero", floor)
 
 
 def cyclotomic_evaluate(f: TruncatedSeries,
                         layer: CyclotomicLayer) -> CycloEvaluation:
-    """Evaluate at x = pi_n by reduction modulo the layer's minimal
-    polynomial, with a certified tail valuation bound."""
+    """Evaluate at x = pi_n with a certified tail valuation bound: each
+    coordinate column is reduced modulo the layer's minimal polynomial by
+    one synthetic division (``intpoly.remainder``), giving the pi^j
+    coordinates over K."""
     field = f.field
     if not field.compatible(layer.field):
         raise ValueError("layer belongs to a different base field")
-    p = field.p
-    rel = f.rel
-    mod = p ** rel
-    rows = layer.pow_rows(f.n, mod)
     e = layer.e
-    out_res = [[0] * e for _ in range(field.f)]
-    for l in range(field.f):
-        col = f.coords[l]
-        acc = out_res[l]
-        for i, r in enumerate(col):
-            if r == 0:
-                continue
-            row = rows[i]
-            for j in range(e):
-                if row[j]:
-                    acc[j] = (acc[j] + r * row[j]) % mod
-    coords = [field.from_residues(f.shift, [col[j] for col in out_res], f.prec)
+    mod = field.p ** f.rel
+    low = layer.minimal_polynomial[:e]
+    cols = [intpoly.remainder(col, low, mod) for col in f.coords]
+    coords = [field.from_residues(f.shift, [col[j] for col in cols], f.prec)
               for j in range(e)]
     value = CyclotomicElement(layer, coords)
     tail = tail_valuation_bound(f, Fraction(1, e)) if not f.tail_zero else None

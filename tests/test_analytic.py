@@ -19,7 +19,9 @@ from padic_hodge.analytic import (VectorSeries, phi_vec, phi_growth_order,
                                   phi_orbit_wedge, orbit_relation,
                                   contradiction_pipeline, det_log_divisibility,
                                   _span_margin)
-from padic_hodge import generators as gen
+from padic_hodge import analytic, generators as gen
+from padic_hodge.config import Config
+from padic_hodge.suites import _series_field
 
 
 def unit_module(field):
@@ -421,6 +423,37 @@ def test_pipeline_wronskian_dichotomy():
         assert (M.t_H < M.t_N) == expect_forced
 
 
+@functools.lru_cache(maxsize=None)
+def _p3_strict_wronskian_case():
+    """Case 1 of `verify contradiction --config tests/data/p3.json --seed 1`
+    (p = 3, N = 81): a strict split module with slopes (-3, -2) and jumps
+    (-5, -4) and its adapted synthetic member, drawn as the suite draws
+    them after its supersingular case."""
+    cfg = Config(p=3, truncation=81)
+    rng = random.Random(1)
+    ss = modular_form_module(3, 2, 0, field=_series_field(cfg, 3))
+    gen.synthetic_member(ss, rng, 81, mode="deep")
+    M, slopes, jumps = gen.split_module(_series_field(cfg, 9), rng, 2,
+                                        "strict")
+    assert (slopes, jumps) == ([-3, -2], [-5, -4])
+    return M, gen.synthetic_member(M, rng, 81, mode="adapted")
+
+
+def test_pipeline_undecided_log_bound_is_inconclusive():
+    # the Wronskian's first layer test cannot be decided at N = 81: the
+    # pipeline reports it instead of letting the TailBoundError escape
+    M, g = _p3_strict_wronskian_case()
+    rep = contradiction_pipeline(M, "wronskian", g, n_max=1)
+    assert rep.membership.verdict and not rep.membership.indeterminate
+    assert (rep.verdict, rep.order_upper, rep.log_lower) == \
+        ("inconclusive", 4, 0)
+    assert rep.provenance[-1] == (
+        "log bound undecided: certainty 1/2 below decision threshold 1; "
+        "raise the truncation degree")
+    with pytest.raises(TailBoundError, match="certainty 1/2"):
+        so.log_order(rep.det_series, n_max=1)
+
+
 def test_pipeline_orbit_wedge_mode(K5div):
     m = modular_form_module(5, 2, 0, field=K5div).erase_filtration_step(0)
     rng = random.Random(57)
@@ -636,3 +669,15 @@ def test_det_divisibility_propagates_tail_bound_error():
           _swap(_supersingular_pair(5, 1, 50, "log-e1"))]
     with pytest.raises(TailBoundError):
         det_log_divisibility(gs, n_max=1)
+
+
+def test_det_divisibility_propagates_log_order_error(monkeypatch):
+    # the columns g and D(g) pass every layer test, but their determinant
+    # (the Wronskian of g) cannot take its first division at N = 81
+    M, g = _p3_strict_wronskian_case()
+    gs = [g, VectorSeries(M, [so.d_op(c) for c in g.components])]
+    with pytest.raises(TailBoundError, match="certainty 1/2"):
+        det_log_divisibility(gs, n_max=1)
+    monkeypatch.setattr(analytic, "log_order", lambda F, n_max: 0)
+    rows = det_log_divisibility(gs, n_max=1).hypothesis_rows
+    assert rows and all(row[3] == "member" for row in rows)

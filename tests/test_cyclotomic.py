@@ -1,11 +1,13 @@
 """Cyclotomic layers: Eisenstein structure, valuations, evaluation."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 from padic_hodge.cyclotomic import CyclotomicLayer, CyclotomicElement
+from padic_hodge.padics import UnramifiedField
 from padic_hodge.series import TruncatedSeries
 from padic_hodge.seriesops import cyclotomic_evaluate, log_series
 from padic_hodge.errors import PrecisionError
@@ -113,3 +115,41 @@ def test_evaluation_is_ring_hom(K5):
         a, b = _ints(vf, mod), _ints(vg, mod)
         assert _ints(vprod, mod) == _layer_mul(a, b, mp, mod)
         assert _ints(vsum, mod) == [(x + y) % mod for x, y in zip(a, b)]
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p, f):
+    return UnramifiedField(p, f, 20)
+
+
+def _pow_rows_value(s, layer):
+    """Oracle for the value at pi_n: each coordinate column dotted with the
+    table of the powers of X modulo the minimal polynomial."""
+    field = s.field
+    mod = field.p ** s.rel
+    rows = layer.pow_rows(s.n, mod)
+    cols = [[sum(r * row[j] for r, row in zip(col, rows)) % mod
+             for j in range(layer.e)] for col in s.coords]
+    return [field.from_residues(s.shift, [col[j] for col in cols], s.prec)
+            for j in range(layer.e)]
+
+
+@pytest.mark.parametrize("p,f,n", [(p, f, n) for p in (3, 5, 7, 11)
+                                   for f in (1, 2, 3) for n in (1, 2, 3)
+                                   if n < 3 or p <= 5])
+def test_evaluation_matches_pow_rows_oracle(p, f, n):
+    field = _field(p, f)
+    layer = CyclotomicLayer(field, n)
+    e = layer.e
+    rng = random.Random(100 * p + 10 * f + n)
+    for N in sorted({0, e - 1, e, e + 1, p ** 3}):
+        for rel in (1, rng.randint(2, 60)):
+            mod = p ** rel
+            coords = [[rng.choice([0, mod - 1, rng.randrange(mod)])
+                       for _ in range(N + 1)] for _ in range(f)]
+            s = TruncatedSeries(field, N, rng.randint(-3, 5), rel, coords,
+                                tail_zero=True)
+            ev = cyclotomic_evaluate(s, layer)
+            assert [(c.val, c.prec, c.res) for c in ev.value.coords] == \
+                [(c.val, c.prec, c.res) for c in _pow_rows_value(s, layer)]
+            assert (ev.prec, ev.tail) == (s.prec, None)

@@ -9,12 +9,13 @@ from padic_hodge import intpoly
 
 
 def naive_mul(a, b, mod, out_len):
+    """Truncated product, reduced mod ``mod``; exact over Z for mod None."""
     out = [0] * out_len
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             if i + j < out_len:
-                out[i + j] = (out[i + j] + x * y) % mod
-    return out
+                out[i + j] += x * y
+    return out if mod is None else [c % mod for c in out]
 
 
 def test_polymul_matches_naive():
@@ -170,3 +171,48 @@ def test_compose_requires_zero_constant_term():
     for g in ([1, 1], [mod + 3], [-1, 0, 2]):
         with pytest.raises(ValueError):
             intpoly.compose([1, 2, 3], g, mod, 4)
+
+
+def long_division(coeffs, low):
+    """Quotient and remainder over Z of sum coeffs[k] X^k by the monic
+    X^e + sum low[j] X^j, by schoolbook long division with no reduction."""
+    e = len(low)
+    r = list(coeffs)
+    q = [0] * max(len(r) - e, 0)
+    for k in range(len(r) - 1, e - 1, -1):
+        c = q[k - e] = r[k]
+        for j, d in enumerate(low + [1]):
+            r[k - e + j] -= c * d
+    return q, r[:e] + [0] * (e - len(r))
+
+
+def _lows(rng, p, e, mod):
+    """Moduli of degree e: small signed entries with zeros among them, a
+    p-divisible (Eisenstein) shape, every entry mod - 1, and X^e."""
+    small = [rng.choice([0, 0, 1, -1, p, -p, rng.randint(-p * p, p * p)])
+             for _ in range(e)]
+    eisenstein = [p * rng.randint(1, p) for _ in range(e)]
+    return [small, eisenstein, [mod - 1] * e, [0] * e]
+
+
+@pytest.mark.parametrize("digits", [1, 60, 230])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_remainder_against_long_division(p, digits):
+    rng = random.Random(10 * p + digits)
+    mod = p ** digits
+    for e in (1, 2, 3, 5, 20):
+        for low in _lows(rng, p, e, mod):
+            # fewer, as many and more coefficients than the degree e
+            for length in sorted({0, 1, e - 1, e, e + 1, 2 * e + 3, 61}):
+                for coeffs in ([rng.randrange(mod) for _ in range(length)],
+                               [mod - 1] * length,
+                               [rng.choice([0, mod - 1, rng.randrange(mod)])
+                                for _ in range(length)]):
+                    q, r = long_division(coeffs, low)
+                    # the oracle itself: q * modulus + r is the input over Z
+                    back = naive_mul(q, low + [1], None, length) if q else []
+                    back += [0] * (length - len(back))
+                    assert [x + y for x, y in zip(back, r + [0] * length)] \
+                        == coeffs
+                    got = intpoly.remainder(coeffs, low, mod)
+                    assert got == [c % mod for c in r], (e, low, length)

@@ -205,6 +205,20 @@ def test_cli_verify_and_determinism():
     assert out1 == out2
 
 
+def test_cli_verify_contradiction_reports_undecided_case(tmp_path):
+    # p = 3, N = 81, seed 1: case 1 cannot decide its log bound; the suite
+    # prints every case and fails on that one instead of exiting 2
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps({"p": 3, "truncation": 81}))
+    code, out = run_cli("verify", "contradiction", "--config", str(path),
+                        "--seed", "1", "--count", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[3] == ("case 1\twronskian-strict\tFAIL\ttH=-9 tN=-5 "
+                        "verdict=inconclusive upper=4 lower=0")
+    assert lines[-1] == "result\tFAIL\t4 cases, 1 failures"
+
+
 def test_cli_twist_tensor_wedge_tilde(tmp_path):
     code, out = run_cli("twist", "-m", "qp1", "--k", "1")
     assert code == 0

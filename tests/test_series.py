@@ -1,5 +1,6 @@
-"""TruncatedSeries.vmin against a trial-division oracle, and the tail
-valuation bound against its full scan."""
+"""TruncatedSeries.vmin against a trial-division oracle, the tail valuation
+bound against its full scan, and products over f > 1 against exact integer
+products reduced modulo the defining polynomial."""
 
 import random
 from fractions import Fraction
@@ -114,3 +115,67 @@ def test_tail_valuation_bound_matches_full_scan(p):
         f = TruncatedSeries.zero(field, N, bound=(b, s, h), tail_zero=False)
         assert tail_valuation_bound(f, weight) == \
             full_scan_tail_bound(b, s, h, weight, p, N)
+
+
+def t_power_rows(field, count):
+    """Exact integer coordinates of t^0, ..., t^(count-1) modulo the
+    defining polynomial g, each from the last by one multiplication by t."""
+    g, f = field.defpoly, field.f
+    rows = [[1] + [0] * (f - 1)]
+    for _ in range(count - 1):
+        prev = rows[-1]
+        rows.append([(prev[l - 1] if l else 0) - prev[-1] * g[l]
+                     for l in range(f)])
+    return rows
+
+
+def exact_product_columns(a, b, n_out):
+    """Coordinate columns of a*b through degree n_out: the product in
+    Z[t][x] of the two residue polynomials, t^k replaced by its row."""
+    f = a.field.f
+    rows = t_power_rows(a.field, 2 * f - 1)
+    cols = [[0] * (n_out + 1) for _ in range(f)]
+    for l, ca in enumerate(a.coords):
+        for m, cb in enumerate(b.coords):
+            row = rows[l + m]
+            for i, x in enumerate(ca[:n_out + 1]):
+                for j, y in enumerate(cb[:n_out + 1 - i]):
+                    for q in range(f):
+                        cols[q][i + j] += x * y * row[q]
+    return cols
+
+
+def random_series(rng, field, n, tail_zero):
+    p, f = field.p, field.f
+    rel = rng.choice([1, rng.randint(2, 60)])
+    mod = p ** rel
+    coords = [[rng.choice([0, mod - 1, rng.randrange(mod)])
+               for _ in range(n + 1)] for _ in range(f)]
+    return TruncatedSeries(field, n, rng.randint(-3, 3), rel, coords,
+                           bound=None if tail_zero else (0, 1, 0),
+                           tail_zero=tail_zero)
+
+
+@pytest.mark.parametrize("p,f,defpoly", [
+    (3, 2, None), (5, 2, None), (7, 2, None), (3, 3, None), (5, 3, None),
+    # the smallest irreducible polynomials above have no t^(f-1) term; these
+    # have one, so a column reduced early is read again
+    (5, 2, (2, 1, 1)), (3, 3, (1, 0, 2, 1)), (5, 3, (2, 0, 1, 1))])
+def test_mul_matches_exact_product_mod_g(p, f, defpoly):
+    field = UnramifiedField(p, f, 20, defpoly=defpoly)
+    rng = random.Random(300 + 10 * p + f + (defpoly is not None))
+    for case in range(24):
+        # exact times exact (full length), exact times truncated, truncated
+        # times truncated (shorter length), and length-one factors
+        a = random_series(rng, field, rng.choice([0, rng.randint(1, 25)]),
+                          case % 3 != 2)
+        b = random_series(rng, field, rng.choice([0, rng.randint(1, 25)]),
+                          case % 3 == 0)
+        prod = a * b
+        assert prod.n == (a.n + b.n if a.tail_zero and b.tail_zero
+                          else min(x.n for x in (a, b) if not x.tail_zero))
+        assert prod.shift == a.shift + b.shift
+        assert prod.prec == min(a.prec + b.vmin, b.prec + a.vmin)
+        mod = p ** prod.rel
+        assert prod.coords == [[c % mod for c in col] for col in
+                               exact_product_columns(a, b, prod.n)]
