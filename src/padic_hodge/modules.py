@@ -96,6 +96,7 @@ class FilteredPhiModule:
         if validate:
             self._validate()
         self._lattice = None
+        self._lattice_error = None  # why the lattice cannot be enumerated
         self._t_N = None      # t_N of each _lattice member
         self._hodge = None    # (h, t_H) of each _lattice member, or None
 
@@ -206,10 +207,21 @@ class FilteredPhiModule:
         Complete when the characteristic polynomial of the linearized phi^f
         is squarefree, or for d <= 3 through the primary decomposition;
         raises EnumerationUnsupportedError outside the certified regime
-        (e.g. a scalar block, whose invariant lattice is infinite).
+        (e.g. a scalar block, whose invariant lattice is infinite).  The
+        module keeps the lattice, or that error, and later calls return the
+        one or raise the other again without a second search.
         """
-        if self._lattice is not None:
-            return self._lattice
+        if self._lattice is None:
+            if self._lattice_error is not None:
+                raise self._lattice_error.with_traceback(None)
+            try:
+                self._build_lattice()
+            except EnumerationUnsupportedError as err:
+                self._lattice_error = err
+                raise
+        return self._lattice
+
+    def _build_lattice(self):
         field = self.field
         B = self.linearized_frobenius()
         roots, residual = find_k_roots(_charpoly(B, field), field)
@@ -249,7 +261,6 @@ class FilteredPhiModule:
         members.sort(key=lambda m: m[0].dimension)
         self._lattice, self._t_N = map(list, zip(*members))
         self._hodge = [None] * len(members)
-        return self._lattice
 
     def _poly_of_matrix(self, B, poly):
         """poly(B) for a coefficient list over K."""

@@ -5,7 +5,11 @@ integer residue vectors: coefficient i equals p^shift * (sum_l coords[l][i]
 t^l) and is known modulo p^(shift+rel).  Precision is tracked per series
 (the uniform window of its coefficients); every ring operation propagates
 the correct output precision using the minimum coefficient valuation of the
-other factor.
+other factor.  A product works in the window of its operands' live digits:
+each operand gives up the low digits that are zero in all its residues
+before the residues multiply, so a series whose shift lies below its least
+valuation (a quotient by log(1+x), say) costs no more than its normalized
+form.
 
 Tail knowledge takes one of three forms:
 
@@ -44,7 +48,7 @@ def _floor_logp(i: int, p: int) -> int:
 
 class TruncatedSeries:
     __slots__ = ("field", "n", "shift", "rel", "coords", "bound", "tail_zero",
-                 "_vmin", "_ycoords")
+                 "_vmin", "_ycoords", "_by_log")
 
     def __init__(self, field, n, shift, rel, coords, bound=None, tail_zero=False,
                  ycoords=None):
@@ -57,6 +61,7 @@ class TruncatedSeries:
         self.tail_zero = tail_zero
         self._vmin = None
         self._ycoords = ycoords
+        self._by_log = None   # quotient by log(1+x), kept by divide_by_log
 
     # -- constructors ---------------------------------------------------
 
@@ -305,7 +310,11 @@ class TruncatedSeries:
             n_out = int(min(na, nb))
             tz = False
         prec = min(self.prec + other.vmin, other.prec + self.vmin)
-        shift = self.shift + other.shift
+        # the window holds only the operands' live digits: a low digit that
+        # is zero in every residue of an operand is moved into its shift
+        # before the operands multiply, instead of being carried through
+        a, b = self.normalized(), other.normalized()
+        shift = a.shift + b.shift
         rel = prec - shift
         bound = _mul_profiles(self.effective_bound(), other.effective_bound())
         if rel <= 0:
@@ -315,9 +324,9 @@ class TruncatedSeries:
         f = field.f
         raw = [None] * (2 * f - 1)
         for l in range(f):
-            ca = self.coords[l]
+            ca = a.coords[l]
             for m in range(f):
-                cb = other.coords[m]
+                cb = b.coords[m]
                 pm = intpoly.polymul(ca, cb, mod, n_out + 1)
                 k = l + m
                 if raw[k] is None:

@@ -497,6 +497,12 @@ def divide_by_log(f: TruncatedSeries, n_max: int = 1) -> TruncatedSeries:
     layers n <= n_max must vanish within certified bounds, and the formal
     bottom-up division must be consistent.  Failures raise
     NotDivisibleError with the first witness.
+
+    The quotient does not depend on n_max, and a series is never changed
+    after it is made, so f keeps the quotient once made and a later call
+    on f returns that same object.  The checks at x = 0 and at the layers
+    n <= n_max of the call run on every call, before the kept quotient is
+    read.
     """
     field = f.field
     c0 = f.coeff(0)
@@ -511,6 +517,8 @@ def divide_by_log(f: TruncatedSeries, n_max: int = 1) -> TruncatedSeries:
             raise NotDivisibleError(
                 f"value at layer {n} has valuation {info}",
                 witness=(n, info))
+    if f._by_log is not None:
+        return f._by_log
     il = ilog_series(field, f.n)
     q = (f * il).shift_x(-1)
     if q.rel <= 0:
@@ -521,6 +529,7 @@ def divide_by_log(f: TruncatedSeries, n_max: int = 1) -> TruncatedSeries:
     if prof is not None:
         q = TruncatedSeries(q.field, q.n, q.shift, q.rel, q.coords,
                             (prof[0], max(prof[1] - 1, 0), prof[2]), False)
+    f._by_log = q
     return q
 
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from padic_hodge.padics import UnramifiedField
 from padic_hodge.series import TruncatedSeries, INFINITE
+from padic_hodge import intpoly
 from padic_hodge import seriesops as so
 from padic_hodge.errors import NotDivisibleError
 from padic_hodge import generators as gen
@@ -97,3 +99,63 @@ def test_divide_rejects_phi_of_log_factor(K5div):
     with pytest.raises(NotDivisibleError) as exc:
         so.divide_by_log(s, n_max=2)
     assert exc.value.witness[0] == 2
+
+
+def test_divide_twice_returns_kept_quotient(K5div, monkeypatch):
+    N = 125
+    lg = so.log_series(K5div, N)
+    h = TruncatedSeries.make(K5div, [3, 1, 4, 1] + [0] * (N - 3), n=N)
+    f = (lg * h).truncate(N)
+    so.ilog_series(K5div, N)  # built before counting
+    products = []
+    polymul = intpoly.polymul
+    monkeypatch.setattr(intpoly, "polymul",
+                        lambda *args: products.append(args) or polymul(*args))
+    q = so.divide_by_log(f, n_max=1)
+    assert len(products) == 1
+    assert so.divide_by_log(f, n_max=1) is q
+    assert so.divide_by_log(f, n_max=2) is q
+    assert len(products) == 1
+    assert q.equals(h.truncate(q.n))
+
+
+def test_kept_quotient_still_checks_layers(K5div):
+    # ((1+x)^p - 1)*h vanishes at layer 1 but not at layer 2: the quotient
+    # kept by the n_max=1 call must not let an n_max=2 call through
+    N = 125
+    h = TruncatedSeries.make(K5div, [2, 1, 1] + [0] * (N - 2), n=N)
+    f = ((TruncatedSeries.x_plus_one_power(K5div, 5, N)
+          - TruncatedSeries.one(K5div, N)) * h).truncate(N)
+    q = so.divide_by_log(f, n_max=1)
+    for _ in range(2):
+        with pytest.raises(NotDivisibleError) as exc:
+            so.divide_by_log(f, n_max=2)
+        assert exc.value.witness[0] == 2
+    assert so.divide_by_log(f, n_max=1) is q
+
+
+def random_k_series(field, rng, n, deg):
+    """A polynomial of degree deg over K with a unit constant term, every
+    t-coordinate drawn, padded to degree n."""
+    p, f = field.p, field.f
+    mod = p ** field.work_prec
+    coords = [[rng.randrange(mod) if i <= deg else 0 for i in range(n + 1)]
+              for _ in range(f)]
+    coords[0][0] = rng.randrange(1, p) + p * rng.randrange(mod // p)
+    return TruncatedSeries(field, n, 0, field.work_prec, coords,
+                           tail_zero=True)
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_divide_recovers_cofactor_seeded(p, f):
+    field = UnramifiedField(p, f, 20, work_margin=60)
+    rng = random.Random(50 * p + f)
+    N = p * p
+    lg = so.log_series(field, N)
+    for _ in range(3):
+        h = random_k_series(field, rng, N, rng.randint(0, 4))
+        q = so.divide_by_log((lg * h).truncate(N), n_max=1)
+        # the quotient keeps most of the 80-digit window
+        assert q.n == N - 1 and q.prec >= 60
+        assert q.equals(h.truncate(q.n))

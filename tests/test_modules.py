@@ -15,6 +15,7 @@ from padic_hodge.modules import (FilteredPhiModule, Subspace, CertificateRow,
 from padic_hodge.errors import (EnumerationUnsupportedError, NotStableError,
                                 PadicError, PrecisionError)
 from padic_hodge.linalg import inverse, mat_mul
+from padic_hodge import modules
 from padic_hodge import generators as gen
 
 
@@ -97,6 +98,24 @@ def test_scalar_block_unsupported(K5):
     m = FilteredPhiModule(K5, A, [(0, full2(K5))])
     with pytest.raises(EnumerationUnsupportedError):
         m.phi_stable_subspaces()
+
+
+def test_scalar_block_error_is_kept(K5, monkeypatch):
+    # the module keeps the EnumerationUnsupportedError of its first search
+    # and raises it again without a second root search
+    A = [[K5.one(), K5.zero()], [K5.zero(), K5.one()]]
+    m = FilteredPhiModule(K5, A, [(0, full2(K5))])
+    with pytest.raises(EnumerationUnsupportedError) as first:
+        m.phi_stable_subspaces()
+    searches = []
+    monkeypatch.setattr(modules, "find_k_roots",
+                        lambda *args: searches.append(args))
+    with pytest.raises(EnumerationUnsupportedError) as again:
+        m.phi_stable_subspaces()
+    with pytest.raises(EnumerationUnsupportedError):
+        m.is_weakly_admissible()
+    assert searches == []
+    assert str(again.value) == str(first.value)
 
 
 def test_induced_submodule(K5):

@@ -219,6 +219,23 @@ def test_cli_verify_contradiction_reports_undecided_case(tmp_path):
     assert lines[-1] == "result\tFAIL\t4 cases, 1 failures"
 
 
+def test_cli_verify_divisibility_reports_undecided_case(tmp_path):
+    # p = 3 at the default truncation 27: case 11's determinant cannot be
+    # decided at layer 1; the suite prints every case and fails on that one
+    # instead of exiting 2
+    path = tmp_path / "p3_n27.json"
+    path.write_text(json.dumps({"p": 3}))
+    code, out = run_cli("verify", "divisibility", "--config", str(path),
+                        "--count", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 2 + 13 + 1
+    assert lines[13] == ("case 11\tdet-log-divisibility\tFAIL\tinconclusive: "
+                         "certainty -14 below decision threshold 1; raise "
+                         "the truncation degree")
+    assert lines[-1] == "result\tFAIL\t13 cases, 1 failures"
+
+
 def test_cli_twist_tensor_wedge_tilde(tmp_path):
     code, out = run_cli("twist", "-m", "qp1", "--k", "1")
     assert code == 0

@@ -2,13 +2,16 @@
 bound against its full scan, and products over f > 1 against exact integer
 products reduced modulo the defining polynomial."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from padic_hodge import intpoly
 from padic_hodge.padics import UnramifiedField, vp_int
-from padic_hodge.series import TruncatedSeries, tail_valuation_bound, _floor_logp
+from padic_hodge.series import (TruncatedSeries, tail_valuation_bound,
+                                _floor_logp, _mul_profiles)
 
 
 FIELDS = {(p, f): UnramifiedField(p, f, 20) for p in (3, 5, 7) for f in (1, 2)}
@@ -145,6 +148,19 @@ def exact_product_columns(a, b, n_out):
     return cols
 
 
+def readings(s):
+    """(valuation, precision, residues) of every tracked coefficient."""
+    return [(c.val, c.prec, c.res) for c in s.coefficients()]
+
+
+def wide_product(a, b, prod):
+    """The exact product in the window shift(a) + shift(b), low digits that
+    are zero in every residue included, at the precision of ``prod``."""
+    shift = a.shift + b.shift
+    return TruncatedSeries(a.field, prod.n, shift, prod.prec - shift,
+                           exact_product_columns(a, b, prod.n))
+
+
 def random_series(rng, field, n, tail_zero):
     p, f = field.p, field.f
     rel = rng.choice([1, rng.randint(2, 60)])
@@ -174,8 +190,79 @@ def test_mul_matches_exact_product_mod_g(p, f, defpoly):
         prod = a * b
         assert prod.n == (a.n + b.n if a.tail_zero and b.tail_zero
                           else min(x.n for x in (a, b) if not x.tail_zero))
-        assert prod.shift == a.shift + b.shift
+        # the product's window is that of the normalized operands
+        na, nb = a.normalized(), b.normalized()
+        assert prod.shift == na.shift + nb.shift
         assert prod.prec == min(a.prec + b.vmin, b.prec + a.vmin)
         mod = p ** prod.rel
         assert prod.coords == [[c % mod for c in col] for col in
-                               exact_product_columns(a, b, prod.n)]
+                               exact_product_columns(na, nb, prod.n)]
+        assert readings(prod) == readings(wide_product(a, b, prod))
+
+
+def dead_digit_series(rng, field, n, tail_zero):
+    """A series whose residues are all divisible by p^k with 1 <= k < rel
+    (or, one time in six, all zero)."""
+    p, f = field.p, field.f
+    rel = rng.randint(2, 60)
+    k = rng.randint(1, rel - 1)
+    zero = rng.randrange(6) == 0
+    coords = [[0 if zero else p ** k * rng.randrange(p ** (rel - k))
+               for _ in range(n + 1)] for _ in range(f)]
+    if not zero:
+        coords[rng.randrange(f)][rng.randint(0, n)] = \
+            random_residue(rng, p, rel, k)
+    return TruncatedSeries(field, n, rng.randint(-40, 3), rel, coords,
+                           bound=None if tail_zero else (0, 1, 0),
+                           tail_zero=tail_zero)
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_mul_drops_dead_digits(p, f, monkeypatch):
+    # operands whose low digits are zero in every residue: the product's
+    # values, precision, degree and bound are those of the exact product in
+    # the wide window, and polymul sees only the operands' live digits
+    field = UnramifiedField(p, f, 20)
+    rng = random.Random(700 + 10 * p + f)
+    calls = []
+
+    def spy(a, b, mod, n):
+        calls.append((a, b, mod))
+        return polymul(a, b, mod, n)
+
+    polymul = intpoly.polymul
+    monkeypatch.setattr(intpoly, "polymul", spy)
+    for case in range(30):
+        n_a, n_b = rng.randint(0, 20), rng.randint(0, 20)
+        # exact times exact, exact times truncated, truncated times exact
+        a = dead_digit_series(rng, field, n_a, case % 3 != 2)
+        b = (dead_digit_series(rng, field, n_b, case % 3 != 1)
+             if case % 4 else random_series(rng, field, n_b, case % 3 != 1))
+        if case % 10 == 9:
+            # an operand with no window: the product is zero at its precision
+            a = TruncatedSeries.zero(field, n_a, prec=rng.randint(-3, 0))
+        for x, y in ((a, b), (b, a)):
+            calls.clear()
+            prod = x * y
+            assert prod.n == (x.n + y.n if x.tail_zero and y.tail_zero
+                              else min(s.n for s in (x, y) if not s.tail_zero))
+            assert prod.prec == min(x.prec + y.vmin, y.prec + x.vmin)
+            assert prod.bound == _mul_profiles(x.effective_bound(),
+                                               y.effective_bound())
+            assert readings(prod) == readings(wide_product(x, y, prod))
+            rel = prod.prec - x.normalized().shift - y.normalized().shift
+            if rel <= 0:
+                # no live digit to multiply
+                assert calls == [] and prod.is_zero
+                continue
+            assert prod.rel == rel and len(calls) == f * f
+            assert {mod for _, _, mod in calls} == {p ** prod.rel}
+            for s, side in ((x, 0), (y, 1)):
+                if not s.is_zero:
+                    # the residues that reach polymul have no common factor p
+                    g = math.gcd(*(r for call in calls for r in call[side]))
+                    assert g % p
+            if not (x.is_zero or y.is_zero):
+                assert prod.rel == prod.prec - x.vmin - y.vmin
+

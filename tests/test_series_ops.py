@@ -375,8 +375,11 @@ def test_divide_by_log_on_cached_ilog_matches_fresh(p, f, N):
             # (possibly lower) window of a truncated cached series
             assert cur.prec + il.vmin <= il.prec + cur.vmin
             q = so.divide_by_log(cur, n_max=1)
+            # a copy of cur has no kept quotient, so it is divided afresh
+            copy = TruncatedSeries(field, *_layout(cur))
             fresh = _on_empty_cache(
-                field, lambda: so.divide_by_log(cur, n_max=1))
+                field, lambda: so.divide_by_log(copy, n_max=1))
+            assert fresh is not q
             assert _layout(q) == _layout(fresh)
             cur = q
         assert cur.equals(h.truncate(cur.n))
