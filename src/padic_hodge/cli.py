@@ -243,13 +243,13 @@ def cmd_series_order(args):
     cfg = _load_config(args)
     field = _series_field_for(args, cfg)
     node = ser.load_json(args.infile)
-    if "terms" in node:
-        lp = ser.logpoly_from_json(node, field)
+    if isinstance(node, dict) and "terms" in node:
+        lp = ser.logpoly_from_json(node, field, str(args.infile))
         order = so.growth_order(lp)
         _emit(args, [f"growth_order\t{order}\texact"],
               {"order": order, "exact": True})
         return EXIT_OK
-    s = ser.series_from_json(node, field)
+    s = ser.series_from_json(node, field, str(args.infile))
     lo, hi = so.growth_order_estimate(s, args.nmax or cfg.n_max)
     _emit(args, [f"growth_order_estimate\t[{lo}, {hi}]\testimate"],
           {"interval": [_frac(lo), _frac(hi)], "exact": False})
@@ -258,7 +258,7 @@ def cmd_series_order(args):
 
 def _load_vector_series(path, module):
     node = ser.load_json(path)
-    comps = node.get("components")
+    comps = node.get("components") if isinstance(node, dict) else None
     if not isinstance(comps, list) or len(comps) != module.d:
         raise PadicError(
             f"{path}: expected 'components' with {module.d} series")

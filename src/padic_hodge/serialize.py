@@ -24,6 +24,7 @@ field.
 from fractions import Fraction
 import json
 
+from .config import is_prime
 from .errors import SchemaError
 from .padics import FieldElement, UnramifiedField
 from .series import TruncatedSeries
@@ -33,6 +34,15 @@ from .modules import FilteredPhiModule, Subspace
 
 def _fail(path, msg):
     raise SchemaError(f"{path}: {msg}")
+
+
+def _int_at(node, key, path, default, least=0):
+    """node[key] (or ``default`` when absent): an int, bools excluded, of at
+    least ``least``."""
+    value = node.get(key, default)
+    if type(value) is not int or value < least:
+        _fail(f"{path}.{key}", f"expected int >= {least}, got {value!r}")
+    return value
 
 
 def rational_to_json(x):
@@ -99,15 +109,21 @@ def scalar_from_json(node, field, path="scalar"):
     if not isinstance(node, dict):
         _fail(path, "expected scalar object, int or string")
     prec = node.get("prec", field.work_prec)
-    if not isinstance(prec, int):
+    if type(prec) is not int:
         _fail(path + ".prec", "expected int")
     val = node.get("val")
     if val is None:
         return field.zero(prec)
-    if not isinstance(val, int):
+    if type(val) is not int:
         _fail(path + ".val", "expected int or null")
+    if prec <= val:
+        _fail(path + ".prec", f"a nonzero scalar needs prec above val {val}, "
+                              f"got {prec}")
     p = field.p
-    unit = _digits_from_str(node.get("unit", ""), p, path + ".unit")
+    unit = node.get("unit", "")
+    if not isinstance(unit, str):
+        _fail(path + ".unit", "expected a digit string")
+    unit = _digits_from_str(unit, p, path + ".unit")
     if unit % p == 0:
         _fail(path + ".unit", "unit part must not be divisible by p")
     return field.from_residues(val, (unit,) + (0,) * (field.f - 1), prec)
@@ -150,9 +166,7 @@ def series_to_json(s: TruncatedSeries):
 def series_from_json(node, field, path="series"):
     if not isinstance(node, dict):
         _fail(path, "expected series object")
-    n = node.get("trunc")
-    if not isinstance(n, int) or n < 0:
-        _fail(path + ".trunc", "expected non-negative int")
+    n = _int_at(node, "trunc", path, None)
     coeffs_node = node.get("coeffs")
     if not isinstance(coeffs_node, list):
         _fail(path + ".coeffs", "expected array")
@@ -161,11 +175,16 @@ def series_from_json(node, field, path="series"):
     b = rational_from_json(node.get("bound"), path + ".bound")
     bound = None
     if b is not None:
-        bound = (b, node.get("log_slope", 0), node.get("index_shift", 0))
-    tail_zero = bool(node.get("tail_zero", bound is None))
+        bound = (b, _int_at(node, "log_slope", path, 0),
+                 _int_at(node, "index_shift", path, 0))
+    tail_zero = node.get("tail_zero", bound is None)
+    if not isinstance(tail_zero, bool):
+        _fail(path + ".tail_zero", "expected true or false")
+    prec = node.get("prec")
+    if prec is not None and type(prec) is not int:
+        _fail(path + ".prec", "expected int or null")
     return TruncatedSeries.make(field, coeffs, n=n, bound=bound,
-                                tail_zero=tail_zero,
-                                prec=node.get("prec"))
+                                tail_zero=tail_zero, prec=prec)
 
 
 def logpoly_to_json(lp: LogPolynomial):
@@ -174,8 +193,8 @@ def logpoly_to_json(lp: LogPolynomial):
 
 
 def logpoly_from_json(node, field, path="logpoly"):
-    if not isinstance(node, dict) or "terms" not in node:
-        _fail(path, "expected object with 'terms'")
+    if not isinstance(node, dict) or not isinstance(node.get("terms"), dict):
+        _fail(path + ".terms", "expected an object of series by exponent")
     terms = {}
     for key, sub in node["terms"].items():
         try:
@@ -210,19 +229,25 @@ def module_from_json(node, path="module", precision=None, work_margin=None,
         if key not in node:
             _fail(f"{path}.{key}", "missing required field")
     p = node["p"]
-    f = node.get("f", 1)
-    if not (isinstance(p, int) and isinstance(f, int)):
-        _fail(path, "'p' and 'f' must be integers")
-    prec = precision or node.get("precision", 20)
-    margin = work_margin if work_margin is not None else \
-        node.get("work_margin", 24)
+    if type(p) is not int or p == 2 or not is_prime(p):
+        _fail(f"{path}.p", f"expected an odd prime, got {p!r}")
+    f = _int_at(node, "f", path, 1, 1)
+    # the file's keys are checked even where the caller overrides them
+    prec = _int_at(node, "precision", path, 20, 1)
+    margin = _int_at(node, "work_margin", path, 24)
+    prec = precision or prec
+    margin = margin if work_margin is None else work_margin
     defpoly = node.get("defpoly")
+    if defpoly is not None and not (
+            isinstance(defpoly, list) and
+            all(type(c) is int for c in defpoly)):
+        _fail(f"{path}.defpoly", "expected an array of ints or null")
     try:
         field = UnramifiedField(p, f, prec, defpoly=defpoly,
                                work_margin=margin, guard=guard)
     except ValueError as e:
         _fail(f"{path}.defpoly", str(e))
-    d = node["dim"]
+    d = _int_at(node, "dim", path, None)
     phi_node = node["phi"]
     if not (isinstance(phi_node, list) and len(phi_node) == d and
             all(isinstance(r, list) and len(r) == d for r in phi_node)):
@@ -239,8 +264,10 @@ def module_from_json(node, path="module", precision=None, work_margin=None,
                 "basis" not in step:
             _fail(sp, "expected {'jump': int, 'basis': [[...]]}")
         j = step["jump"]
-        if not isinstance(j, int):
+        if type(j) is not int:
             _fail(sp + ".jump", "expected int")
+        if not isinstance(step["basis"], list):
+            _fail(sp + ".basis", "expected an array of vectors")
         vecs = []
         for vi, vec in enumerate(step["basis"]):
             if not isinstance(vec, list) or len(vec) != d:

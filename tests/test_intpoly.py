@@ -84,6 +84,64 @@ def test_taylor_shift_matches_binomials():
             assert got == expect
 
 
+def binomial_shift(coeffs, delta, mod):
+    """f(x + delta) for delta = +-1 by the direct binomial sum over Z,
+    reduced at the end: c_i C(i, k) delta^(i-k) is added to x^k, each term
+    the last times (i - k) / ((k + 1) delta), an exact division."""
+    out = [0] * len(coeffs)
+    for i, c in enumerate(coeffs):
+        term = c * delta ** i
+        for k in range(i + 1):
+            out[k] += term
+            term = term * (i - k) // ((k + 1) * delta)
+    return [x % mod for x in out]
+
+
+LEAF = intpoly._LEAF
+
+
+@pytest.mark.parametrize("digits", [1, 60, 230])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_taylor_shift_across_the_leaf(p, digits):
+    # lengths on both sides of the packed leaf and of the first split, the
+    # empty input, and every entry mod - 1 (the largest limb sums)
+    rng = random.Random(100 * p + digits)
+    mod = p ** digits
+    for n in (0, 1, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF, 2 * LEAF + 1):
+        for a in ([rng.randrange(mod) for _ in range(n)], [mod - 1] * n):
+            for delta in (1, -1):
+                assert intpoly.taylor_shift(a, delta, mod) == \
+                    binomial_shift(a, delta, mod), (n, delta)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_taylor_shift_on_stretched_vectors(p):
+    # phi's shift: a p-sparse vector of length p N + 1 at N = p^3 (626 and
+    # 2402 coefficients), whose leaves see one nonzero entry in p; the
+    # oracle takes about a second at 2402, so each input gets one delta
+    rng = random.Random(p)
+    n = p ** 3
+    for digits in (1, 60, 230):
+        mod = p ** digits
+        for y, delta in (([rng.randrange(mod) for _ in range(n + 1)], 1),
+                         ([mod - 1] * (n + 1), -1)):
+            y = intpoly.stretch(y, p, p * n + 1)
+            assert intpoly.taylor_shift(y, delta, mod) == \
+                binomial_shift(y, delta, mod), (digits, delta)
+
+
+def test_taylor_shift_multiplies_only_above_the_leaf(monkeypatch):
+    calls = []
+    real = intpoly.polymul
+    monkeypatch.setattr(intpoly, "polymul",
+                        lambda *args: calls.append(args) or real(*args))
+    mod = 5 ** 20
+    intpoly.taylor_shift([mod - 1] * LEAF, -1, mod)
+    assert calls == []
+    intpoly.taylor_shift([mod - 1] * (LEAF + 1), -1, mod)
+    assert len(calls) == 1
+
+
 def test_shift_roundtrip():
     rng = random.Random(3)
     mod = 7 ** 15
@@ -164,6 +222,27 @@ def test_compose_large_against_polymul_horner(p, len_f, digits):
     assert intpoly.compose(f, short, mod, len_f) == \
         horner(f, short, mod, len_f, intpoly.polymul)
     assert intpoly.compose(f, [0], mod, len_f) == [f[0]] + [0] * (len_f - 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_compose_with_a_zero_tail(p):
+    # g = (1+x)^c - 1 padded with zeros to out_len, as integer gamma_c hands
+    # it over, also with tail entries that are multiples of mod; and short
+    # g whose powers outgrow out_len
+    rng = random.Random(7 * p)
+    for digits in (1, 20, 60):
+        mod = p ** digits
+        for len_f, out_len in ((126, 126), (30, 20), (17, 40), (5, 3), (1, 9)):
+            f = [rng.randrange(mod) for _ in range(len_f)]
+            mul = naive_mul if len_f * out_len < 2000 else intpoly.polymul
+            for c in (2, 6, 14):
+                h = [0] + [comb(c, i) for i in range(1, c + 1)]
+                short = [0] + [rng.randrange(mod) for _ in range(c)]
+                for g in (h + [0] * out_len, h + [mod, 0, 2 * mod],
+                          short + [0] * out_len):
+                    g = g[:max(out_len, len(h))]
+                    assert intpoly.compose(f, g, mod, out_len) == \
+                        horner(f, g, mod, out_len, mul), (len_f, out_len, c)
 
 
 def test_compose_requires_zero_constant_term():

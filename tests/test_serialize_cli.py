@@ -386,3 +386,98 @@ def test_element_json_keeps_one_precision():
         with pytest.raises(SchemaError) as exc:
             ser.element_from_json(bad, K, path="e")
         assert where in str(exc.value)
+
+
+_MODULE = {"p": 5, "f": 1, "defpoly": [0, 1], "dim": 2,
+           "phi": [["0", "-1"], ["1/5", "0"]],
+           "filtration": [{"jump": -1, "basis": [["1", "0"], ["0", "1"]]},
+                          {"jump": 0, "basis": [["1", "1"]]}]}
+_SERIES = {"trunc": 6, "bound": 0, "log_slope": 1, "index_shift": 0,
+           "tail_zero": False, "coeffs": [1, 2, 0, 3, 1, 0, 4]}
+_LOGPOLY = {"terms": {"0": _SERIES}}
+_LATE_SCALAR = {"val": 5, "unit": "1", "prec": 3}
+
+
+def _with(node, keys, value):
+    """A deep copy of ``node`` with the entry at ``keys`` set to ``value``."""
+    node = json.loads(json.dumps(node))
+    inner = node
+    for k in keys[:-1]:
+        inner = inner[k]
+    inner[keys[-1]] = value
+    return node
+
+
+@pytest.mark.parametrize("base, keys, value, where", [
+    (_MODULE, ("filtration", 0, "basis"), 3, ".filtration[0].basis"),
+    (_MODULE, ("p",), 4, ".p"),
+    (_MODULE, ("p",), 2, ".p"),
+    (_MODULE, ("p",), "5", ".p"),
+    (_MODULE, ("f",), 0, ".f"),
+    (_MODULE, ("precision",), "20", ".precision"),
+    (_MODULE, ("precision",), 20.5, ".precision"),
+    (_MODULE, ("work_margin",), "24", ".work_margin"),
+    (_MODULE, ("dim",), "2", ".dim"),
+    (_MODULE, ("defpoly",), 3, ".defpoly"),
+    (_MODULE, ("defpoly",), [0, 2], ".defpoly"),
+    (_MODULE, ("filtration", 1, "basis"), [["1", "0"], ["0", "1"]], ""),
+    (_MODULE, ("filtration", 1, "jump"), True, ".filtration[1].jump"),
+    (_MODULE, ("phi", 0, 1), [_LATE_SCALAR], ".phi[0][1][0].prec"),
+    (_MODULE, ("phi", 0, 1), [{"val": 0, "unit": 1, "prec": 9}],
+     ".phi[0][1][0].unit"),
+    (_SERIES, ("prec",), "20", ".prec"),
+    (_SERIES, ("log_slope",), "x", ".log_slope"),
+    (_SERIES, ("index_shift",), -1, ".index_shift"),
+    (_SERIES, ("trunc",), "6", ".trunc"),
+    (_SERIES, ("tail_zero",), "false", ".tail_zero"),
+    (_SERIES, ("coeffs", 2), [_LATE_SCALAR], ".coeffs[2][0].prec"),
+    (_LOGPOLY, ("terms",), [_SERIES], ".terms"),
+    (_LOGPOLY, ("terms", "0", "log_slope"), "x", ".terms.0.log_slope"),
+], ids=["basis-int", "p-composite", "p-two", "p-str", "f-zero",
+        "precision-str", "precision-float", "margin-str", "dim-str",
+        "defpoly-int", "defpoly-not-monic", "filtration-not-decreasing",
+        "jump-bool", "scalar-prec-below-val", "unit-int",
+        "series-prec-str", "log-slope-str", "index-shift-negative",
+        "trunc-str", "tail-zero-str", "coeff-prec-below-val",
+        "terms-list", "term-log-slope-str"])
+def test_malformed_json_names_the_field_and_exits_2(tmp_path, capsys, base,
+                                                    keys, value, where):
+    # exit 1 is a certified negative verdict: a bad file must exit 2
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_with(base, keys, value)))
+    field = UnramifiedField(5, 1, 20)
+    if base is _MODULE:
+        argv = ["slopes", "-m", str(path)]
+        parse = lambda: ser.parse_module_file(path)
+    elif base is _SERIES:
+        argv = ["series", "apply", "--op", "phi", "--in", str(path)]
+        parse = lambda: ser.parse_series_file(path, field)
+    else:
+        argv = ["series", "order", "--in", str(path)]
+        parse = lambda: ser.logpoly_from_json(ser.load_json(path), field,
+                                              str(path))
+    with pytest.raises(SchemaError) as exc:
+        parse()
+    assert str(exc.value).startswith(f"{path}{where}: ")
+    assert main(argv) == 2
+    assert f"error: {path}{where}: " in capsys.readouterr().err
+
+
+def test_well_formed_bases_of_the_malformed_table_parse(tmp_path):
+    # the table's bases are valid, short unit strings included
+    m = ser.module_from_json(_with(_MODULE, ("phi", 0, 1),
+                                   [{"val": 0, "unit": "4", "prec": 20}]))
+    assert m.d == 2
+    s = ser.series_from_json(_SERIES, UnramifiedField(5, 1, 20))
+    assert (s.n, s.tail_zero, s.effective_bound()) == (6, False, (0, 1, 0))
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(_SERIES))
+    code, _ = run_cli("series", "apply", "--op", "phi", "--in", str(path))
+    assert code == 0
+
+
+def test_vector_series_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "vector.json"
+    path.write_text("[1, 2]")
+    assert main(["amember", "-m", "supersingular", "--series", str(path)]) == 2
+    assert f"error: {path}: expected 'components'" in capsys.readouterr().err

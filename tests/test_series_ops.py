@@ -333,6 +333,61 @@ def test_operator_identities_random(K5):
         assert l.truncate(m).equals(r.truncate(m))
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("f", [1, 2])
+def test_integer_gamma_matches_schoolbook_substitution(p, f):
+    # an integer c hands compose the column of (1+x)^c - 1 padded with
+    # zeros; c = 14 > N at p = 3 has no zero tail, and c divisible by p is
+    # not a unit
+    field = UnramifiedField(p, f, 20)
+    rng = random.Random(10 * p + f)
+    n = p * p
+    for c in (2, 6, 14):
+        g = _random_series(field, rng, n, rng.random() < 0.5)
+        if c % p == 0:
+            with pytest.raises(ValueError):
+                so.gamma_action(g, c)
+            continue
+        out = so.gamma_action(g, c)
+        assert (out.n, out.shift, out.rel) == (g.n, g.shift, g.rel)
+        h = [0] + [comb(c, i) for i in range(1, c + 1)]
+        mod = p ** g.rel
+        for col, got in zip(g.coords, out.coords):
+            assert got == (_int_compose(col, h, mod) + [0] * n)[:n + 1], c
+
+
+def _round_trip_sizes():
+    for p in (3, 5, 7, 11):
+        for f in (1, 2, 3):
+            yield p, f, p * p
+            if p <= 7:
+                yield p, f, p ** 3
+
+
+@pytest.mark.parametrize("p, f, N", list(_round_trip_sizes()))
+def test_operator_round_trips(p, f, N):
+    # psi phi = id, D phi = p phi D, psi D = p D psi and D gamma_c =
+    # c gamma_c D on an exact polynomial; at N = p^3 phi shifts p N + 1
+    # coefficients (2402 at p = 7), many packed leaves.  On a truncated
+    # series psi depends on the unknown tail, so only the identities
+    # without psi are checked there.
+    field = UnramifiedField(p, f, 20)
+    rng = random.Random(N + 10 * f)
+    c = rng.choice([u for u in range(2, 15) if u % p])
+    for tail_zero in (True, False):
+        g = _random_series(field, rng, N, tail_zero)
+        pairs = [(so.d_op(so.phi_op(g)), so.phi_op(so.d_op(g)), p),
+                 (so.d_op(so.gamma_action(g, c)),
+                  so.gamma_action(so.d_op(g), c), c)]
+        if tail_zero:
+            assert so.psi_op(so.phi_op(g)).truncate(N).equals(g)
+            pairs.append((so.psi_op(so.d_op(g)), so.d_op(so.psi_op(g)), p))
+        for l, r, k in pairs:
+            r = r._scalar_mul(k)
+            m = min(l.n, r.n)
+            assert l.truncate(m).equals(r.truncate(m)), (tail_zero, c)
+
+
 # -- x/log(1+x): one cached series per field -------------------------------
 
 def _on_empty_cache(field, fn):
