@@ -8,15 +8,19 @@ even- and odd-index halves, packed at limbs of 2W bits and evaluated at
 +2^W and -2^W, so the product costs two big-integer multiplications of half
 the width of a single-point packing.  Sum and difference of the two values
 give the even and odd coefficients of the product exactly, because each of
-them is non-negative and below 2^(2W).  Taylor shifts f(x) -> f(x + delta)
-are a divide-and-conquer stack of such products down to blocks of at most
-``_LEAF`` coefficients; each block is one big-integer sum of packed rows of
-(x + delta)^i, unpacked once.  Composition f(g(x)) is Brent-Kung
-baby-step/giant-step: the baby powers of g, each at its true degree, are
-packed once, each block of f becomes an integer combination of those packed
-integers, and only the giant steps cost polynomial products.  Everything
-here is exact integer arithmetic; reduction mod p^R happens only at unpack
-time.
+them is non-negative and below 2^(2W).  Wide products take Harvey's
+four-point variant instead: the same evaluation at limbs of about W bits,
+of the product and of its reversal, so four multiplications of a quarter
+of the width; each coefficient's low half is read from the first value and
+its high half from the second, in one pass.  Taylor shifts
+f(x) -> f(x + delta) are a divide-and-conquer stack of such products down
+to blocks of at most ``_LEAF`` coefficients; each block is one big-integer
+sum of packed rows of (x + delta)^i, unpacked once.  Composition f(g(x)) is
+Brent-Kung baby-step/giant-step: the baby powers of g, each at its true
+degree, are packed once, each block of f becomes an integer combination of
+those packed integers, and only the giant steps cost polynomial products.
+Everything here is exact integer arithmetic; reduction mod p^R happens
+only at unpack time.
 ``remainder`` reduces modulo a monic integer polynomial by synthetic
 division; it is the one reduction of K = Q_p[t]/(g) and of the values at
 the cyclotomic layers.
@@ -47,6 +51,71 @@ def unpack(n: int, count: int, limb_bytes: int):
             for pos in range(0, limb_bytes * count, limb_bytes)]
 
 
+# polymul reads four-point once (min(len a, len b) * limb bits)^2 reaches
+# _FOUR_POINT * max(coefficients kept, min(len a, len b)); its docstring
+# gives the measurement
+_FOUR_POINT = 1 << 24
+
+
+def _two_point(a, b, limb_bytes: int):
+    """Even and odd coefficient classes of a*b, each packed at limbs of
+    2W = 8 ``limb_bytes`` bits: the halves of each operand are packed at
+    that width and evaluated at +-2^W, and the sum and difference of the
+    two products are sum_i c_(2i) 2^(2Wi) and sum_i c_(2i+1) 2^(2Wi)."""
+    w = 4 * limb_bytes
+    a_even, a_odd = pack(a[0::2], limb_bytes), pack(a[1::2], limb_bytes) << w
+    b_even, b_odd = pack(b[0::2], limb_bytes), pack(b[1::2], limb_bytes) << w
+    at_plus = (a_even + a_odd) * (b_even + b_odd)
+    at_minus = (a_even - a_odd) * (b_even - b_odd)
+    return (at_plus + at_minus) >> 1, (at_plus - at_minus) >> (w + 1)
+
+
+def _four_point(a, b, hb: int, keep: int):
+    """First ``keep`` coefficients of a*b, not reduced, from the two-point
+    values of a*b and of its reversal at limbs of H = 8 ``hb`` bits, where
+    2H - 1 bits hold every coefficient."""
+    k = len(a) + len(b) - 1
+    forward = _two_point(a, b, hb)
+    reverse = _two_point(a[::-1], b[::-1], hb)
+    out = [0] * keep
+    for s in (0, 1):
+        # class s, c_s, c_(s+2), .., c_(s+2m), read from its last entry
+        # down is class (k - 1 - s) % 2 of the reversed product
+        m = (k - 1 - s) // 2
+        out[s::2] = _read_class(forward[s], reverse[(k - 1 - s) % 2], m,
+                                (keep + 1 - s) // 2, hb)
+    return out
+
+
+def _read_class(f: int, r: int, m: int, n: int, hb: int):
+    """d_0 .. d_(n-1) from F = sum_i d_i X^i and R = sum_i d_i X^(m-i),
+    X = 2^H, H = 8 ``hb``, given 0 <= d_i < X^2 / 2.
+
+    Write d_j = lo_j + X hi_j with lo_j, hi_j < X.  Digit j of F is lo_j
+    plus the carry of d_0 .. d_(j-1), which is hi_(j-1) plus the borrow of
+    the step before, so one pass from the bottom gives each lo_j.  The 2H
+    bits of R from H(m - j) up are d_j + X lo_(j-1) + e_j mod X^2, where
+    the spill of d_(j+1), d_(j+2), .. is e_j < (X^2 / 2) / (X - 1) < X:
+    with the spare bit it stays below one digit, so hi_j is the top digit
+    of that window less lo_(j-1), less one more when its bottom digit is
+    below lo_j."""
+    h = 8 * hb
+    low = (1 << h) - 1
+    digits = unpack(f & ((1 << h * n) - 1), n, hb)
+    # digits m + 1 down to m - n + 1 of R
+    top = unpack(r >> h * (m - n + 1), n + 1, hb)[::-1]
+    out = []
+    carry = prev = 0
+    for digit, upper, below in zip(digits, top, top[1:]):
+        t = digit - carry
+        lo = t & low
+        hi = (upper - prev + ((below - lo) >> h)) & low
+        carry = hi - (t >> h)
+        prev = lo
+        out.append(lo + (hi << h))
+    return out
+
+
 def polymul(a, b, mod: int, out_len: int):
     """Truncated product of coefficient vectors ``a`` and ``b`` mod ``mod``.
 
@@ -64,27 +133,57 @@ def polymul(a, b, mod: int, out_len: int):
     residues in [0, mod), so it is non-negative and below 2^(2W): the two
     packed halves read back exactly, limb by limb, and nothing carries
     between limbs.
+
+    Four-point (Harvey's KS4) for wide products.  The same evaluation is
+    made at limbs of only H bits, 2H = 2W rounded up to 16 bits, so 2H - 1
+    bits still hold a coefficient, both of a*b and of its reversal
+    x^(k-1) c(1/x), k = len a + len b - 1, the product of the reversed
+    operands: four products of a quarter of single-point width instead of
+    two of half.  The limbs of a class now overlap.  Class s of a*b,
+    c_s, c_(s+2), .., read from its last entry down, is class
+    (k - 1 - s) % 2 of the reversed product.  The forward value gives each
+    coefficient's low H bits, its carries taken off from the bottom, and
+    the reversed value its high H bits, read from the top: what the later
+    coefficients spill into a window there is below 2^H, because the spare
+    bit keeps each of them below 2^(2H - 1) (``_read_class``).
+
+    The readback is a Python loop over the coefficients kept and the extra
+    packing grows with the operands, while the saving grows about as the
+    square of the width.  So four-point runs once (min(len a, len b) 2W)^2
+    reaches ``_FOUR_POINT`` = 2^24 times max(kept, min(len a, len b)): from
+    min(len a, len b) 2W = 46 000 bits for a series product keeping 126
+    terms, from 102 000 for a Taylor-shift product of 626.  Measured on a
+    2-core host, Python 3.11.7 (four-point over two-point time, best of 11
+    interleaved calls, median of 3-5 inputs): a product of length-n
+    operands truncated to n breaks even at n 2W = 16 000 bits at 5^230,
+    32 000-48 000 at 7^60 and 5^60, 128 000 at 5^30; a full one at
+    16 000-32 000 (5^230), 64 000 (7^60) and 90 000-128 000 (5^60).  Above that
+    four-point takes 0.80 of the time at 5^230 and length 126, 0.84 for a
+    full product at 7^60 and length 364, 0.67-0.70 from length 500 at
+    5^230.  Of 288 cases (3^1 to 5^320, lengths 8-1000, out_len 1 to full)
+    the rule took the path slower by more than 5 % in 15: 13 products
+    truncated far below their operands' length stayed two-point (0.80-0.95
+    four-point), and two of length 8 at 5^320 went four-point (1.09-1.12).
     """
     if not a or not b:
         return [0] * out_len
     # operands may arrive from wider residue windows; reduce before packing
     a = [x % mod for x in a]
     b = [x % mod for x in b]
-    bits = _limb_bits(mod, min(len(a), len(b)))
-    lb, w = bits // 8, bits // 2
+    n = min(len(a), len(b))
+    bits = _limb_bits(mod, n)
     keep = min(out_len, len(a) + len(b) - 1)
-    a_even, a_odd = pack(a[0::2], lb), pack(a[1::2], lb) << w
-    b_even, b_odd = pack(b[0::2], lb), pack(b[1::2], lb) << w
-    at_plus = (a_even + a_odd) * (b_even + b_odd)
-    at_minus = (a_even - a_odd) * (b_even - b_odd)
-    # the limbs above `keep` are never read: mask them off before unpacking
-    n_even, n_odd = (keep + 1) // 2, keep // 2
-    even = ((at_plus + at_minus) >> 1) & ((1 << (bits * n_even)) - 1)
-    odd = ((at_plus - at_minus) >> (w + 1)) & ((1 << (bits * n_odd)) - 1)
-    out = [0] * out_len
-    out[0:keep:2] = [c % mod for c in unpack(even, n_even, lb)]
-    out[1:keep:2] = [c % mod for c in unpack(odd, n_odd, lb)]
-    return out
+    if (n * bits) ** 2 >= _FOUR_POINT * max(keep, n):
+        coeffs = _four_point(a, b, (bits + 15) // 16, keep)
+    else:
+        lb = bits // 8
+        even, odd = _two_point(a, b, lb)
+        # the limbs above `keep` are never read: mask them off first
+        n_even, n_odd = (keep + 1) // 2, keep // 2
+        coeffs = [0] * keep
+        coeffs[0::2] = unpack(even & ((1 << (bits * n_even)) - 1), n_even, lb)
+        coeffs[1::2] = unpack(odd & ((1 << (bits * n_odd)) - 1), n_odd, lb)
+    return [c % mod for c in coeffs] + [0] * (out_len - keep)
 
 
 def remainder(coeffs, low, mod: int):
@@ -141,10 +240,14 @@ def taylor_shift(coeffs, delta: int, mod: int):
     p-sparse), no limb overflows, and the block is unpacked once.
 
     96 is the measured crossover at mod 5^60 and 7^60, the operators'
-    window (2-core host, Python 3.11.7): a packed block of length n beats
-    one level of halving (two packed halves and one ``polymul``) up to
-    n = 96 there, up to n >= 256 at 5^20 and 3^1, and up to n = 48 at
-    5^230.
+    window (2-core host, Python 3.11.7, best of 15 interleaved calls,
+    median of 3 inputs): a packed block of length n, its rows sized for n
+    terms, beats one level of halving (two packed halves and one
+    ``polymul``) up to n = 96-128 there (0.91-0.95 at 96, 0.99-1.05 at
+    128), beyond 256 at 5^20 and 3^1, and below about 30 at 5^230 (1.03 at
+    32) and 20 at 5^320.  These are the same against the two- and the
+    four-point ``polymul``: at these lengths a halving product is
+    two-point, or at 5^320 four-point by a margin within the noise.
     """
     n = len(coeffs)
     if n <= _LEAF:
@@ -154,7 +257,7 @@ def taylor_shift(coeffs, delta: int, mod: int):
     h = n // 2
     lo = taylor_shift(coeffs[:h], delta, mod)
     hi = taylor_shift(coeffs[h:], delta, mod)
-    shifted_hi = polymul(hi, list(_binomial_row(h, delta, mod)), mod, n)
+    shifted_hi = polymul(hi, _binomial_row(h, delta, mod), mod, n)
     return [(c + s) % mod for c, s in zip(lo, shifted_hi)] + shifted_hi[h:]
 
 

@@ -1,7 +1,7 @@
 """Packed polynomial kernels against naive integer oracles."""
 
 import random
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
@@ -32,9 +32,10 @@ def test_polymul_matches_naive():
 @pytest.mark.parametrize("mod", [5, 5 ** 230], ids=["p^1", "p^230"])
 def test_polymul_edges_against_naive(mod):
     # out_len above, at and below the full length a*b; unequal and length-1
-    # operands; operand entries at and above mod
+    # operands; operand entries at and above mod; (70, 75) is four-point
+    # at p^230 up to its full length
     rng = random.Random(mod % 1000 + 7)
-    shapes = [(1, 1), (1, 9), (9, 1), (3, 17), (17, 3), (40, 40)]
+    shapes = [(1, 1), (1, 9), (9, 1), (3, 17), (17, 3), (40, 40), (70, 75)]
     for la, lb in shapes:
         full = la + lb - 1
         for _ in range(3):
@@ -49,23 +50,76 @@ def test_polymul_edges_against_naive(mod):
                     naive_mul(a, b, mod, out_len)
 
 
-@pytest.mark.parametrize("digits", [1, 60, 230])
+def four_point_length(mod):
+    """The least n at which ``polymul`` reads a product of two length-n
+    operands truncated to n four-point."""
+    n = 1
+    while (n * intpoly._limb_bits(mod, n)) ** 2 < intpoly._FOUR_POINT * n:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("digits", [1, 60, 230, 320])
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_polymul_worst_case_limbs(p, digits):
     # every entry mod - 1: the middle coefficients of the product reach the
     # limb bound, the only inputs where a limb one bit short would carry;
-    # lengths odd and even, and each half of the operands on both sides of
-    # CPython's Karatsuba cutoff (70 digits of 30 bits)
+    # lengths odd and even, each half of the operands on both sides of
+    # CPython's Karatsuba cutoff (70 digits of 30 bits), and lengths at the
+    # four-point crossover, balanced and not, with len a + len b - 1 odd
+    # and even; at twice the crossover length the full product is
+    # four-point too
     mod = p ** digits
-    for la in (1, 2, 3, 16, 17, 40, 41, 126, 313):
-        for lb in sorted({la, 1, 17, 41}):
-            a, b = [mod - 1] * la, [mod - 1] * lb
-            full = la + lb - 1
-            expect = naive_mul(a, b, mod, full + 2)
-            for out_len in {1, 2, full // 2, full // 2 + 1, max(full - 1, 1),
-                            full, full + 1, full + 2}:
-                assert intpoly.polymul(a, b, mod, out_len) == \
-                    expect[:out_len], (la, lb, out_len)
+    shapes = [(la, lb) for la in (1, 2, 3, 16, 17, 40, 41, 126, 313)
+              for lb in sorted({la, 1, 17, 41})]
+    x = four_point_length(mod)
+    if x < 300:
+        shapes += [(la, lb) for la in (x - 1, x, x + 1)
+                   for lb in (la, la + 1, 2 * la + 5)]
+        shapes += [(2 * x, 2 * x), (2 * x + 1, 2 * x)]
+    for la, lb in shapes:
+        a, b = [mod - 1] * la, [mod - 1] * lb
+        full = la + lb - 1
+        expect = naive_mul(a, b, mod, full + 2)
+        for out_len in {1, 2, full // 2, full // 2 + 1, max(full - 1, 1),
+                        full, full + 1, full + 2}:
+            assert intpoly.polymul(a, b, mod, out_len) == \
+                expect[:out_len], (la, lb, out_len)
+
+
+def test_polymul_four_point_at_the_spare_bit(monkeypatch):
+    # mod - 1 = m with 2 m^2 less than 2^H / 16 below 2^(2H), H = 280: the
+    # inner coefficients are all 2 m^2, so each spills almost 2^H into the
+    # window of the one before it, which limbs of H bits (no spare bit)
+    # would carry out of; every product here is read four-point
+    monkeypatch.setattr(intpoly, "_FOUR_POINT", 0)
+    x = 1 << 280
+    m = isqrt((x * x - 1) // 2)
+    assert x * x - 2 * m * m < x // 16
+    for la, lb in ((2, 2), (2, 6), (6, 2), (2, 7)):
+        a, b = [m] * la, [m] * lb
+        full = la + lb - 1
+        for out_len in {1, full - 1, full, full + 2}:
+            assert intpoly.polymul(a, b, m + 1, out_len) == \
+                naive_mul(a, b, m + 1, out_len), (la, lb, out_len)
+
+
+def test_polymul_four_point_only_from_the_crossover(monkeypatch):
+    # the crossover counts the coefficients kept: at the crossover length a
+    # truncated product is four-point and the full one is not
+    calls = []
+    real = intpoly._four_point
+    monkeypatch.setattr(intpoly, "_four_point",
+                        lambda *args: calls.append(args) or real(*args))
+    mod = 5 ** 230
+    x = four_point_length(mod)
+    a = [mod - 1] * x
+    intpoly.polymul(a[1:], a[1:], mod, x - 1)
+    assert calls == []
+    intpoly.polymul(a, a, mod, 2 * x - 1)
+    assert calls == []
+    intpoly.polymul(a, a, mod, x)
+    assert len(calls) == 1
 
 
 def test_taylor_shift_matches_binomials():
