@@ -260,7 +260,8 @@ def check_membership(g: VectorSeries, v: int, J, r, n_max: int,
     truncated, and the order condition is binding only when it is exact.
     A layer whose evaluation has no tail bound, whose certainty is below
     the decision level, or whose span solve is ill-conditioned gives an
-    'indeterminate' row.
+    'indeterminate' row.  Without ``tilde``, a truncated component (psi
+    undecided) makes the report indeterminate.
     """
     module = g.module
     field = module.field
@@ -275,7 +276,10 @@ def check_membership(g: VectorSeries, v: int, J, r, n_max: int,
     rows = []
     psi_zero = None
     if not tilde:
-        psi_zero = all(psi_op(c).is_zero for c in g.components)
+        try:
+            psi_zero = all(psi_op(c).is_zero for c in g.components)
+        except TailBoundError:
+            pass
     derivs = _derivative_ladder(g.components, -min_jump)
     for j in range(min_jump, v + 1):
         filj = module.fil_at(j)
@@ -315,7 +319,8 @@ def check_membership(g: VectorSeries, v: int, J, r, n_max: int,
     order_pass = None
     if order is not None and order.exact:
         order_pass = order.value <= Fraction(v) + Fraction(r)
-    indeterminate = any(row.status == "indeterminate" for row in rows)
+    indeterminate = (not tilde and psi_zero is None) or \
+        any(row.status == "indeterminate" for row in rows)
     verdict = (psi_zero is not False and order_pass is not False
                and not indeterminate
                and all(row.status != "non-member" for row in rows))

@@ -17,6 +17,11 @@ one synthetic division (``intpoly.remainder``).  The Frobenius lift sigma
 is computed once at field construction by Hensel iteration from t^p, kept
 as the integer matrix of the residues of sigma(t^l), and verified to have
 order f.
+
+Only the field knows this layout: a series asks it for ``sigma_columns``
+(sigma or sigma^-1 of residue columns, and the image's window) and
+``mul_columns`` (products of coordinate columns).  An element's sigma is
+``sigma_columns`` on columns of length 1: one window rule for both.
 """
 
 from fractions import Fraction
@@ -296,9 +301,6 @@ class FieldElement:
     def equals(self, other):
         return (self - other).is_zero
 
-    def sigma(self):
-        return self.field.sigma(self)
-
     def __repr__(self):
         p = self.field.p
         parts = []
@@ -513,28 +515,62 @@ class UnramifiedField:
                               + tuple(-c % mod for c in e[1:]), mod)
         return FieldElement(self, -v, rel - v, x)
 
-    def _apply_rows(self, rows, a):
-        """Sum_l res[l] * rows[l]: a residue vector through a linear map
-        that preserves valuations (sigma or its inverse)."""
+    def sigma_columns(self, cols, rel, inverse=False):
+        """(sigma, or sigma^-1, of residue columns known in the relative
+        window rel; the window of the image).  Column l holds coordinate l.
+        Row 0 of the map is exact and rows 1..f-1 are known to _sigma_prec
+        digits, so the window is capped at _sigma_prec plus the least
+        valuation in columns 1..f-1."""
+        if self.f == 1:
+            return cols, rel
+        g = gcd(*(r for col in cols[1:] for r in col))
+        if g:
+            rel = min(rel, self._sigma_prec + vp_int(g, self.p))
+        mod = self.p ** rel
+        rows = self._sigma_inv_rows if inverse else self._sigma_rows
+        out = []
+        for m in range(self.f):
+            acc = [0] * len(cols[0])
+            for row, col in zip(rows, cols):
+                s = row[m] % mod
+                if s:
+                    acc = [(a + s * c) % mod for a, c in zip(acc, col)]
+            out.append(acc)
+        return out, rel
+
+    def mul_columns(self, a, b, mod, out_len):
+        """The first out_len terms, mod ``mod``, of the product of two lists
+        of coordinate columns: one ``intpoly.polymul`` per pair of
+        coordinates, then the 2f - 1 raw columns reduced modulo g."""
+        if self.f == 1:
+            return [intpoly.polymul(a[0], b[0], mod, out_len)]
+        f = self.f
+        raw = [[0] * out_len for _ in range(2 * f - 1)]
+        for l, ca in enumerate(a):
+            for k, cb in enumerate(b, l):
+                pm = intpoly.polymul(ca, cb, mod, out_len)
+                raw[k] = [x + y for x, y in zip(raw[k], pm)]
+        for k in range(2 * f - 2, f - 1, -1):
+            for j, c in enumerate(self.defpoly[:f], k - f):
+                raw[j] = [x - c * y for x, y in zip(raw[j], raw[k])]
+        return [[x % mod for x in col] for col in raw[:f]]
+
+    def _sigma_element(self, a, inverse):
+        """sigma or sigma^-1 of an element, as columns of length 1."""
         if a.val is None:
             return a
-        rel = min(a.prec - a.val, self._sigma_prec)
-        mod = self.p ** rel
-        res = tuple(sum(r * row[m] for r, row in zip(a.res, rows)) % mod
-                    for m in range(self.f))
-        return FieldElement(self, a.val, a.val + rel, res)
+        cols, rel = self.sigma_columns([[r] for r in a.res], a.prec - a.val,
+                                       inverse)
+        return FieldElement(self, a.val, a.val + rel, tuple(c for c, in cols))
 
     def sigma(self, a, power: int = 1):
         """The Frobenius lift applied coefficient-wise via sigma(t)."""
-        power %= self.f
-        for _ in range(power):
-            a = self._apply_rows(self._sigma_rows, a)
+        for _ in range(power % self.f):
+            a = self._sigma_element(a, False)
         return a
 
     def sigma_inv(self, a):
-        if self.f == 1:
-            return a
-        return self._apply_rows(self._sigma_inv_rows, a)
+        return a if self.f == 1 else self._sigma_element(a, True)
 
     def random_element(self, rng, prec=None, integral=True):
         if prec is None:

@@ -9,7 +9,9 @@ other factor.  A product works in the window of its operands' live digits:
 each operand gives up the low digits that are zero in all its residues
 before the residues multiply, so a series whose shift lies below its least
 valuation (a quotient by log(1+x), say) costs no more than its normalized
-form.
+form.  Series code reaches K's coordinates only through the field's
+``mul_columns`` (products) and ``sigma_columns`` (sigma for phi and psi,
+with the field's one window rule).
 
 Tail knowledge takes one of three forms:
 
@@ -301,7 +303,6 @@ class TruncatedSeries:
             if isinstance(other, (int, Fraction)):
                 return self._scalar_mul(other)
             return self._scalar_mul(field.coerce(other))
-        p = field.p
         na, nb = self._n_eff(), other._n_eff()
         if min(na, nb) == INFINITE:
             n_out = self.n + other.n
@@ -320,26 +321,8 @@ class TruncatedSeries:
         if rel <= 0:
             return TruncatedSeries.zero(field, n_out, prec=prec, bound=bound,
                                         tail_zero=tz)
-        mod = p ** rel
-        f = field.f
-        raw = [None] * (2 * f - 1)
-        for l in range(f):
-            ca = a.coords[l]
-            for m in range(f):
-                cb = b.coords[m]
-                pm = intpoly.polymul(ca, cb, mod, n_out + 1)
-                k = l + m
-                if raw[k] is None:
-                    raw[k] = pm
-                else:
-                    raw[k] = [(x + y) % mod for x, y in zip(raw[k], pm)]
-        # reduce modulo g as intpoly.remainder does, a whole column per step
-        for k in range(2 * f - 2, f - 1, -1):
-            for j, c in enumerate(field.defpoly[:f], k - f):
-                if c:
-                    raw[j] = [(x - c * y) % mod
-                              for x, y in zip(raw[j], raw[k])]
-        return TruncatedSeries(field, n_out, shift, rel, raw[:f], bound, tz)
+        cols = field.mul_columns(a.coords, b.coords, field.p ** rel, n_out + 1)
+        return TruncatedSeries(field, n_out, shift, rel, cols, bound, tz)
 
     __rmul__ = __mul__
 

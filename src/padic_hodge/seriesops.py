@@ -9,10 +9,10 @@ multiplies coordinate k by k.  On an exact polynomial they work on the
 series' kept (1+x)-coordinates (``TruncatedSeries.ycoords``; D only when the
 input already has them), hand each output its own, and build the output's
 x-basis coefficients in the same call by one Taylor shift back (D directly).
-phi and psi on a truncated series make its coordinates afresh on each call,
-so they convert there and back by two exact integer Taylor shifts.
-Over f > 1 the rows of sigma(t^l) are known only to the field's
-``_sigma_prec`` digits, so phi and psi claim no more than those rows give.
+phi on a truncated series makes its coordinates afresh on each call; psi
+raises TailBoundError there, since its every coefficient depends on the
+unknown tail.  Both twist the coefficients by the field's ``sigma_columns``
+and claim its one window rule: no more than the rows of sigma give.
 The gamma-action substitutes x -> (1+x)^c - 1 through the p-adic binomial
 series of c.
 Values at the cyclotomic layers are remainders modulo the layer's minimal
@@ -43,35 +43,6 @@ def _field_cache(field):
     return cache
 
 
-def _apply_sigma_cols(f, cols, inverse=False):
-    """(sigma, or sigma^-1, applied to coordinate columns of f; the relative
-    window the result is known in).
-
-    Row l of the map is the residue vector of sigma(t^l): row 0 is exact,
-    the others are known modulo p^_sigma_prec, so the window is capped at
-    _sigma_prec plus the least valuation in columns l >= 1."""
-    field = f.field
-    if field.f == 1:
-        return cols, f.rel
-    p = field.p
-    rel = f.rel
-    g = math.gcd(*(r for col in cols[1:] for r in col))
-    if g:
-        rel = min(rel, field._sigma_prec + vp_int(g, p))
-    mod = p ** rel
-    rows = field._sigma_inv_rows if inverse else field._sigma_rows
-    length = len(cols[0])
-    out = []
-    for m in range(field.f):
-        acc = [0] * length
-        for l in range(field.f):
-            s = rows[l][m] % mod
-            if s:
-                acc = [(a + s * c) % mod for a, c in zip(acc, cols[l])]
-        out.append(acc)
-    return out, rel
-
-
 def _bump_profile(bound, db=0, dh=0):
     if bound is None:
         return None
@@ -94,7 +65,7 @@ def phi_op(f: TruncatedSeries) -> TruncatedSeries:
     p = field.p
     full = p * f.n
     n_out = full if f.tail_zero else f.n
-    ys, rel = _apply_sigma_cols(f, f.ycoords())
+    ys, rel = field.sigma_columns(f.ycoords(), f.rel)
     mod = p ** rel
     ys = [intpoly.stretch(y, p, full + 1) for y in ys]
     # the stretched vector must be converted back at full length: the high
@@ -109,18 +80,21 @@ def psi_op(f: TruncatedSeries) -> TruncatedSeries:
     """Left inverse of phi: keeps the (1+x)^(pk) isotypic part.
 
     Equivalent to averaging over the p-th roots of unity, but computed by
-    coefficient extraction in the substituted variable.
+    coefficient extraction in the substituted variable.  Exact polynomials
+    only: no tail bound fixes psi of a truncated series.
     """
     field = f.field
     p = field.p
+    if not f.tail_zero:
+        raise TailBoundError(
+            "psi of a truncated series depends on its unknown tail")
     if f.n < p:
         raise ValueError(f"psi needs truncation degree >= p, got {f.n}")
-    ys, rel = _apply_sigma_cols(
-        f, [intpoly.contract(y, p) for y in f.ycoords()], inverse=True)
+    ys, rel = field.sigma_columns(
+        [intpoly.contract(y, p) for y in f.ycoords()], f.rel, inverse=True)
     out = [intpoly.taylor_shift(y, 1, p ** rel) for y in ys]
     return TruncatedSeries(field, f.n // p, f.shift, rel, out,
-                           _bump_profile(f.effective_bound(), 1), f.tail_zero,
-                           ys if f.tail_zero else None)
+                           _bump_profile(f.effective_bound(), 1), True, ys)
 
 
 def d_op(f: TruncatedSeries) -> TruncatedSeries:

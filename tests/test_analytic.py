@@ -188,6 +188,11 @@ def test_membership_psi_zero_flag(K5):
     g2 = VectorSeries(m, [one])
     rep2 = check_membership(g2, 0, (), 1, 1, tilde=False)
     assert rep2.psi_zero is False and not rep2.verdict
+    # psi of a truncated component is undecided: no verdict either way
+    g3 = VectorSeries(m, [onex.truncate(20)])
+    rep3 = check_membership(g3, 0, (), 1, 1, tilde=False)
+    assert rep3.psi_zero is None and rep3.indeterminate and not rep3.verdict
+    assert check_membership(g3, 0, (), 1, 1).psi_zero is None
 
 
 def _values_with_residuals(layer, basis, x, ks, rng):

@@ -327,6 +327,33 @@ def test_extension_sigma_matches_rational_oracle(p, f):
         assert (K.sigma_inv(sa) - a).is_zero
         assert (K.sigma(a * b) - K.sigma(a) * K.sigma(b)).is_zero
         assert (K.sigma(a + b) - K.sigma(a) - K.sigma(b)).is_zero
+    # one window rule: row 0 of sigma is exact and rows 1..f-1 are known to
+    # _sigma_prec digits (44 here), so a Q_p scalar keeps its window
+    # (1/p at prec 44, 1 at prec 62) and t at prec 62 is capped
+    P = K._sigma_prec + 18
+    for op in (K.sigma, K.sigma_inv):
+        assert op(K.scalar(Fraction(1, p))).prec == K.work_prec == 44
+        assert op(K.one(P)).prec == P
+        assert op(K.gen(P)).prec == K._sigma_prec == 44
+    # sigma of elements is the column sigma of their residues, window
+    # included: a column of units gets the least of their windows
+    units = [K.element([1 + p * rng.randrange(p ** P)]
+                       + [rng.randrange(p ** P) * p ** rng.randint(0, 20)
+                          for _ in range(f - 1)], prec=P)
+             for _ in range(4)]
+    for op, inverse in ((K.sigma, False), (K.sigma_inv, True)):
+        images = [op(u) for u in units]
+        cols, rel = K.sigma_columns(
+            [[u.res[l] for u in units] for l in range(f)], P, inverse)
+        assert rel == min(s.prec for s in images)
+        for i, s in enumerate(images):
+            assert s.val == 0 and rel <= s.prec
+            assert all((r - col[i]) % p ** rel == 0
+                       for r, col in zip(s.res, cols))
+        one_col = [K.sigma_columns([[r] for r in u.res], P, inverse)
+                   for u in units]
+        assert [(tuple(c[0] for c in cols), rel) for cols, rel in one_col] \
+            == [(s.res, s.prec) for s in images]
 
 
 def test_tracked_zero_products_and_inverse():

@@ -11,6 +11,7 @@ from padic_hodge.padics import UnramifiedField
 from padic_hodge.series import TruncatedSeries
 from padic_hodge import seriesops as so
 from padic_hodge.modules import modular_form_module
+from padic_hodge.generators import split_module
 from padic_hodge import serialize as ser
 from padic_hodge.errors import SchemaError
 from padic_hodge.cli import main, mf_rank_table
@@ -61,6 +62,46 @@ def test_module_roundtrip(K5):
     assert back.newton_slopes() == m.newton_slopes()
     assert back.jumps() == m.jumps()
     assert back.universal_norm_rank() == m.universal_norm_rank()
+
+
+def _json_copy(node):
+    return json.loads(json.dumps(node))
+
+
+def _stable_degrees(m):
+    return sorted((S.dimension,) + m.sub_degrees(S)
+                  for S in m.phi_stable_subspaces())
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_json_round_trips_keep_every_digit(p, f):
+    # series at N = p^2 and p^3, exact, profiled and unbounded, shifted by
+    # p^-2..p^2; a split module with distinct slopes keeps its slopes, t_H
+    # and stable-subspace degrees
+    field = UnramifiedField(p, f, 20)
+    rng = random.Random(100 * p + f)
+    for n in (p * p, p ** 3):
+        for bound, tail_zero in ((None, True), ((1, 1, 2), False),
+                                 (None, False)):
+            coeffs = [field.element([rng.randrange(p ** 20)
+                                     for _ in range(f)])
+                      for _ in range(n + 1)]
+            s = TruncatedSeries.make(field, coeffs, bound=bound,
+                                     tail_zero=tail_zero)._scalar_mul(
+                Fraction(p) ** rng.randint(-2, 2))
+            back = ser.series_from_json(_json_copy(ser.series_to_json(s)),
+                                        field)
+            assert (back.n, back.prec, back.effective_bound(),
+                    back.tail_zero) == (s.n, s.prec, s.effective_bound(),
+                                        s.tail_zero)
+            assert [(c.val, c.prec, c.res) for c in back.coefficients()] == \
+                [(c.val, c.prec, c.res) for c in s.coefficients()]
+    m = split_module(field, rng, d=3)[0]
+    back = ser.module_from_json(_json_copy(ser.module_to_json(m)))
+    assert back.newton_slopes() == m.newton_slopes()
+    assert back.t_H == m.t_H
+    assert _stable_degrees(back) == _stable_degrees(m)
 
 
 def test_module_roundtrip_keeps_work_margin():

@@ -15,7 +15,7 @@ import pytest
 from padic_hodge.padics import UnramifiedField
 from padic_hodge.series import TruncatedSeries
 from padic_hodge import intpoly, seriesops as so
-from padic_hodge.errors import PsiNotZeroError
+from padic_hodge.errors import PsiNotZeroError, TailBoundError
 
 
 # -- exact rational oracles ----------------------------------------------
@@ -155,6 +155,28 @@ def test_psi_averaging_oracle(K5):
         assert q.denominator == 1
         fives.append(int(q) % mod)
     assert fives == _layer_reduce(acc, L1.minimal_polynomial, mod)
+
+
+@pytest.mark.parametrize("p, N", [(3, 27), (5, 25), (5, 125)])
+def test_psi_refuses_a_truncated_series(p, N):
+    # every coefficient of psi(f) depends on f's tail: psi of the kept
+    # digits of a degree-3N polynomial truncated to N, even with the valid
+    # bound (0, 0, 0), misses psi of the whole polynomial, while phi and D
+    # of the truncation agree with the whole polynomial's
+    field = UnramifiedField(p, 1, 20)
+    rng = random.Random(p * N)
+    coeffs = [rng.randrange(p ** 20) for _ in range(3 * N + 1)]
+    whole = TruncatedSeries.make(field, coeffs)
+    cut = TruncatedSeries.make(field, coeffs[:N + 1], bound=(0, 0, 0),
+                               tail_zero=False)
+    assert not _two_shift_psi(cut).equals(so.psi_op(whole).truncate(N // p))
+    for s in (cut, so.log_series(field, N)):
+        with pytest.raises(TailBoundError):
+            so.psi_op(s)
+        with pytest.raises(TailBoundError):
+            so.ell_op(s, 0)
+    assert so.phi_op(cut).equals(so.phi_op(whole).truncate(N))
+    assert so.d_op(cut).equals(so.d_op(whole).truncate(N - 1))
 
 
 # -- D ---------------------------------------------------------------------
@@ -524,6 +546,11 @@ def _check_chains(s):
     for chain in _CHAINS:
         got, want = s, _layout(s)
         for op in chain:
+            if op is so.psi_op and not got.tail_zero:
+                # psi of a truncated series depends on its unknown tail
+                with pytest.raises(TailBoundError):
+                    op(got)
+                break
             got = op(got)
             assert _keeps_fresh_coordinates(got)
             want = _layout(_ORACLES[op](TruncatedSeries(s.field, *want)))
@@ -598,7 +625,7 @@ def test_sigma_rows_bound_the_claimed_window(op, n):
     # row 0 of sigma is exact: Q_p coefficients, and every f = 1 series,
     # keep their whole window
     assert op(x_times(K.one(62))).prec == 62
-    lg = so.log_series(K, 25)
+    lg = so.log_series(K, 25).as_polynomial()
     assert op(lg).prec == lg.prec > K._sigma_prec
     assert op(x_times(UnramifiedField(5, 1, 20).one(62))).prec == 62
     # psi still inverts phi on the capped window
