@@ -29,7 +29,7 @@ These kernels are internal: the series layer is responsible for precision
 bookkeeping and only hands in canonical residue vectors.
 """
 
-from math import comb, isqrt
+from math import isqrt
 from functools import lru_cache
 
 
@@ -212,8 +212,16 @@ _LEAF = 96
 
 @lru_cache(maxsize=256)
 def _binomial_row(k: int, delta: int, mod: int):
-    # coefficients of (x + delta)^k mod `mod`
-    return tuple(comb(k, i) * pow(delta, k - i, mod) % mod for i in range(k + 1))
+    # coefficients of (x + delta)^k mod `mod`, from the top: C(k, i) by the
+    # exact recurrence C(k, i - 1) = C(k, i) * i / (k - i + 1), and
+    # delta^(k - i) one factor at a time
+    row = [0] * (k + 1)
+    c, power = 1, 1
+    for i in range(k, -1, -1):
+        row[i] = c * power % mod
+        c = c * i // (k - i + 1)
+        power = power * delta % mod
+    return tuple(row)
 
 
 @lru_cache(maxsize=16)

@@ -2,22 +2,42 @@
 the unramified field.
 
 Roots in K have integer valuation (K is unramified), so candidate
-valuations come from the integer-slope segments of the Newton polygon;
-within one, residues are enumerated over the residue field F_{p^f} and
-lifted by Hensel/Newton iteration, descending digit by digit when the
-reduction has a multiple root.  Everything returns certified data or
-raises: a polygon vertex decided by a coefficient known only below the
-guard threshold is a PrecisionError, and a root search that cannot separate
-clusters is reported as unsupported rather than guessed.
+valuations come from the integer-slope segments of the Newton polygon.
+For one valuation v, the roots are p^v y for the unit roots y of h, the
+polynomial g(p^v y) divided by its content.  They are found by Panayi's
+reduction (Berthomieu, Lecerf & Quintin, "Polynomial root finding over
+local rings and application to error correcting codes", AAECC 24, 2013).
+A node of the search is a disc y = center + p^scale z with the polynomial
+h(center + p^scale z) modulo p^target, target being the least precision of
+h's coefficients.  The node divides that polynomial by its content, finds
+the roots r0 of the reduction mod p over F_{p^f}, and follows only those.
+So a node branches at most deg h ways, not p^f.
+- A root r0 where Newton's test v(h(x)) > 2 v(h'(x)) holds at
+  x = center + p^scale r0 is Hensel-lifted from x.
+- A root r0 that is multiple mod p, or fails the test, becomes the child
+  node center + p^scale r0 + p^(scale+1) z.  A multiple root is followed even
+  after a lift, so every root of a cluster is found.
+- A node whose polynomial vanishes mod p^target is a cluster that the
+  precision cannot separate.  ``find_k_roots`` then looks for multiple roots
+  among the roots of the derivative, and raises when that does not
+  account for the cluster.
+
+The search runs on integer residue tuples: plain integers at f = 1 and the
+field's own product otherwise.  Its Horner evaluation and Newton steps keep
+the precision that FieldElement arithmetic would give them, so a lifted
+root has exactly the val, prec and residues that Newton's iteration on
+FieldElements returns from the same start.  Everything returns certified
+data or raises: a polygon vertex decided by a coefficient known only below
+the guard threshold is a PrecisionError, and a cluster that the search
+cannot separate is reported as unsupported rather than guessed.
 """
 
 from fractions import Fraction
 from itertools import product as iter_product
+from math import gcd
 
 from .errors import PrecisionError, EnumerationUnsupportedError
-
-# deepest level of the digit descent before a cluster counts as unresolved
-_DESCENT_DEPTH = 6
+from .padics import FieldElement, vp_int
 
 
 def poly_eval(coeffs, x, field):
@@ -101,36 +121,147 @@ def newton_root_valuations(coeffs):
     return sorted(vals)
 
 
-def _residue_elements(field):
-    """All elements of the residue field F_{p^f} as integral FieldElements."""
-    p, f = field.p, field.f
-    out = []
-    for digits in iter_product(range(p), repeat=f):
-        out.append(field.element(list(digits)))
-    return out
+def _int_ops(field):
+    """(product, inverse) on residue tuples: plain integers at f = 1, the
+    field's own product and inverse otherwise."""
+    if field.f == 1:
+        def mul(a, b, mod):
+            return (a[0] * b[0] % mod,)
+
+        def inv(a, rel):
+            return (pow(a[0], -1, field.p ** rel),)
+    else:
+        mul = field._mul_res
+
+        def inv(a, rel):
+            return field.inverse(FieldElement(field, 0, rel, a)).res
+    return mul, inv
 
 
-def _newton_converges(g, dg, x, field):
-    gx = poly_eval(g, x, field)
-    dgx = poly_eval(dg, x, field)
-    vg = gx.valuation_or_none()
-    vdg = dgx.valuation_or_none()
-    if vdg is None:
-        return False
-    if vg is None:
-        return True
-    return vg > 2 * vdg
+def _int_poly(coeffs, field):
+    """(integer residue tuples of the coefficients reduced mod p^prec, prec)
+    with prec the least coefficient precision."""
+    p = field.p
+    prec = min(c.prec for c in coeffs)
+    mod = p ** prec
+    return [field._zeros if c.val is None else
+            tuple(r * p ** c.val % mod for r in c.res) for c in coeffs], prec
 
 
-def _lift_root(g, dg, x, field, target_prec):
-    for _ in range(64):
-        gx = poly_eval(g, x, field)
-        v = gx.valuation_or_none()
-        if v is None or v >= target_prec:
-            return x
-        dgx = poly_eval(dg, x, field)
-        x = x - gx * field.inverse(dgx)
-    raise PrecisionError("Newton iteration for a root did not converge")
+def _horner(coeffs, x, mod, mul):
+    """(coeffs evaluated at x mod ``mod``, gcd of ``mod`` and every partial
+    Horner sum that gets multiplied by x)."""
+    acc = coeffs[-1]
+    low = mod
+    for c in reversed(coeffs[:-1]):
+        low = gcd(low, *acc)
+        acc = tuple((a + b) % mod for a, b in zip(mul(acc, x, mod), c))
+    return acc, low
+
+
+def _evaluate(ipoly, x, xprec, p, mul):
+    """(val or None, prec, residues mod p^prec) of ``poly_eval`` at a unit x
+    known mod p^xprec, for a polynomial from ``_int_poly``.
+
+    FieldElement arithmetic knows acc * x + c to the least of c's precision
+    and, when acc is not zero, v(acc) + xprec; so the value is known to the
+    least coefficient precision, or to xprec plus the least valuation of a
+    partial Horner sum if that is lower."""
+    coeffs, cprec = ipoly
+    acc, low = _horner(coeffs, x, p ** cprec, mul)
+    prec = min(cprec, xprec + vp_int(low, p))
+    v = vp_int(gcd(p ** prec, *acc), p)
+    return (None if v >= prec else v), prec, acc
+
+
+class _UnitRootSearch:
+    """Panayi's reduction for the unit roots of h, a polynomial over K with
+    content 1 given as FieldElements: ``roots`` in the order found, and
+    ``unresolved`` when a cluster vanishes at the precision."""
+
+    def __init__(self, h, field):
+        self.field = field
+        self.p = p = field.p
+        self.ih = _int_poly(h, field)
+        self.idh = _int_poly(poly_derivative(h, field), field)
+        self.target = self.ih[1]
+        self.mod_t = p ** self.target
+        # a start point center + p^scale r0 is known to the working
+        # precision, as the FieldElement sum of its digits is
+        self.start_prec = field.work_prec
+        self.mul, self.inv = _int_ops(field)
+        self.residues = list(iter_product(range(p), repeat=field.f))
+        self.roots = []
+        self.unresolved = False
+        self.descend(field._zeros, 0, self.ih[0])
+
+    def newton_converges(self, x):
+        # Hensel: v(h(x)) > 2 v(h'(x)), where a value of h that vanishes at
+        # its precision counts at that precision
+        p, mul = self.p, self.mul
+        vg, pg, _ = _evaluate(self.ih, x, self.start_prec, p, mul)
+        vd = _evaluate(self.idh, x, self.start_prec, p, mul)[0]
+        return vd is not None and (pg if vg is None else vg) > 2 * vd
+
+    def lift(self, x):
+        # Newton x <- x - h(x)/h'(x) on residue tuples, each step known to
+        # the precision that FieldElement arithmetic gives it; it runs until
+        # h(x) vanishes at its precision, so that downstream subtractions
+        # B - lambda leave tracked zeros, not guard-band residue
+        p, mul = self.p, self.mul
+        xprec = self.start_prec
+        for _ in range(64):
+            vg, pg, gx = _evaluate(self.ih, x, xprec, p, mul)
+            if vg is None:
+                return self.field.from_residues(0, x, xprec)
+            vd, pd, dgx = _evaluate(self.idh, x, xprec, p, mul)
+            if vd is None:
+                raise PrecisionError(
+                    "derivative indistinguishable from zero at a root")
+            rel = min(pg - vg, pd - vd)
+            q = mul(tuple(a // p ** vg for a in gx),
+                    self.inv(tuple(a // p ** vd % p ** (pd - vd)
+                                   for a in dgx), pd - vd), p ** rel)
+            xprec = min(xprec, vg - vd + rel)
+            shift, mod = p ** (vg - vd), p ** xprec
+            x = tuple((a - shift * b) % mod for a, b in zip(x, q))
+        raise PrecisionError("Newton iteration for a root did not converge")
+
+    def taylor(self, node, r0):
+        # coefficients of node(z + r0) mod p^target
+        mod_t, mul = self.mod_t, self.mul
+        a = list(node)
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] = tuple((u + v) % mod_t for u, v in
+                             zip(a[j], mul(a[j + 1], r0, mod_t)))
+        return a
+
+    def descend(self, center, scale, node):
+        # node: coefficients of h(center + p^scale z) mod p^target
+        p, mod_t = self.p, self.mod_t
+        e = vp_int(gcd(mod_t, *(c for a in node for c in a)), p)
+        if e >= self.target:
+            self.unresolved = True  # the cluster vanishes at the precision
+            return
+        pe, pe1 = p ** e, p ** (e + 1)
+        red = [tuple(c // pe % p for c in a) for a in node]
+        for r0 in self.residues:
+            if scale == 0 and not any(r0):
+                continue  # y = x / p^val is a unit: no root reduces to 0
+            if any(_horner(red, r0, p, self.mul)[0]):
+                continue
+            x = tuple(c + d * p ** scale for c, d in zip(center, r0))
+            lifted = self.newton_converges(x)
+            if lifted:
+                root = self.lift(x)
+                if not any((root - r).is_zero for r in self.roots):
+                    self.roots.append(root)
+            shifted = self.taylor(node, r0)
+            if lifted and any(c % pe1 for c in shifted[1]):
+                continue  # a simple root mod p
+            self.descend(x, scale + 1, [tuple(c * p ** k % mod_t for c in a)
+                                        for k, a in enumerate(shifted)])
 
 
 def _roots_with_valuation(g, val, field):
@@ -141,35 +272,11 @@ def _roots_with_valuation(g, val, field):
     h = [c * field.scalar(Fraction(p) ** (val * k)) for k, c in enumerate(g)]
     vmin = min(c.valuation() for c in h if not c.is_zero)
     h = [c * field.scalar(Fraction(p) ** (-vmin)) for c in h]
-    dh = poly_derivative(h, field)
-    # lift all the way to the window so that downstream subtractions
-    # B - lambda leave tracked zeros, not guard-band residue
-    target = min(c.prec for c in h)
-    roots = []
-    unresolved = [False]
-
-    def descend(center, scale, depth):
-        # search roots congruent to center mod p^scale
-        if depth > _DESCENT_DEPTH:
-            unresolved[0] = True
-            return
-        for r0 in _residue_elements(field):
-            if depth == 0 and r0.is_zero:
-                continue  # y = x / p^val is a unit: no root reduces to 0
-            x = center + r0 * field.scalar(Fraction(p) ** scale)
-            hx = poly_eval(h, x, field)
-            vh = hx.valuation_or_none()
-            if vh is not None and vh <= scale:
-                continue
-            if _newton_converges(h, dh, x, field):
-                root = _lift_root(h, dh, x, field, target)
-                if not any((root - r).is_zero for r in roots):
-                    roots.append(root)
-            else:
-                descend(x, scale + 1, depth + 1)
-
-    descend(field.zero(), 0, 0)
-    return [r * field.scalar(Fraction(p) ** val) for r in roots], unresolved[0]
+    if min(c.prec for c in h) < 1:
+        return [], True  # h is not known mod p
+    search = _UnitRootSearch(h, field)
+    pval = field.scalar(Fraction(p) ** val)
+    return [r * pval for r in search.roots], search.unresolved
 
 
 def _strip_root(work, r, field):
@@ -187,10 +294,11 @@ def find_k_roots(g, field, _depth=0):
     """All K-rational roots of a monic polynomial with multiplicities.
 
     Returns (roots, residual): roots as a list of (root, multiplicity) and
-    the monic residual factor without K-roots.  Simple roots come from the
-    digit-descent Hensel search; clusters the search cannot separate are
-    retried through the roots of the derivative (multiple roots), and only
-    if that also fails is the enumeration reported unsupported.
+    the monic residual factor without K-roots.  Roots come from Panayi's
+    reduction with Hensel lifts; clusters that it cannot separate at the
+    precision are retried through the roots of the derivative (multiple
+    roots), and only if that also fails is the enumeration reported
+    unsupported.
     """
     g = list(g)
     if len(g) <= 1:

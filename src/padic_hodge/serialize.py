@@ -86,7 +86,11 @@ def _digits_from_str(s, p, path):
         _fail(path, f"bad digit string {s!r}")
     if any(d < 0 or d >= p for d in digs):
         _fail(path, f"digit out of range for base {p}")
-    return sum(d * p ** i for i, d in enumerate(digs))
+    # Horner from the top digit: linear in the number of digits
+    acc = 0
+    for d in reversed(digs):
+        acc = acc * p + d
+    return acc
 
 
 def scalar_to_json(s: FieldElement):

@@ -138,6 +138,17 @@ def test_taylor_shift_matches_binomials():
             assert got == expect
 
 
+@pytest.mark.parametrize("k", [0, 1, 95, 96, 97, 313, 1201])
+def test_binomial_rows_match_comb(k):
+    # rows built by the recurrence against math.comb, at the leaf length and
+    # either side of it, and at phi's widest split for p = 7, N = 343
+    for delta in (1, -1, 3):
+        for mod in (3, 3 ** 40, 5 ** 60, 5 ** 320):
+            assert intpoly._binomial_row(k, delta, mod) == tuple(
+                comb(k, i) * pow(delta, k - i, mod) % mod
+                for i in range(k + 1))
+
+
 def binomial_shift(coeffs, delta, mod):
     """f(x + delta) for delta = +-1 by the direct binomial sum over Z,
     reduced at the end: c_i C(i, k) delta^(i-k) is added to x^k, each term

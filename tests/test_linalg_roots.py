@@ -7,11 +7,14 @@ from itertools import permutations
 import pytest
 
 from padic_hodge.linalg import (classify, solve, kernel, det, charpoly, echelon,
-                                _best_pivot)
+                                _best_pivot, mat_mul)
 from padic_hodge.padics import FieldElement, UnramifiedField
 from padic_hodge.polyroots import (newton_root_valuations, find_k_roots,
-                                   poly_eval)
-from padic_hodge.errors import PrecisionError
+                                   poly_eval, _evaluate, _int_ops, _int_poly)
+from padic_hodge.errors import EnumerationUnsupportedError, PrecisionError
+from padic_hodge import generators as gen
+
+import polyroots_oracle as oracle
 
 
 def rand_matrix(field, rng, n, den=(1, 2, 5)):
@@ -227,3 +230,104 @@ def test_poly_eval_keeps_leading_digits_at_negative_valuation(K5):
     lin = poly_eval([K5.one(), K5.scalar(Fraction(1, 125))], x, K5)
     assert (lin.val, lin.prec) == (-5, -3)
     assert lin.lift_fraction() == Fraction(1, 5 ** 5)
+
+
+# -- Panayi's reduction against the digit descent ------------------------------
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_integer_horner_matches_poly_eval(f):
+    # val, prec and residues of the integer evaluation at a unit are those of
+    # FieldElement Horner, with zero and low-precision coefficients and
+    # partial sums of positive valuation
+    field = UnramifiedField(5, f, 20)
+    rng = random.Random(70 + f)
+    mul, _ = _int_ops(field)
+    for _ in range(80):
+        coeffs = []
+        for _ in range(rng.randint(1, 5)):
+            prec = rng.randint(8, field.work_prec)
+            if rng.random() < 0.2:
+                coeffs.append(field.zero(prec))
+            else:
+                v = rng.choice([0, 0, 1, 2, 5])
+                coeffs.append(field.from_residues(
+                    v, [rng.randrange(5 ** 40) for _ in range(f)], prec))
+        xprec = rng.randint(3, field.work_prec)
+        x = field.from_residues(0, [rng.randint(1, 4)] +
+                                [rng.randrange(5 ** 40) for _ in range(f - 1)],
+                                xprec)
+        want = poly_eval(coeffs, x, field)
+        v, prec, acc = _evaluate(_int_poly(coeffs, field), x.res, xprec,
+                                 field.p, mul)
+        got = field.from_residues(0, acc, prec)
+        assert (v, got.val, got.prec, got.res) == \
+            (want.val, want.val, want.prec, want.res)
+
+
+def _root_keys(roots):
+    return [(r.val, r.prec, r.res, m) for r, m in roots]
+
+
+def _assert_matches_oracle(g, field):
+    """The same roots as the digit descent, in the same order, with the same
+    value, multiplicity, val and prec, and the same residual."""
+    want_roots, want_res = oracle.find_k_roots(g, field)
+    got_roots, got_res = find_k_roots(g, field)
+    assert _root_keys(got_roots) == _root_keys(want_roots)
+    assert [(c.val, c.prec, c.res) for c in got_res] == \
+        [(c.val, c.prec, c.res) for c in want_res]
+
+
+def _random_matrix(field, rng, d):
+    p = field.p
+    A = [[field.element([Fraction(rng.randint(-30, 30), rng.choice((1, 1, p)))
+                         for _ in range(field.f)]) for _ in range(d)]
+         for _ in range(d)]
+    if field.f > 1:
+        A = mat_mul(A, [[field.sigma(c) for c in row] for row in A])
+    return A
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+def test_roots_match_the_digit_descent(p, f):
+    # charpolys of seeded modules' linearized Frobenius and of random
+    # matrices; at f = 2 only those that the descent finishes in well under
+    # a second
+    field = UnramifiedField(p, f, 20)
+    rng = random.Random(80 + 10 * p + f)
+    polys = [charpoly(gen.random_wa_module(field, rng).linearized_frobenius())
+             for _ in range(4 if f == 1 else 2)]
+    polys += [charpoly(_random_matrix(field, rng, rng.choice((2, 3))))
+              for _ in range(12 if f == 1 else 6)]
+    for g in polys:
+        _assert_matches_oracle(g, field)
+
+
+def _poly_with_roots(field, roots):
+    g = [field.one()]
+    for r in roots:
+        g = [a - r * b for a, b in zip([field.zero()] + g, g + [field.zero()])]
+    return g
+
+
+def test_reduction_finds_every_root_of_a_cluster(K5):
+    # 6 and 26 agree mod 5; Newton's test already passes at x = 1, and the
+    # descent lifts 26 from there and never looks below it
+    g = _poly_with_roots(K5, [K5.coerce(6), K5.coerce(26)])
+    roots, resid = find_k_roots(g, K5)
+    assert sorted(r.lift_fraction() for r, m in roots) == [6, 26]
+    assert all(m == 1 for _, m in roots) and len(resid) == 1
+    want, want_res = oracle.find_k_roots(g, K5)
+    assert [r.lift_fraction() for r, _ in want] == [26] and len(want_res) == 2
+    assert _root_keys(want) == [k for k in _root_keys(roots)
+                                if k[2] == want[0][0].res]
+
+
+def test_root_at_an_exact_start_keeps_the_start_precision(K5):
+    # h(2) vanishes at the start point: the lift returns it unchanged, at the
+    # working precision, as the FieldElement lift does
+    g = _poly_with_roots(K5, [K5.coerce(2), K5.coerce(8), K5.coerce(4)])
+    roots, _ = find_k_roots(g, K5)
+    assert _root_keys(roots) == _root_keys(oracle.find_k_roots(g, K5)[0])
+    by_value = {r.lift_fraction(): r for r, _ in roots}
+    assert by_value[2].prec == by_value[4].prec == K5.work_prec

@@ -561,25 +561,27 @@ def test_returned_rows_do_not_alias_the_memo():
 
 # -- lattice degrees against the induced-module oracle ------------------------
 
-def _random_phi(K, rng, d):
+def _random_phi(K, rng, d, shape=None):
     """(A, P) with A = P D sigma(P)^-1 for a random unimodular integer P and
-    D of one shape: distinct integer slopes; at d = 3 the companion matrix
-    of X^3 - p u (an irreducible residual of slope 1/3); at f = 1 a 2x2
-    Jordan block or the companion matrix of X^2 - p u X + p u' (slope 1/2);
-    at f > 1 an antidiagonal block with a non-rational unit, whose
-    B-eigenlines are not phi-stable.  The columns of P are eigenvectors of
-    the split shape.  (A double root at f > 1 is left out: the root search
-    descends every residue class around it, which takes tens of seconds.)"""
+    D of one shape, drawn unless given: distinct integer slopes; at d = 3
+    the companion matrix of X^3 - p u (an irreducible residual of slope
+    1/3); a 2x2 Jordan block; at f = 1 the companion matrix of
+    X^2 - p u X + p u' (slope 1/2); at f > 1 an antidiagonal block with a
+    non-rational unit, whose B-eigenlines are not phi-stable.  Only on
+    request, "repeat": distinct integer slopes but the first two equal.  The
+    columns of P are eigenvectors of the split shape."""
     p = K.p
 
     def unit():
         return K.element([rng.randint(1, p - 1)] +
                          [rng.randint(0, p - 1) for _ in range(K.f - 1)])
 
-    shapes = ["split", "cubic" if d == 3 else "split"] + \
-        (["swap"] if K.f > 1 else ["jordan", "quadratic"])
-    shape = rng.choice(shapes)
+    shapes = ["split", "cubic" if d == 3 else "split", "jordan"] + \
+        (["swap"] if K.f > 1 else ["quadratic"])
+    shape = shape or rng.choice(shapes)
     slopes = rng.sample(range(-3, 3), d)
+    if shape == "repeat":
+        slopes[1] = slopes[0]
     D = [[unit() * K.scalar(Fraction(p) ** s) if i == j else K.zero()
           for j in range(d)] for i, s in enumerate(slopes)]
     if shape == "quadratic":
@@ -591,18 +593,18 @@ def _random_phi(K, rng, d):
     elif shape == "jordan":
         D[1][1], D[0][1] = D[0][0], K.one()
     elif shape == "swap":  # B-eigenvalues a sigma(b), b sigma(a), apart mod p
-        a = K.element([rng.randint(1, p - 1), rng.randint(1, p - 1)])
+        a = K.element([rng.randint(1, p - 1) for _ in range(K.f)])
         D[0][1], D[1][0] = a * K.scalar(Fraction(p) ** slopes[0]), K.one()
         D[0][0] = D[1][1] = K.zero()
     P = gen._unimodular(K, rng, d)
     return mat_mul(P, mat_mul(D, inverse(P))), P
 
 
-def _random_module(K, rng, d):
+def _random_module(K, rng, d, shape=None):
     """A module with phi from _random_phi and a random filtration, generally
     not admissible: nested steps spanned by leading runs of vectors, each a
     column of P or a small random integer vector."""
-    A, P = _random_phi(K, rng, d)
+    A, P = _random_phi(K, rng, d, shape)
     full = [[K.one() if i == j else K.zero() for j in range(d)]
             for i in range(d)]
     while True:
@@ -674,6 +676,49 @@ def test_tensor_lattice_degrees_match_induced_modules(p):
     tp = gen.random_wa_module_d2(K, rng).tensor_product(
         gen.random_wa_module_d2(K, rng))
     _assert_degrees_match_oracle(tp)
+
+
+@pytest.mark.parametrize("f", [2, 3])
+def test_lattices_at_f_2_and_3(f):
+    # random d = 2 modules (a Jordan block among them), d = 3 modules with a
+    # repeated slope, and the tensor product of two d = 2 modules
+    K = UnramifiedField(5, f, 20, work_margin=140)
+    rng = random.Random(93)
+    mods = [_random_module(K, rng, 2) for _ in range(3)] + \
+        [_random_module(K, rng, 3, "repeat") for _ in range(2)]
+    mods.append(_random_module(K, rng, 2).tensor_product(
+        _random_module(K, rng, 2)))
+    sizes = []
+    for m in mods:
+        _assert_degrees_match_oracle(m)
+        sizes.append(len(m.phi_stable_subspaces()))
+    assert 3 in sizes[:3]  # 0, the eigenline and the plane of a Jordan block
+    assert sizes[3:5] == [8, 8] and sizes[5] > 4
+
+
+@pytest.mark.parametrize("f", [2, 3])
+def test_double_roots_at_f_2_and_3_are_fast(f):
+    # the root search follows only the double root mod p, not all p^f
+    # residue classes around it
+    K = UnramifiedField(5, f, 20)
+    jordan = FilteredPhiModule(K, [[K.coerce(5), K.one()],
+                                   [K.zero(), K.coerce(5)]], [(0, full2(K))])
+    start = time.perf_counter()
+    lattice = jordan.phi_stable_subspaces()
+    assert time.perf_counter() - start < 2
+    assert [S.dimension for S in lattice] == [0, 1, 2]
+    assert [jordan.sub_degrees(S)[1] for S in lattice] == [0, 1, 2]
+    # A sigma(A) = 5 Id: phi^2 is a scalar at f = 2, and at f = 3 phi^3 = 5A
+    # has the irrational eigenvalues +-5 sqrt 5
+    swap = FilteredPhiModule(K, [[K.zero(), K.coerce(5)],
+                                 [K.one(), K.zero()]], [(0, full2(K))])
+    start = time.perf_counter()
+    if f == 2:
+        with pytest.raises(EnumerationUnsupportedError, match="scalar block"):
+            swap.phi_stable_subspaces()
+    else:
+        assert [S.dimension for S in swap.phi_stable_subspaces()] == [0, 2]
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("f", [1, 2])

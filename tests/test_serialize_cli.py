@@ -429,6 +429,20 @@ def test_element_json_keeps_one_precision():
         assert where in str(exc.value)
 
 
+@pytest.mark.parametrize("p,bad", [(5, "15"), (11, "1.11")])
+def test_digit_strings_parse_lsd_first(p, bad):
+    digits = [1, 0, p - 1, 3] * 300
+    text = ser._digits_to_str(digits, p)
+    assert ser._digits_from_str(text, p, "s.unit") == \
+        sum(d * p ** i for i, d in enumerate(digits))
+    assert ser._digits_from_str("", p, "s.unit") == 0
+    for wrong, message in (("1x", "bad digit string"),
+                           (bad, f"digit out of range for base {p}")):
+        with pytest.raises(SchemaError) as exc:
+            ser._digits_from_str(wrong, p, "s.unit")
+        assert "s.unit" in str(exc.value) and message in str(exc.value)
+
+
 _MODULE = {"p": 5, "f": 1, "defpoly": [0, 1], "dim": 2,
            "phi": [["0", "-1"], ["1/5", "0"]],
            "filtration": [{"jump": -1, "basis": [["1", "0"], ["0", "1"]]},
