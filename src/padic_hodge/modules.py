@@ -145,9 +145,12 @@ class FilteredPhiModule:
     def _induced_hodge(self, S):
         """(h: {j: h_j}, t_H) of the filtration induced on S, over the jumps
         with h_j > 0.  Each dim(S meet Fil) is dim S + dim Fil - dim(S + Fil):
-        one rank, with no kernel and no solve."""
-        dims = [F.dimension if S.dimension == self.d else
-                S.dimension + F.dimension - len(echelon(S.basis + F.basis)[1])
+        one rank, with no kernel and no solve.  A step that is the whole
+        space meets S in S, and S = V meets every step in the step, so
+        neither needs a rank; the lowest step is always the whole space."""
+        d, s = self.d, S.dimension
+        dims = [F.dimension if s == d else s if F.dimension == d else
+                s + F.dimension - len(echelon(S.basis + F.basis)[1])
                 for _, F in self.filtration] + [0]
         h = {j: dims[l] - dims[l + 1]
              for l, (j, _) in enumerate(self.filtration) if dims[l] > dims[l + 1]}

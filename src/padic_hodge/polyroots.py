@@ -264,19 +264,40 @@ class _UnitRootSearch:
                                         for k, a in enumerate(shifted)])
 
 
+def _times_p_power(c, e, work_prec):
+    """c p^e with the precision of ``c * field.scalar(p ** e)``: val v + e
+    and relative precision min(c.prec - v, work_prec - e), the second being
+    the scalar's; a tracked zero where c is one or where e >= work_prec,
+    which makes the scalar one.  No scalar and no product: p^e is a unit
+    times a power of p, so the residues stay c's, cut to the new window."""
+    field = c.field
+    if e >= work_prec:
+        return FieldElement(field, None, work_prec + (
+            c.prec if c.val is None else c.val), field._zeros)
+    if c.val is None:
+        return FieldElement(field, None, c.prec + e, field._zeros)
+    rel = c.prec - c.val
+    res = c.res
+    if work_prec - e < rel:
+        rel = work_prec - e
+        mod = field.p ** rel
+        res = tuple(r % mod for r in res)
+    return FieldElement(field, c.val + e, c.val + e + rel, res)
+
+
 def _roots_with_valuation(g, val, field):
     """(simple K-roots of monic g with the given integer valuation,
     unresolved-cluster flag)."""
-    p = field.p
+    work = field.work_prec
     # normalize: x = p^val * y, divide by the content so y-roots are units
-    h = [c * field.scalar(Fraction(p) ** (val * k)) for k, c in enumerate(g)]
-    vmin = min(c.valuation() for c in h if not c.is_zero)
-    h = [c * field.scalar(Fraction(p) ** (-vmin)) for c in h]
+    h = [_times_p_power(c, val * k, work) for k, c in enumerate(g)]
+    vmin = min(c.val for c in h if c.val is not None)
+    h = [_times_p_power(c, -vmin, work) for c in h]
     if min(c.prec for c in h) < 1:
         return [], True  # h is not known mod p
     search = _UnitRootSearch(h, field)
-    pval = field.scalar(Fraction(p) ** val)
-    return [r * pval for r in search.roots], search.unresolved
+    return ([_times_p_power(r, val, work) for r in search.roots],
+            search.unresolved)
 
 
 def _strip_root(work, r, field):
