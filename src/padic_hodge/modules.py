@@ -16,8 +16,9 @@ constructor of the lattice certifies, and errors loudly otherwise.
 The degrees of a stable subspace S come from the lattice's own data:
 t_N(S) = v(det phi^f on S)/f is the sum of the root valuations recorded
 with S while the lattice is built, and t_H(S) reads each dim(S meet Fil)
-as dim S + dim Fil - dim(S + Fil), one rank.  ``induced_submodule``
-builds the whole induced module and is kept only as the tests' oracle.
+as dim S + dim Fil - dim(S + Fil), one rank for each step other than the
+whole space.  ``induced_submodule`` builds the whole induced module and is
+kept only as the tests' oracle.
 
 Every rank, span and root decision reads the guard band of the module's
 field (``UnramifiedField.guard``); a module has no precision setting of its

@@ -4,14 +4,21 @@ the unramified field.
 Roots in K have integer valuation (K is unramified), so candidate
 valuations come from the integer-slope segments of the Newton polygon.
 For one valuation v, the roots are p^v y for the unit roots y of h, the
-polynomial g(p^v y) divided by its content.  They are found by Panayi's
-reduction (Berthomieu, Lecerf & Quintin, "Polynomial root finding over
-local rings and application to error correcting codes", AAECC 24, 2013).
-A node of the search is a disc y = center + p^scale z with the polynomial
-h(center + p^scale z) modulo p^target, target being the least precision of
-h's coefficients.  The node divides that polynomial by its content, finds
-the roots r0 of the reduction mod p over F_{p^f}, and follows only those.
-So a node branches at most deg h ways, not p^f.
+polynomial g(p^v y) divided by its content.  h is read off g's
+coefficients directly: scaling by p^e moves a valuation by e and keeps the
+residues, cut to the window that a product with a Q_p scalar p^e at the
+working precision would leave.  Where that scalar would vanish (e at least
+the working precision), p^e is taken at the precision the coefficient
+needs, so h is never a tracked zero.
+
+The unit roots are found by Panayi's reduction (Berthomieu, Lecerf &
+Quintin, "Polynomial root finding over local rings and application to
+error correcting codes", AAECC 24, 2013).  A node of the search is a disc
+y = center + p^scale z with the polynomial h(center + p^scale z) modulo
+p^target, target being the least precision of h's coefficients.  The node
+divides that polynomial by its content, finds the roots r0 of the
+reduction mod p over F_{p^f}, and follows only those.  So a node branches
+at most deg h ways, not p^f.
 - A root r0 where Newton's test v(h(x)) > 2 v(h'(x)) holds at
   x = center + p^scale r0 is Hensel-lifted from x.
 - A root r0 that is multiple mod p, or fails the test, becomes the child
@@ -24,12 +31,13 @@ So a node branches at most deg h ways, not p^f.
 
 The search runs on integer residue tuples: plain integers at f = 1 and the
 field's own product otherwise.  Its Horner evaluation and Newton steps keep
-the precision that FieldElement arithmetic would give them, so a lifted
-root has exactly the val, prec and residues that Newton's iteration on
-FieldElements returns from the same start.  Everything returns certified
-data or raises: a polygon vertex decided by a coefficient known only below
-the guard threshold is a PrecisionError, and a cluster that the search
-cannot separate is reported as unsupported rather than guessed.
+the precision that FieldElement arithmetic would give them.  A lifted root
+is returned to the least of that precision and the one Hensel's lemma
+certifies: when h(x) vanishes mod p^P, x is within p^(P - v(h'(x))) of the
+root.  Everything returns certified data or raises: a polygon vertex
+decided by a coefficient known only below the guard threshold is a
+PrecisionError, and a cluster that the search cannot separate is reported
+as unsupported rather than guessed.
 """
 
 from fractions import Fraction
@@ -207,17 +215,19 @@ class _UnitRootSearch:
         # Newton x <- x - h(x)/h'(x) on residue tuples, each step known to
         # the precision that FieldElement arithmetic gives it; it runs until
         # h(x) vanishes at its precision, so that downstream subtractions
-        # B - lambda leave tracked zeros, not guard-band residue
+        # B - lambda leave tracked zeros, not guard-band residue.  The root
+        # is returned to no more than the digits Hensel's lemma certifies:
+        # h(x) vanishes mod p^pg, so v(x - root) >= pg - v(h'(x))
         p, mul = self.p, self.mul
         xprec = self.start_prec
         for _ in range(64):
             vg, pg, gx = _evaluate(self.ih, x, xprec, p, mul)
-            if vg is None:
-                return self.field.from_residues(0, x, xprec)
             vd, pd, dgx = _evaluate(self.idh, x, xprec, p, mul)
             if vd is None:
                 raise PrecisionError(
                     "derivative indistinguishable from zero at a root")
+            if vg is None:
+                return self.field.from_residues(0, x, min(xprec, pg - vd))
             rel = min(pg - vg, pd - vd)
             q = mul(tuple(a // p ** vg for a in gx),
                     self.inv(tuple(a // p ** vd % p ** (pd - vd)
@@ -267,18 +277,16 @@ class _UnitRootSearch:
 def _times_p_power(c, e, work_prec):
     """c p^e with the precision of ``c * field.scalar(p ** e)``: val v + e
     and relative precision min(c.prec - v, work_prec - e), the second being
-    the scalar's; a tracked zero where c is one or where e >= work_prec,
-    which makes the scalar one.  No scalar and no product: p^e is a unit
-    times a power of p, so the residues stay c's, cut to the new window."""
+    the scalar's.  Where e >= work_prec that scalar would be a tracked zero,
+    so p^e is taken at the precision that c needs and c keeps its relative
+    precision.  No scalar and no product: p^e is a unit times a power of
+    p, so the residues stay c's, cut to the new window."""
     field = c.field
-    if e >= work_prec:
-        return FieldElement(field, None, work_prec + (
-            c.prec if c.val is None else c.val), field._zeros)
     if c.val is None:
         return FieldElement(field, None, c.prec + e, field._zeros)
     rel = c.prec - c.val
     res = c.res
-    if work_prec - e < rel:
+    if work_prec - e < rel and e < work_prec:
         rel = work_prec - e
         mod = field.p ** rel
         res = tuple(r % mod for r in res)

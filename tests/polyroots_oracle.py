@@ -8,12 +8,15 @@ the roots of the derivative.  Around a multiple root at f >= 2 it grows as
 (p^f)^depth, so tests call it only on polynomials where it finishes fast.
 It also stops at the first class where Newton's test passes, so it can miss
 a root of a cluster (x^2 - 32x + 156 = (x - 6)(x - 26) over Q_5 loses 6).
+Its lift keeps the precision of the last Newton iterate, which can exceed
+what Hensel's lemma certifies; ``certified_prec`` gives that bound.
 """
 
 from fractions import Fraction
 from itertools import product as iter_product
 
 from padic_hodge.errors import EnumerationUnsupportedError, PrecisionError
+from padic_hodge.padics import FieldElement
 from padic_hodge.polyroots import (_strip_root, newton_root_valuations,
                                    poly_derivative, poly_eval)
 
@@ -51,13 +54,32 @@ def _lift_root(g, dg, x, field, target_prec):
     raise PrecisionError("Newton iteration for a root did not converge")
 
 
+def _normalized(g, val, field):
+    """h(y) = g(p^val y) divided by its content, through Q_p scalars."""
+    p = field.p
+    h = [c * field.scalar(Fraction(p) ** (val * k)) for k, c in enumerate(g)]
+    vmin = min(c.valuation() for c in h if not c.is_zero)
+    return [c * field.scalar(Fraction(p) ** (-vmin)) for c in h]
+
+
+def certified_prec(g, root, field):
+    """The precision to which Hensel's lemma certifies a root of g returned
+    by this search: with y = root / p^val a unit root of the normalized h,
+    h(y) vanishes mod p^P and v(y - true root) >= P - v(h'(y))."""
+    val = root.val
+    h = _normalized(g, val, field)
+    y = FieldElement(field, 0, root.prec - val, root.res)
+    hy = poly_eval(h, y, field)
+    assert hy.is_zero
+    return val + hy.prec - poly_eval(poly_derivative(h, field), y,
+                                     field).valuation()
+
+
 def _roots_with_valuation(g, val, field):
     """(simple K-roots of monic g with the given integer valuation,
     unresolved-cluster flag)."""
     p = field.p
-    h = [c * field.scalar(Fraction(p) ** (val * k)) for k, c in enumerate(g)]
-    vmin = min(c.valuation() for c in h if not c.is_zero)
-    h = [c * field.scalar(Fraction(p) ** (-vmin)) for c in h]
+    h = _normalized(g, val, field)
     dh = poly_derivative(h, field)
     target = min(c.prec for c in h)
     roots = []

@@ -10,7 +10,8 @@ from padic_hodge.linalg import (classify, solve, kernel, det, charpoly, echelon,
                                 _best_pivot, mat_mul)
 from padic_hodge.padics import FieldElement, UnramifiedField
 from padic_hodge.polyroots import (newton_root_valuations, find_k_roots,
-                                   poly_eval, _evaluate, _int_ops, _int_poly)
+                                   poly_eval, _evaluate, _int_ops, _int_poly,
+                                   _strip_root)
 from padic_hodge.errors import EnumerationUnsupportedError, PrecisionError
 from padic_hodge import generators as gen
 
@@ -268,12 +269,25 @@ def _root_keys(roots):
     return [(r.val, r.prec, r.res, m) for r, m in roots]
 
 
+def _certified(g, roots, field):
+    """The oracle's roots cut to the precision that Hensel's lemma certifies,
+    which is all that the search returns."""
+    return [(field.from_residues(
+        r.val, r.res, min(r.prec, oracle.certified_prec(g, r, field))), m)
+        for r, m in roots]
+
+
 def _assert_matches_oracle(g, field):
     """The same roots as the digit descent, in the same order, with the same
-    value, multiplicity, val and prec, and the same residual."""
-    want_roots, want_res = oracle.find_k_roots(g, field)
+    value, multiplicity and val, each at the oracle's precision capped at
+    the certified one, and the residual left by stripping those."""
+    want_roots = _certified(g, oracle.find_k_roots(g, field)[0], field)
     got_roots, got_res = find_k_roots(g, field)
     assert _root_keys(got_roots) == _root_keys(want_roots)
+    want_res = g
+    for r, m in want_roots:
+        want_res, mult = _strip_root(want_res, r, field)
+        assert mult == m
     assert [(c.val, c.prec, c.res) for c in got_res] == \
         [(c.val, c.prec, c.res) for c in want_res]
 
@@ -319,8 +333,8 @@ def test_reduction_finds_every_root_of_a_cluster(K5):
     assert all(m == 1 for _, m in roots) and len(resid) == 1
     want, want_res = oracle.find_k_roots(g, K5)
     assert [r.lift_fraction() for r, _ in want] == [26] and len(want_res) == 2
-    assert _root_keys(want) == [k for k in _root_keys(roots)
-                                if k[2] == want[0][0].res]
+    cut = _root_keys(_certified(g, want, K5))
+    assert cut == [k for k in _root_keys(roots) if k[2] == cut[0][2]]
 
 
 def test_root_at_an_exact_start_keeps_the_start_precision(K5):
@@ -328,6 +342,30 @@ def test_root_at_an_exact_start_keeps_the_start_precision(K5):
     # working precision, as the FieldElement lift does
     g = _poly_with_roots(K5, [K5.coerce(2), K5.coerce(8), K5.coerce(4)])
     roots, _ = find_k_roots(g, K5)
-    assert _root_keys(roots) == _root_keys(oracle.find_k_roots(g, K5)[0])
+    assert _root_keys(roots) == \
+        _root_keys(_certified(g, oracle.find_k_roots(g, K5)[0], K5))
     by_value = {r.lift_fraction(): r for r, _ in roots}
     assert by_value[2].prec == by_value[4].prec == K5.work_prec
+
+
+def test_lifted_roots_claim_only_certified_digits():
+    # four linear factors over K(5, 2), two of whose roots are 5 apart: the
+    # last Newton iterate is known to 35 digits, but h(x) vanishes only to
+    # the precision that leaves 33 certified, and the iterate agrees with
+    # the true root to 33.  Claiming 35 made the strip take a wrong factor
+    # and leave a quadratic residual that holds two K-roots
+    K = UnramifiedField(5, 2, 20)
+    exact = UnramifiedField(5, 2, 20, work_margin=400)
+    coords = [[412860343614793449794, 1904542274146758727],
+              [412860343614793449799, 1904542274146758727],
+              [164367557795751596519, 412567482481731368132],
+              [Fraction(579540744084850234751, 5), 74799872083297439207]]
+    g = _poly_with_roots(K, [K.element(c) for c in coords])
+    true = [exact.element(c) for c in coords]
+    roots, resid = find_k_roots(g, K)
+    assert len(resid) == 1 and [m for _, m in roots] == [1, 1, 1, 1]
+    # each root agrees with exactly one true root to every claimed digit
+    for r, _ in roots:
+        assert sum((exact.coerce(r) - t).is_zero for t in true) == 1
+    assert sorted((r.val, r.prec) for r, _ in roots) == \
+        [(-1, 39), (0, 33), (0, 33), (0, 33)]

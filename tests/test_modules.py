@@ -14,9 +14,10 @@ from padic_hodge.modules import (FilteredPhiModule, Subspace, CertificateRow,
                                  tensor_slope_check)
 from padic_hodge.errors import (EnumerationUnsupportedError, NotStableError,
                                 PadicError, PrecisionError)
-from padic_hodge.linalg import inverse, mat_mul
+from padic_hodge.linalg import inverse, mat_mul, mat_vec
 from padic_hodge import modules
 from padic_hodge import generators as gen
+from padic_hodge.polyroots import newton_root_valuations
 
 
 def full2(field):
@@ -719,6 +720,111 @@ def test_double_roots_at_f_2_and_3_are_fast(f):
     else:
         assert [S.dimension for S in swap.phi_stable_subspaces()] == [0, 2]
     assert time.perf_counter() - start < 2
+
+
+def _needs_a_power_beyond_the_working_precision(m):
+    """Whether, for some integer root valuation v of the charpoly g of
+    phi^f, g(p^v y) has content p^-e with e at least the working precision,
+    so that p^e as a Q_p scalar at that precision is a tracked zero."""
+    K = m.field
+    g = modules._charpoly(m.linearized_frobenius(), K)
+    return any(-min(c.val + int(v) * k for k, c in enumerate(g)
+                    if c.val is not None) >= K.work_prec
+               for v in set(newton_root_valuations(g)) if v.denominator == 1)
+
+
+def test_lattice_when_h_needs_a_power_beyond_the_working_precision():
+    # tensor products of seeded d = 2 modules over K(5, 3) at work margin
+    # 24, each with a root valuation whose normalized h needs a factor p^e,
+    # e >= 44.  h is scaled at the precision it needs, not to zero: the
+    # lattice matches the induced modules, or a precision limit raises, and
+    # no h is taken for zero, which read as a cluster that cannot be
+    # separated.  The induced modules of some lattices that are found cannot
+    # be built at this precision; those are skipped
+    K = UnramifiedField(5, 3, 20, work_margin=24)
+    tried = matched = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        tp = gen.random_wa_module_d2(K, rng).tensor_product(
+            gen.random_wa_module_d2(K, rng))
+        if not _needs_a_power_beyond_the_working_precision(tp):
+            continue
+        tried += 1
+        try:
+            tp.phi_stable_subspaces()
+        except PrecisionError:
+            continue
+        try:
+            _assert_degrees_match_oracle(tp)
+        except PrecisionError:
+            continue
+        matched += 1
+    assert tried >= 10 and matched >= 3
+
+
+def _max_slope_members(m):
+    """(lambda_max, the nonzero lattice members of slope lambda_max)."""
+    rows = m.slope_bound_check(0).rows
+    lam = max(r.slope for r in rows)
+    return lam, [r.subspace for r in rows if r.slope == lam]
+
+
+def _tensor_subspace(m1, m2, S1, S2):
+    """S1 (x) S2 in the coordinates of m1.tensor_product(m2), which are the
+    products of the factors' adapted coordinates."""
+    Q1 = inverse(m1.in_adapted_coordinates()[2])
+    Q2 = inverse(m2.in_adapted_coordinates()[2])
+    return Subspace(m1.field, m1.d * m2.d,
+                    [[a * b for a in mat_vec(Q1, u) for b in mat_vec(Q2, v)]
+                     for u in S1.basis for v in S2.basis])
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_max_slope_adds_on_tensor_products(f):
+    # factors that are not weakly admissible: split phi with a random
+    # filtration (a destabilizing eigenline), or split_module's "strict"
+    # jumps (every subspace of slope -drop).  lambda = (t_H - t_N)/dim, and
+    # by Totaro (Duke Math. J. 83, 1996) tensor products of semistable
+    # filtered isocrystals are semistable, so the Harder-Narasimhan
+    # filtrations multiply: lambda_max(M1 (x) M2) = lambda_max(M1) +
+    # lambda_max(M2), and the largest member of maximal slope is the product
+    # of the factors' largest ones.  When each factor has one member of
+    # maximal slope, that product is also slope_bound_check's witness
+    K = UnramifiedField(5, f, 20, work_margin=60)
+    rng = random.Random(7 + f)
+    kinds = set()
+    for _ in range(10 if f == 1 else 5):
+        kind = rng.choice(["line", "strict"])
+        factors = []
+        while len(factors) < 2:
+            m = _random_module(K, rng, 2, "split") if kind == "line" else \
+                gen.split_module(K, rng, 2, "strict")[0]
+            if not m.is_weakly_admissible().verdict:
+                factors.append(m)
+        tops = []
+        for m in factors:
+            assert m.slope_lambda() == Fraction(m.t_H - m.t_N, m.d)
+            assert all(r.slope == Fraction(r.t_H - r.t_N, r.subspace.dimension)
+                       for r in m.slope_bound_check(0).rows)
+            tops.append(_max_slope_members(m))
+        (l1, top1), (l2, top2) = tops
+        m1, m2 = factors
+        tp = m1.tensor_product(m2)
+        lam, top = _max_slope_members(tp)
+        assert lam == l1 + l2
+        largest = [max(t, key=lambda S: S.dimension) for t in (top1, top2)]
+        product_top = _tensor_subspace(m1, m2, *largest)
+        assert max(top, key=lambda S: S.dimension).equals(product_top)
+        cert = tp.slope_bound_check(l1 + l2)
+        assert cert.verdict and cert.witness.slope == lam
+        assert not tp.slope_bound_check(l1 + l2, strict=True).verdict
+        if len(top1) == len(top2) == 1:
+            assert cert.witness.subspace.equals(product_top)
+            kinds.add("unique")
+        else:
+            assert product_top.contains(cert.witness.subspace)
+            kinds.add(kind)
+    assert kinds == {"unique", "strict"}
 
 
 @pytest.mark.parametrize("f", [1, 2])
