@@ -36,8 +36,9 @@ is returned to the least of that precision and the one Hensel's lemma
 certifies: when h(x) vanishes mod p^P, x is within p^(P - v(h'(x))) of the
 root.  Everything returns certified data or raises: a polygon vertex
 decided by a coefficient known only below the guard threshold is a
-PrecisionError, and a cluster that the search cannot separate is reported
-as unsupported rather than guessed.
+PrecisionError, so is a count of roots of one valuation, with
+multiplicity, above the polygon's, and a cluster that the search cannot
+separate is reported as unsupported rather than guessed.
 """
 
 from fractions import Fraction
@@ -356,6 +357,14 @@ def find_k_roots(g, field, _depth=0):
         work, mult = _strip_root(work, r, field)
         if mult:
             roots.append((r, mult))
+    for v in {r.val for r, _ in roots}:
+        # a remainder that vanishes only at the precision left after
+        # stripping low-precision roots can count more roots of valuation v
+        # than the Newton polygon of g holds
+        if sum(m for r, m in roots if r.val == v) > vals.count(v):
+            raise PrecisionError(
+                f"root multiplicities at valuation {v} exceed the Newton "
+                f"polygon at precision")
     if unresolved:
         if len(work) > 1 and any(v.denominator == 1
                                  for v in newton_root_valuations(work)):

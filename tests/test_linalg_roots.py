@@ -369,3 +369,18 @@ def test_lifted_roots_claim_only_certified_digits():
         assert sum((exact.coerce(r) - t).is_zero for t in true) == 1
     assert sorted((r.val, r.prec) for r, _ in roots) == \
         [(-1, 39), (0, 33), (0, 33), (0, 33)]
+
+
+def test_multiplicities_never_exceed_the_newton_polygon():
+    # a charpoly over K(3, 2) with one root at each of the valuations -10,
+    # -6, -4 and 0.  The val -10 root is known to 4 digits, and what is
+    # left after stripping it is known too coarsely to tell the other roots
+    # apart: the remainders of the strip by the val -6 root vanish three
+    # times at that precision
+    K = UnramifiedField(3, 2, 20)
+    g = [K.from_residues(v, (r, 0), prec) for v, prec, r in (
+        (-20, 10, 2684354560000), (-20, 13, 5556189748968323),
+        (-16, 20, 11503476736), (-10, 31, 36472996377169034195), (0, 44, 1))]
+    assert newton_root_valuations(g) == [-10, -6, -4, 0]
+    with pytest.raises(PrecisionError, match="exceed the Newton polygon"):
+        find_k_roots(g, K)
