@@ -275,7 +275,7 @@ class _UnitRootSearch:
                                         for k, a in enumerate(shifted)])
 
 
-def _times_p_power(c, e, work_prec):
+def _times_p_power(c, e):
     """c p^e with the precision of ``c * field.scalar(p ** e)``: val v + e
     and relative precision min(c.prec - v, work_prec - e), the second being
     the scalar's.  Where e >= work_prec that scalar would be a tracked zero,
@@ -287,8 +287,9 @@ def _times_p_power(c, e, work_prec):
         return FieldElement(field, None, c.prec + e, field._zeros)
     rel = c.prec - c.val
     res = c.res
-    if work_prec - e < rel and e < work_prec:
-        rel = work_prec - e
+    cap = field.work_prec - e
+    if 0 < cap < rel:
+        rel = cap
         mod = field.p ** rel
         res = tuple(r % mod for r in res)
     return FieldElement(field, c.val + e, c.val + e + rel, res)
@@ -297,16 +298,14 @@ def _times_p_power(c, e, work_prec):
 def _roots_with_valuation(g, val, field):
     """(simple K-roots of monic g with the given integer valuation,
     unresolved-cluster flag)."""
-    work = field.work_prec
     # normalize: x = p^val * y, divide by the content so y-roots are units
-    h = [_times_p_power(c, val * k, work) for k, c in enumerate(g)]
+    h = [_times_p_power(c, val * k) for k, c in enumerate(g)]
     vmin = min(c.val for c in h if c.val is not None)
-    h = [_times_p_power(c, -vmin, work) for c in h]
+    h = [_times_p_power(c, -vmin) for c in h]
     if min(c.prec for c in h) < 1:
         return [], True  # h is not known mod p
     search = _UnitRootSearch(h, field)
-    return ([_times_p_power(r, val, work) for r in search.roots],
-            search.unresolved)
+    return [_times_p_power(r, val) for r in search.roots], search.unresolved
 
 
 def _strip_root(work, r, field):
