@@ -56,25 +56,6 @@ class VectorSeries:
                             [c.truncate(n_new) for c in self.components],
                             self.eigen_data)
 
-    @staticmethod
-    def from_eigen_terms(module, terms, n):
-        """Build sum_l c_l(x) * v_l keeping the structured metadata.
-
-        ``terms``: list of (vector over K, slope: Fraction, c_l: LogPolynomial).
-        """
-        field = module.field
-        comps = [TruncatedSeries.zero(field, n, bound=(Fraction(0), 0, 0),
-                                      tail_zero=False)
-                 for _ in range(module.d)]
-        for vec, slope, cl in terms:
-            series = cl.expand(n)
-            for i, coord in enumerate(vec):
-                if getattr(coord, "is_zero", False):
-                    continue
-                comps[i] = comps[i] + series._scalar_mul(field.coerce(coord))
-        return VectorSeries(module, comps,
-                            eigen_data=[(s, c) for _, s, c in terms])
-
 
 def _mat_apply(A, comps):
     """[sum_j A[i][j] * comps[j]]_i for a K-matrix A and series of one degree;

@@ -19,6 +19,9 @@ sum of packed rows of (x + delta)^i, unpacked once.  Composition f(g(x)) is
 Brent-Kung baby-step/giant-step: the baby powers of g, each at its true
 degree, are packed once, each block of f becomes an integer combination of
 those packed integers, and only the giant steps cost polynomial products.
+Since g(0) = 0, each power is x^k h_k and only the h_k are multiplied; the
+block length follows deg g, and the packed powers of the last two g are
+kept, so a second composition with the same g skips them.
 Everything here is exact integer arithmetic; reduction mod p^R happens
 only at unpack time.
 ``remainder`` reduces modulo a monic integer polynomial by synthetic
@@ -31,6 +34,7 @@ bookkeeping and only hands in canonical residue vectors.
 
 from math import isqrt
 from functools import lru_cache
+from itertools import zip_longest
 
 
 def _limb_bits(mod: int, length: int) -> int:
@@ -285,45 +289,116 @@ def contract(coeffs, factor: int):
     return [coeffs[k] for k in range(0, len(coeffs), factor)]
 
 
+# compose keeps the plans of this many (g, mod, out_len, m); its
+# docstring gives their size
+_PLANS = 2
+
+
+def _baby_steps(len_f: int, out_len: int, deg: int) -> int:
+    """compose's block length m for f of length len_f and g of degree deg
+    (1 <= deg < out_len); its docstring gives the measurement."""
+    m0 = isqrt(len_f - 1) + 1
+    return min(len_f, 2 * m0, isqrt(len_f * out_len // deg) + 1)
+
+
+@lru_cache(maxsize=_PLANS)
+def _compose_plan(g, mod: int, out_len: int, m: int):
+    """(limb bytes, packed g^0 .. g^(m-1), their width, h_m) for ``compose``.
+
+    ``g`` is a reduced tuple with g[0] = 0 and a nonzero last entry, so
+    g^k = x^k h_k with h_1 = g[1:].  h_k = h_(k-1) h_1 is cut to
+    out_len - k coefficients, all that x^k h_k keeps, and to its true
+    length k (deg g - 1) + 1.  The packed g^k is packed h_k shifted up by
+    k limbs, made as soon as h_k is; the limbs hold a sum of m products of
+    reduced residues."""
+    h = h1 = g[1:]
+    lb = _limb_bits(mod, m) // 8
+    packed, width = [1], 1
+    for k in range(1, m):
+        packed.append(pack(h, lb) << (8 * lb * k))
+        width = max(width, k + len(h))
+        keep = min(out_len - k - 1, (k + 1) * (len(h1) - 1) + 1)
+        h = polymul(h, h1, mod, keep) if keep > 0 else []
+    return lb, tuple(packed), min(out_len, width), tuple(h)
+
+
 def compose(f, g, mod: int, out_len: int):
     """Coefficients of f(g(x)) truncated to ``out_len``; needs g[0] == 0.
 
-    Baby-step/giant-step (Brent & Kung, J. ACM 1978).  With m = ceil(sqrt
-    len f), write f = sum_i B_i(x) x^(im) where each block B_i has m
-    coefficients.  The baby powers g^0 .. g^(m-1) are packed once into
-    limbs wide enough for a sum of m products, so each B_i(g) is a sum of
-    small-integer multiples of packed integers.  Horner in G = g^m over the
-    blocks then takes ceil(len f / m) - 1 products, about 2 sqrt(len f)
-    with the baby steps.  Each power g^k is multiplied at its true length
-    min(out_len, k deg g + 1): a short g padded with zeros (gamma_c for an
-    integer c, where deg g = c) pays for its degree, not for ``out_len``.
+    Baby-step/giant-step (Brent & Kung, J. ACM 1978; the evaluation scheme
+    of Paterson & Stockmeyer, SIAM J. Comput. 1973).  Write f = sum_i
+    B_i(x) x^(im) where each block B_i has m coefficients.  The baby powers
+    g^0 .. g^(m-1) are packed once into limbs wide enough for a sum of m
+    products, so each B_i(g) is a sum of small-integer multiples of packed
+    integers.  Horner in G = g^m over the blocks then takes
+    ceil(len f / m) - 1 products.
+
+    No power is multiplied with its zero low terms.  Since g(0) = 0,
+    g^k = x^k h_k, and only the h_k are multiplied: h_k = h_(k-1) h_1, cut
+    to out_len - k coefficients and to its true length k (deg g - 1) + 1,
+    so a short g (gamma_c for an integer c, where deg g = c) pays for its
+    degree.  A giant step acc G + B_i(g) is x^m (acc h_m) + B_i(g), with
+    acc and the product cut to out_len - m coefficients; acc keeps only its
+    true length.
+
+    m follows deg g (``_baby_steps``): with m0 = ceil(sqrt(len f)),
+    m = min(len f, 2 m0, isqrt(len f out_len / deg g) + 1).  A dense g
+    (deg g near out_len) keeps m0, the classic balance of m baby products
+    against len f / m giant ones, each about out_len long.  A short g
+    makes the baby products cheap, but the block sums grow with the width
+    m deg g of the powers; len f / m giant products against len f sums of
+    that width balance near m = sqrt(len f out_len / deg g), capped at
+    2 m0, past which a single call loses.  Measured on a 2-core host,
+    Python 3.11.7 (best of 5 interleaved calls per m, m from 0.75 m0 to
+    3 m0, out_len = len f = N + 1, random g of the given degree), the
+    rule's time over that of the fastest m, for one call and for a pair of
+    calls that share the plan:
+
+        modulus, N      deg g = 2   6          14         N/3        N
+        5^60, 125       1.06/1.00   1.04/1.00  1.05/1.00  1.03/1.01  1.03/1.16
+        7^60, 343       1.04/1.08   1.02/1.10  1.01/1.04  1.03/1.00  1.00/1.07
+        3^60, 81        1.09/1.01   1.08/1.00  1.11/1.00  1.11/1.03  1.00/1.12
+        11^20, 121      1.07/1.00   1.14/1.02  1.07/1.00  1.04/1.06  1.00/1.14
+        5^230, 125      1.00/1.00   1.08/1.01  1.06/1.00  1.05/1.02  1.02/1.10
+
+    The fastest single call took 1.2-2 m0 for a short g (up to 2.5 m0 at
+    7^60) and 0.75-1.2 m0 for a dense one, where 2 m0 takes 1.2 times as
+    long; the fastest pair took 1.5-3 m0 for a short g.  m0 for every g, as
+    before, took 1.01-1.26 of the fastest single call and 1.13-1.40 of the
+    fastest pair for a short g.
+
+    The plan, the packed baby powers and h_m, is kept in an ``lru_cache``
+    of ``_PLANS`` = 2 entries keyed on (g reduced and without its zero
+    tail, mod, out_len, m): gamma_c hands one g to every coordinate of a
+    series and to every series it acts on at one N and window.  A plan
+    takes about 0.1 MB at 5^60, N = 125 and 0.2 MB at 7^60, N = 343.
     """
     if g and g[0] % mod != 0:
         raise ValueError("composition requires g(0) = 0")
-    if not f:
-        return [0] * out_len
     g = [c % mod for c in g[:out_len]]
-    while len(g) > 1 and not g[-1]:
+    while g and not g[-1]:
         g.pop()
-    deg = max(len(g) - 1, 0)
-    m = isqrt(len(f) - 1) + 1
-    powers = [[1], g]
-    while len(powers) <= m:
-        powers.append(polymul(powers[-1], g, mod,
-                              min(out_len, len(powers) * deg + 1)))
-    giant = powers.pop()
-    lb = _limb_bits(mod, m) // 8
-    packed = [pack(q, lb) for q in powers]
-    width = max(len(q) for q in powers)
+    if not f or not g:
+        # g = 0 mod x^out_len, so f(g) = f(0)
+        out = [0] * out_len
+        if f and out:
+            out[0] = f[0] % mod
+        return out
+    m = _baby_steps(len(f), out_len, len(g) - 1)
+    lb, packed, width, giant = _compose_plan(tuple(g), mod, out_len, m)
 
     def block(i):
         # B_i(g): no limb overflows, since it sums at most m products
         s = sum((c % mod) * q for c, q in zip(f[i:i + m], packed))
-        return [c % mod for c in unpack(s, width, lb)] + [0] * (out_len - width)
+        return [c % mod for c in unpack(s, width, lb)]
 
-    starts = range(0, len(f), m)
+    cut = out_len - m
+    # x^m h_m vanishes mod x^out_len when cut <= 0: f(g) = B_0(g)
+    starts = range(0, len(f) if cut > 0 else 1, m)
     acc = block(starts[-1])
     for i in reversed(starts[:-1]):
-        acc = polymul(acc, giant, mod, out_len)
-        acc = [(a + b) % mod for a, b in zip(acc, block(i))]
-    return acc
+        prod = polymul(acc[:cut], giant, mod,
+                       min(cut, len(acc) + len(giant) - 1))
+        acc = [(a + b) % mod for a, b in
+               zip_longest(block(i), [0] * m + prod, fillvalue=0)]
+    return acc + [0] * (out_len - len(acc))

@@ -182,11 +182,6 @@ class FilteredPhiModule:
     def t_N(self) -> Fraction:
         return sum(self.newton_slopes(), Fraction(0))
 
-    def slope_lambda(self) -> Fraction:
-        if self.d == 0:
-            raise ValueError("slope of the zero module is undefined")
-        return Fraction(self.t_H - self.t_N, self.d)
-
     # -- phi action ----------------------------------------------------------
 
     def apply_phi(self, v):
@@ -367,9 +362,6 @@ class FilteredPhiModule:
         if self._hodge[i] is None:
             self._hodge[i] = self._induced_hodge(self._lattice[i])
         return self._hodge[i]
-
-    def induced_fil_dim(self, S: Subspace, j: int) -> int:
-        return _fil_dim(self._induced_hodge(S)[0], j)
 
     # -- admissibility and slope verdicts --------------------------------------
 

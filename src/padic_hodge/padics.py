@@ -572,14 +572,6 @@ class UnramifiedField:
     def sigma_inv(self, a):
         return a if self.f == 1 else self._sigma_element(a, True)
 
-    def random_element(self, rng, prec=None, integral=True):
-        if prec is None:
-            prec = self.prec
-        lo = 0 if integral else -2
-        coords = [rng.randrange(self.p ** prec) * Fraction(self.p) ** rng.randint(lo, 0)
-                  for _ in range(self.f)]
-        return self.element(coords, prec=prec)
-
     def __repr__(self):
         return f"UnramifiedField(p={self.p}, f={self.f})"
 

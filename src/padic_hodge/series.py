@@ -112,17 +112,6 @@ class TruncatedSeries:
         s.coords[0][0] = 1
         return s
 
-    @staticmethod
-    def x_plus_one_power(field, exponent, n, prec=None):
-        """(1+x)^exponent as an exact polynomial (exponent >= 0) ."""
-        prec = prec if prec is not None else field.work_prec
-        mod = field.p ** prec
-        col = [math.comb(exponent, i) % mod for i in range(min(exponent, n) + 1)]
-        col += [0] * (n + 1 - len(col))
-        cols = [col] + [[0] * (n + 1) for _ in range(field.f - 1)]
-        return TruncatedSeries(field, n, 0, prec, cols, bound=(Fraction(0), 0),
-                               tail_zero=True)
-
     # -- basic structure -------------------------------------------------
 
     @property

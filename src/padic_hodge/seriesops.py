@@ -14,7 +14,10 @@ raises TailBoundError there, since its every coefficient depends on the
 unknown tail.  Both twist the coefficients by the field's ``sigma_columns``
 and claim its one window rule: no more than the rows of sigma give.
 The gamma-action substitutes x -> (1+x)^c - 1 through the p-adic binomial
-series of c.
+series of c, whose column stops at its first zero numerator (past i = c for
+an integer c), by one ``intpoly.compose`` per coordinate: all of them, and
+a later gamma_c at the same c, N and window, share one cached plan of the
+powers of (1+x)^c - 1.
 Values at the cyclotomic layers are remainders modulo the layer's minimal
 polynomial (``intpoly.remainder``), decided at ``DECISION_LEVEL``,
 valuation 1 (modulo p^1).
@@ -125,7 +128,11 @@ def d_op(f: TruncatedSeries) -> TruncatedSeries:
 
 def _binomial_column(c_res, n, rel, p, extra):
     """Residues of C(c, i) mod p^rel for i = 0..n, where c_res is the
-    residue of c modulo p^(rel+extra) and extra >= v_p(n!)."""
+    residue of c modulo p^(rel+extra) and extra >= v_p(n!).
+
+    Once the numerator vanishes mod p^(rel+extra) (past i = c for an
+    integer c >= 0), so does every later one, and the rest of the column is
+    zero: the loop stops there and skips those modular inverses."""
     W = rel + extra
     modW = p ** W
     mod = p ** rel
@@ -135,6 +142,8 @@ def _binomial_column(c_res, n, rel, p, extra):
     ufact_inv = 1    # inverse of the unit part of i! mod p^W
     for i in range(1, n + 1):
         num = num * ((c_res - (i - 1)) % modW) % modW
+        if not num:
+            return out + [0] * (n + 1 - i)
         t = vp_int(i, p)
         vfact += t
         u = i // p ** t

@@ -23,6 +23,8 @@ from padic_hodge import analytic, generators as gen
 from padic_hodge.config import Config
 from padic_hodge.suites import _series_field
 
+from helpers import from_eigen_terms
+
 
 def unit_module(field):
     return FilteredPhiModule(field, [[field.one()]],
@@ -96,14 +98,14 @@ def test_phi_growth_order_eigen_exact(K5):
     # g = log^u b * v with phi(v) = p^2 v: order u + 2
     for u in (0, 1, 3):
         terms = [([K5.one(), K5.zero()], Fraction(2), LogPolynomial({u: b}))]
-        g = VectorSeries.from_eigen_terms(m, terms, 40)
+        g = from_eigen_terms(m, terms, 40)
         po = phi_growth_order(g)
         assert po.exact and po.value == u + 2
     # constant eigenvector with slope 0
     m0 = diag_module(K5, [Fraction(1), Fraction(1, 5)])
     terms = [([K5.one(), K5.zero()], Fraction(0),
               LogPolynomial({0: TruncatedSeries.one(K5, 40)}))]
-    g = VectorSeries.from_eigen_terms(m0, terms, 40)
+    g = from_eigen_terms(m0, terms, 40)
     assert phi_growth_order(g).value == 0
 
 
@@ -113,7 +115,7 @@ def test_phi_growth_order_dominance(K5):
     b = gen.random_poly_series(K5, rng, 30, deg=1, unit_constant=True)
     terms = [([K5.one(), K5.zero()], Fraction(0), LogPolynomial({1: b})),
              ([K5.zero(), K5.one()], Fraction(0), LogPolynomial({3: b}))]
-    g = VectorSeries.from_eigen_terms(m, terms, 40)
+    g = from_eigen_terms(m, terms, 40)
     assert phi_growth_order(g).value == 3
 
 

@@ -12,6 +12,8 @@ from padic_hodge import seriesops as so
 from padic_hodge.errors import NotDivisibleError
 from padic_hodge import generators as gen
 
+from helpers import x_plus_one_power
+
 
 def test_divide_log_itself(K5div):
     N = 125
@@ -91,7 +93,7 @@ def test_divide_rejects_phi_of_log_factor(K5div):
     # phi(log)/p = log has the same zeros; but (1+x)^p - 1 - x*(unit) does
     # not vanish at layer 2 roots: divide must refuse x*(1 + ...) there
     N = 125
-    s = TruncatedSeries.x_plus_one_power(K5div, 5, N) - \
+    s = x_plus_one_power(K5div, 5, N) - \
         TruncatedSeries.one(K5div, N)
     # s = (1+x)^5 - 1 vanishes at layer-1 points but NOT at layer-2 points
     q1 = so.divide_by_log(s, n_max=1)   # layer-1 evidence alone passes
@@ -124,7 +126,7 @@ def test_kept_quotient_still_checks_layers(K5div):
     # kept by the n_max=1 call must not let an n_max=2 call through
     N = 125
     h = TruncatedSeries.make(K5div, [2, 1, 1] + [0] * (N - 2), n=N)
-    f = ((TruncatedSeries.x_plus_one_power(K5div, 5, N)
+    f = ((x_plus_one_power(K5div, 5, N)
           - TruncatedSeries.one(K5div, N)) * h).truncate(N)
     q = so.divide_by_log(f, n_max=1)
     for _ in range(2):

@@ -242,28 +242,67 @@ def test_compose_matches_naive():
         assert got == horner(f, g, mod, n, naive_mul)
 
 
+def _degree(g, mod, out_len):
+    """deg g as compose sees it: reduced, cut to out_len, zero tail off."""
+    g = [c % mod for c in g[:out_len]]
+    return max((k for k, c in enumerate(g) if c), default=0)
+
+
+def _edge_lengths(len_f, out_len, deg):
+    """The longest lengths L <= len_f of f whose last block, of compose's
+    m for L, is one short of m, exactly m long, or one coefficient."""
+    found = {}
+    for n in range(len_f, 0, -1):
+        m = intpoly._baby_steps(n, out_len, deg)
+        edge = {0: "full", 1: "one", m - 1: "short"}.get(n % m)
+        if edge:
+            found.setdefault(edge, n)
+    return sorted(found.values())
+
+
+def _binomial_g(c, mod, length):
+    """(1+x)^c - 1 padded with zeros to ``length``, as integer gamma_c
+    hands it over."""
+    g = [0] + [comb(c, i) % mod for i in range(1, c + 1)]
+    return g + [0] * (length - len(g))
+
+
 def _compose_cases(rng, len_f, mod, wide):
     """Seeded (f, g, out_len) triples around one length of f.
 
-    out_len runs below, at and above len f and down to 1; g is full,
-    the constant [0], or shorter than out_len.  With ``wide`` the inputs
-    come from a window 125 times wider and must be reduced mod ``mod``.
+    out_len runs below, at and above len f and down to 2 and 1, at most
+    compose's m and below deg g; g is full (dense), the constant [0],
+    shorter than out_len, or a binomial column (1+x)^c - 1, c in
+    {2, 6, 14}, padded with zeros or with multiples of mod.  Each non-zero
+    g also meets f cut to the lengths where the last block of m is one
+    short, full, or one coefficient long.  With ``wide`` the inputs come
+    from a window 125 times wider and must be reduced mod ``mod``.
     """
     top = mod * 125 if wide else mod
     f = [rng.randrange(top) for _ in range(len_f)]
-    for out_len in sorted({1, max(len_f - 3, 1), max(len_f, 1), len_f + 4}):
+    for out_len in sorted({1, 2, max(len_f - 3, 1), max(len_f, 1), len_f + 4}):
         full = [0] + [rng.randrange(top) for _ in range(out_len + 2)]
         short = [mod if wide else 0] + [rng.randrange(top)
                                         for _ in range(out_len // 2)]
-        for g in (full, [0], short):
+        columns = [_binomial_g(c, mod, out_len + 2) for c in (2, 6, 14)]
+        columns.append(columns[1] + [mod, 0, 3 * mod])
+        for g in [full, [0], short] + columns:
             yield f, g, out_len
+            deg = _degree(g, mod, out_len)
+            if deg:
+                for n in _edge_lengths(len_f, out_len, deg):
+                    if n != len_f:
+                        yield f[:n], g, out_len
 
 
-@pytest.mark.parametrize("p", [3, 7, 11])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
 @pytest.mark.parametrize("len_f", [0, 1, 2, 16, 17])
 def test_compose_small_against_naive_horner(p, len_f):
     rng = random.Random(100 * p + len_f)
-    for digits, wide in ((1, False), (9, True), (40, False)):
+    windows = [(1, False), (9, True), (40, False)]
+    if p == 5:
+        windows.append((320, False))
+    for digits, wide in windows:
         mod = p ** digits
         for f, g, out_len in _compose_cases(rng, len_f, mod, wide):
             assert intpoly.compose(f, g, mod, out_len) == \
@@ -272,6 +311,7 @@ def test_compose_small_against_naive_horner(p, len_f):
 
 @pytest.mark.parametrize("p, len_f, digits", [
     (3, 126, 60), (7, 126, 20), (11, 126, 40), (5, 126, 340),
+    (3, 126, 1), (5, 126, 60),
     (3, 344, 30), (7, 344, 60), (11, 344, 20),
 ])
 def test_compose_large_against_polymul_horner(p, len_f, digits):
@@ -287,6 +327,18 @@ def test_compose_large_against_polymul_horner(p, len_f, digits):
     assert intpoly.compose(f, short, mod, len_f) == \
         horner(f, short, mod, len_f, intpoly.polymul)
     assert intpoly.compose(f, [0], mod, len_f) == [f[0]] + [0] * (len_f - 1)
+    # gamma_c's short columns, and f at the block edges of a short and a
+    # dense g; out_len at most m
+    dense = [0] + [rng.randrange(mod) for _ in range(len_f)]
+    for g in [_binomial_g(c, mod, len_f) for c in (2, 6, 14)] + [dense]:
+        deg = _degree(g, mod, len_f)
+        lengths = _edge_lengths(len_f, len_f, deg) if len_f < 200 else []
+        for n in [len_f] + lengths:
+            assert intpoly.compose(f[:n], g, mod, len_f) == \
+                horner(f[:n], g, mod, len_f, intpoly.polymul)
+        assert intpoly._baby_steps(len_f, 5, _degree(g, mod, 5)) >= 5
+        assert intpoly.compose(f, g, mod, 5) == \
+            horner(f, g, mod, 5, naive_mul)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -308,6 +360,69 @@ def test_compose_with_a_zero_tail(p):
                     g = g[:max(out_len, len(h))]
                     assert intpoly.compose(f, g, mod, out_len) == \
                         horner(f, g, mod, out_len, mul), (len_f, out_len, c)
+
+
+def _plan_counts():
+    info = intpoly._compose_plan.cache_info()
+    return info.hits, info.misses
+
+
+def test_compose_reuses_a_plan_for_another_f():
+    rng = random.Random(21)
+    mod, n = 5 ** 60, 126
+    g = _binomial_g(6, mod, n)
+    intpoly._compose_plan.cache_clear()
+    for _ in range(3):
+        f = [rng.randrange(mod) for _ in range(n)]
+        assert intpoly.compose(f, g, mod, n) == \
+            horner(f, g, mod, n, intpoly.polymul)
+    # a zero tail, or one of multiples of mod, is the same g
+    f = [rng.randrange(mod) for _ in range(n)]
+    assert intpoly.compose(f, g[:7] + [mod, 0], mod, n) == \
+        horner(f, g, mod, n, intpoly.polymul)
+    assert _plan_counts() == (3, 1)
+
+
+def test_compose_plans_differ_by_mod_and_out_len():
+    rng = random.Random(22)
+    f = [rng.randrange(7 ** 30) for _ in range(40)]
+    g = _binomial_g(6, 7 ** 30, 40)
+    intpoly._compose_plan.cache_clear()
+    for mod, out_len in ((7 ** 30, 40), (7 ** 12, 40), (7 ** 30, 40),
+                         (7 ** 12, 40), (7 ** 30, 33), (7 ** 30, 33)):
+        assert intpoly.compose(f, g, mod, out_len) == \
+            horner(f, g, mod, out_len, naive_mul)
+    assert _plan_counts() == (3, 3)
+
+
+def test_compose_with_interleaved_g():
+    # more distinct g than the cache keeps, each met again after the others
+    rng = random.Random(23)
+    mod, n = 3 ** 20, 50
+    gs = [_binomial_g(c, mod, n) for c in (2, 4, 5, 7, 8, 10)]
+    gs.append([0] + [rng.randrange(mod) for _ in range(n - 1)])
+    assert len(gs) > intpoly._PLANS
+    intpoly._compose_plan.cache_clear()
+    for _ in range(2):
+        for g in gs + gs[::-1]:
+            f = [rng.randrange(mod) for _ in range(n)]
+            assert intpoly.compose(f, g, mod, n) == \
+                horner(f, g, mod, n, naive_mul)
+
+
+def test_compose_result_is_the_callers():
+    rng = random.Random(24)
+    mod, n = 5 ** 20, 60
+    f = [rng.randrange(mod) for _ in range(n)]
+    for g in (_binomial_g(2, mod, n), [0] + [rng.randrange(mod)
+                                             for _ in range(n - 1)]):
+        expect = horner(f, g, mod, n, naive_mul)
+        g_copy = list(g)
+        first = intpoly.compose(f, g, mod, n)
+        first[:] = [0] * n
+        first.append(1)
+        assert intpoly.compose(f, g, mod, n) == expect
+        assert g == g_copy
 
 
 def test_compose_requires_zero_constant_term():

