@@ -5,7 +5,8 @@ wedges, and the order-versus-log-divisibility contradiction engine.
 
 Verdicts here are certificates at finite truncation and finitely many
 cyclotomic layers; "inconclusive" is a first-class outcome and is never
-silently collapsed into a boolean.  Layer tests decide at
+silently collapsed into a boolean.  The growth-order estimate is a report
+printed by ``amember``, never an input to a verdict.  Layer tests decide at
 ``seriesops.DECISION_LEVEL``, valuation 1 (modulo p^1).  Membership of a
 layer value in K_n (x) phi^n Fil^j is read coordinate by coordinate: each
 pi_n^j-coordinate vector is solved against phi^n Fil^j over K.
@@ -162,7 +163,7 @@ class MembershipReport:
     n_max: int
     tilde: bool
     psi_zero: bool | None
-    order: PhiOrder | None
+    order: PhiOrder | None   # exact, from eigen data; else None
     order_pass: bool | None
     rows: list
     verdict: bool
@@ -225,6 +226,16 @@ def _span_margin(values, basis, certainty):
     return min([certainty] + decided)
 
 
+def _hypothesis_level(module, S: Subspace, k: int, values, certainty,
+                      floor):
+    """Level of the layer values against K_n (x) phi^k(S): the certified
+    floor when it clears the decision level or S is 0, otherwise the span
+    margin, whose PrecisionError propagates."""
+    if floor >= DECISION_LEVEL or S.dimension == 0:
+        return floor
+    return _span_margin(values, _phi_power_basis(module, S, k), certainty)
+
+
 def _status(level):
     return "member" if level >= DECISION_LEVEL else "non-member"
 
@@ -238,7 +249,8 @@ def check_membership(g: VectorSeries, v: int, J, r, n_max: int,
     K_n (x) phi^n Fil^j; ``tilde`` skips the psi(g) = 0 requirement (the
     variant defined for v <= 0 without the kernel condition).  Verdicts are
     'member up to layer n_max': the quantifier over all n is inherently
-    truncated, and the order condition is binding only when it is exact.
+    truncated.  The order condition is checked, and ``order`` set, only
+    when eigen data make the phi-twisted order of ``g`` exact.
     A layer whose evaluation has no tail bound, whose certainty is below
     the decision level, or whose span solve is ill-conditioned gives an
     'indeterminate' row.  Without ``tilde``, a truncated component (psi
@@ -282,23 +294,18 @@ def check_membership(g: VectorSeries, v: int, J, r, n_max: int,
             if filj.dimension == module.d:
                 rows.append(ConditionRow(j, n, "subspace", "trivial", None))
                 continue
-            if floor >= DECISION_LEVEL or filj.dimension == 0:
-                rows.append(ConditionRow(j, n, "subspace", _status(floor),
-                                         floor))
-                continue
             try:
-                margin = _span_margin(values,
-                                      _phi_power_basis(module, filj, n),
-                                      certainty)
+                level = _hypothesis_level(module, filj, n, values,
+                                          certainty, floor)
             except PrecisionError:
                 rows.append(ConditionRow(j, n, "subspace", "indeterminate",
                                          None))
                 continue
-            rows.append(ConditionRow(j, n, "subspace", _status(margin),
-                                     margin))
-    order = phi_growth_order(g) if not g.is_zero else None
-    order_pass = None
-    if order is not None and order.exact:
+            rows.append(ConditionRow(j, n, "subspace", _status(level),
+                                     level))
+    order = order_pass = None
+    if g.eigen_data is not None and not g.is_zero:
+        order = phi_growth_order(g)
         order_pass = order.value <= Fraction(v) + Fraction(r)
     indeterminate = (not tilde and psi_zero is None) or \
         any(row.status == "indeterminate" for row in rows)
@@ -351,12 +358,7 @@ def wronskian_det(g: VectorSeries, order: int) -> TruncatedSeries:
     """
     if order > g.module.d:
         raise ValueError("order exceeds the module dimension")
-    cols = [g.components]
-    cur = g.components
-    for _ in range(order - 1):
-        cur = [d_op(c) for c in cur]
-        cols.append(cur)
-    return _columns_det([col[:order] for col in cols])
+    return _columns_det(_derivative_ladder(g.components[:order], order - 1))
 
 
 def phi_orbit_wedge(g: VectorSeries, n: int) -> TruncatedSeries:
@@ -543,12 +545,9 @@ def det_log_divisibility(gs, n_max: int = 1) -> DetDivisibilityReport:
                 if certainty < DECISION_LEVEL:
                     rows.append((idx, j, n, "indeterminate", certainty))
                     continue
-                if floor >= DECISION_LEVEL or filj.dimension == 0:
-                    rows.append((idx, j, n, _status(floor), floor))
-                    continue
-                margin = _span_margin(values, [list(v) for v in filj.basis],
-                                      certainty)
-                rows.append((idx, j, n, _status(margin), margin))
+                level = _hypothesis_level(module, filj, 0, values,
+                                          certainty, floor)
+                rows.append((idx, j, n, _status(level), level))
     if any(row[3] != "member" for row in rows):
         return DetDivisibilityReport(False, 0, module.t_H, rows)
     F = _columns_det([g.components for g in gs])

@@ -20,7 +20,8 @@ from .padics import UnramifiedField
 from .series import INFINITE
 from . import seriesops as so
 from .modules import mf_rank_table
-from .analytic import (VectorSeries, check_membership, contradiction_pipeline)
+from .analytic import (VectorSeries, check_membership, contradiction_pipeline,
+                       phi_growth_order)
 from . import serialize as ser
 from . import generators as gen
 from .suites import run_suite, SUITES, division_margin
@@ -51,10 +52,16 @@ def _resolve_module_path(name):
     return name
 
 
-def _load_module(args, cfg, margin=None):
-    path = _resolve_module_path(args.module)
-    return ser.parse_module_file(path, precision=cfg.precision,
-                                 work_margin=margin, guard=cfg.guard)
+def _load_module(name, cfg, margin=None):
+    """Module file or preset ``name`` at the configured precision and guard."""
+    return ser.parse_module_file(_resolve_module_path(name),
+                                 precision=cfg.precision, work_margin=margin,
+                                 guard=cfg.guard)
+
+
+def _print_module(module):
+    print(json.dumps(ser.module_to_json(module), indent=2))
+    return EXIT_OK
 
 
 def _emit(args, human_lines, payload):
@@ -92,7 +99,7 @@ def _cert_payload(cert):
 
 def cmd_slopes(args):
     cfg = _load_config(args)
-    m = _load_module(args, cfg)
+    m = _load_module(args.module, cfg)
     slopes = m.newton_slopes()
     h, th = m.hodge_degree()
     lines = ["slope\tmultiplicity"]
@@ -111,7 +118,7 @@ def cmd_slopes(args):
 
 def cmd_admissible(args):
     cfg = _load_config(args)
-    m = _load_module(args, cfg)
+    m = _load_module(args.module, cfg)
     cert = m.is_weakly_admissible()
     lines = [f"weakly_admissible\t{cert.verdict}"]
     if cert.note:
@@ -125,7 +132,7 @@ def cmd_admissible(args):
 
 def cmd_ncond(args):
     cfg = _load_config(args)
-    m = _load_module(args, cfg)
+    m = _load_module(args.module, cfg)
     cert = m.n_condition(args.j)
     lines = [f"condition_N_{args.j}\t{cert.verdict}"]
     for row in cert.rows:
@@ -137,7 +144,7 @@ def cmd_ncond(args):
 
 def cmd_fil1(args):
     cfg = _load_config(args)
-    m = _load_module(args, cfg)
+    m = _load_module(args.module, cfg)
     sub = m.fil1()
     lines = [f"dim\t{sub.dimension}"]
     for v in sub.basis:
@@ -152,7 +159,7 @@ def cmd_fil1(args):
 
 def cmd_rank(args):
     cfg = _load_config(args)
-    m = _load_module(args, cfg)
+    m = _load_module(args.module, cfg)
     r = m.universal_norm_rank()
     _emit(args, [f"rank\t{r}"], {"rank": r})
     return EXIT_OK
@@ -160,39 +167,24 @@ def cmd_rank(args):
 
 def cmd_twist(args):
     cfg = _load_config(args)
-    m = _load_module(args, cfg)
-    out = m.twist(args.k)
-    payload = ser.module_to_json(out)
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return _print_module(_load_module(args.module, cfg).twist(args.k))
 
 
 def cmd_tensor(args):
     cfg = _load_config(args)
-    path_a, path_b = args.modules
-    m1 = ser.parse_module_file(_resolve_module_path(path_a),
-                               precision=cfg.precision, guard=cfg.guard)
-    m2 = ser.parse_module_file(_resolve_module_path(path_b),
-                               precision=cfg.precision, guard=cfg.guard)
-    out = m1.tensor_product(m2)
-    print(json.dumps(ser.module_to_json(out), indent=2))
-    return EXIT_OK
+    m1, m2 = (_load_module(name, cfg) for name in args.modules)
+    return _print_module(m1.tensor_product(m2))
 
 
 def cmd_wedge(args):
     cfg = _load_config(args)
-    m = _load_module(args, cfg)
-    out = m.wedge_power(args.v)
-    print(json.dumps(ser.module_to_json(out), indent=2))
-    return EXIT_OK
+    return _print_module(_load_module(args.module, cfg).wedge_power(args.v))
 
 
 def cmd_tilde(args):
     cfg = _load_config(args)
-    m = _load_module(args, cfg)
-    out = m.erase_filtration_step(args.k)
-    print(json.dumps(ser.module_to_json(out), indent=2))
-    return EXIT_OK
+    return _print_module(
+        _load_module(args.module, cfg).erase_filtration_step(args.k))
 
 
 def cmd_mf_rank_table(args):
@@ -271,23 +263,26 @@ def _load_vector_series(path, module):
 
 def cmd_amember(args):
     cfg = _load_config(args)
-    m = _load_module(args, cfg, margin=60)
+    m = _load_module(args.module, cfg, margin=60)
     g = _load_vector_series(args.series, m)
     J = tuple(int(x) for x in args.J.split(",")) if args.J else ()
     rep = check_membership(g, args.v, J, Fraction(args.r), args.nmax or
                            cfg.n_max, tilde=not args.require_psi_zero)
+    # the estimate is reported here only: check_membership reads an order
+    # just where eigen data makes it exact
+    order = phi_growth_order(g) if not g.is_zero else None
     lines = [f"verdict\t{rep.verdict}",
              f"indeterminate\t{rep.indeterminate}"]
     if rep.psi_zero is not None:
         lines.append(f"psi_zero\t{rep.psi_zero}")
-    if rep.order is not None:
-        if rep.order.exact:
-            lines.append(f"phi_order\t{rep.order.value}\texact")
-        elif rep.order.interval:
-            lines.append(f"phi_order\t[{rep.order.interval[0]}, "
-                         f"{rep.order.interval[1]}]\testimate")
+    if order is not None:
+        if order.exact:
+            lines.append(f"phi_order\t{order.value}\texact")
+        elif order.interval:
+            lines.append(f"phi_order\t[{order.interval[0]}, "
+                         f"{order.interval[1]}]\testimate")
         else:
-            lines.append(f"phi_order\tunavailable\t{rep.order.note}")
+            lines.append(f"phi_order\tunavailable\t{order.note}")
     for row in rep.rows:
         lines.append(f"j={row.j}\tn={row.n}\t{row.kind}\t{row.status}\t"
                      f"margin={row.margin}")
@@ -295,12 +290,12 @@ def cmd_amember(args):
         "verdict": rep.verdict,
         "indeterminate": rep.indeterminate,
         "psi_zero": rep.psi_zero,
-        "order": ({"exact": True, "value": _frac(rep.order.value)}
-                  if rep.order and rep.order.exact else
+        "order": ({"exact": True, "value": _frac(order.value)}
+                  if order and order.exact else
                   {"exact": False,
-                   "interval": [_frac(x) for x in rep.order.interval]
-                   if rep.order and rep.order.interval else None,
-                   "note": rep.order.note if rep.order else "zero input"}),
+                   "interval": [_frac(x) for x in order.interval]
+                   if order and order.interval else None,
+                   "note": order.note if order else "zero input"}),
         "conditions": [{"j": r.j, "n": r.n, "kind": r.kind,
                         "status": r.status, "margin": _frac(r.margin)}
                        for r in rep.rows],
@@ -313,7 +308,7 @@ def cmd_amember(args):
 
 def cmd_contradict(args):
     cfg = _load_config(args)
-    m = _load_module(args, cfg, margin=division_margin(cfg, 9))
+    m = _load_module(args.module, cfg, margin=division_margin(cfg, 9))
     if args.series:
         g = _load_vector_series(args.series, m)
     else:

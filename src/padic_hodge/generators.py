@@ -11,10 +11,11 @@ condition to the structured/estimated order machinery.
 
 from fractions import Fraction
 
-from .linalg import mat_mul, inverse
+from .errors import PadicError
+from .linalg import mat_mul, inverse, identity
 from .series import TruncatedSeries
 from .seriesops import LogPolynomial
-from .modules import FilteredPhiModule, Subspace
+from .modules import FilteredPhiModule, Subspace, _level_filtration
 from .analytic import VectorSeries
 
 
@@ -75,17 +76,31 @@ def split_module(field, rng, d=2, jumps_mode="wa"):
     p = field.p
     A = [[field.coerce(Fraction(random_unit(rng, p)) * Fraction(p) ** slopes[i])
           if i == j else field.zero() for j in range(d)] for i in range(d)]
-    filt = []
-    distinct = sorted(set(jumps))
-    for j in distinct:
-        idx = [i for i in range(d) if jumps[i] >= j]
-        vecs = []
-        for i in idx:
-            e = [field.zero() for _ in range(d)]
-            e[i] = field.one()
-            vecs.append(e)
-        filt.append((j, Subspace(field, d, vecs)))
-    return FilteredPhiModule(field, A, filt), slopes, jumps
+    return (FilteredPhiModule(field, A, _level_filtration(field, jumps)),
+            slopes, jumps)
+
+
+def _sample(field, what, draw, keep):
+    """The first of 400 draws that ``keep`` accepts.  ``draw()`` returns a
+    Frobenius matrix and filtration, or None for a draw rejected outright;
+    a library refusal while building or keeping the module rejects the draw
+    too.  Any other exception propagates: it is a defect, not a draw."""
+    last = None
+    for _ in range(400):
+        parts = draw()
+        if parts is None:
+            continue
+        try:
+            M = FilteredPhiModule(field, *parts)
+            if keep(M):
+                return M
+        except (PadicError, ArithmeticError, ValueError) as e:
+            last = e
+    raise RuntimeError(f"could not sample {what}") from last
+
+
+def _weakly_admissible(M):
+    return M.is_weakly_admissible().verdict
 
 
 def random_wa_module_d2(field, rng):
@@ -93,8 +108,8 @@ def random_wa_module_d2(field, rng):
     a generic (non-eigen) filtration line; admissible by construction and
     re-certified."""
     p = field.p
-    last = None
-    for _ in range(400):
+
+    def draw():
         a = rng.randint(-3, 0)
         b = rng.randint(a + 1, 1)
         # j1 <= a keeps every eigenline admissible; j1 < j2 = a+b-j1 as well
@@ -105,57 +120,38 @@ def random_wa_module_d2(field, rng):
         A = _conjugated_phi(field, rng, (a, b), units)
         line = [rng.randint(-4, 4) for _ in range(2)]
         if line == [0, 0]:
-            continue
-        full = Subspace(field, 2, [[field.one(), field.zero()],
-                                   [field.zero(), field.one()]])
-        filt = [(j1, full),
-                (j2, Subspace(field, 2, [[field.coerce(c) for c in line]]))]
-        try:
-            M = FilteredPhiModule(field, A, filt)
-            cert = M.is_weakly_admissible()
-        except Exception as e:
-            last = e
-            continue
-        if cert.verdict:
-            return M
-    raise RuntimeError("could not sample a weakly admissible d=2 module") \
-        from last
+            return None
+        return A, [(j1, Subspace(field, 2, identity(field, 2))),
+                   (j2, Subspace(field, 2, [line]))]
+
+    return _sample(field, "a weakly admissible d=2 module", draw,
+                   _weakly_admissible)
 
 
 def random_wa_module_d3(field, rng):
     """Weakly admissible dimension-3 module (generate and certify)."""
     p = field.p
-    last = None
-    for _ in range(400):
+
+    def draw():
         slopes = sorted(rng.sample(range(-3, 2), 3))
         t = sum(slopes)
         j1 = rng.randint(slopes[0] - 2, slopes[0])
         j3 = rng.randint(slopes[2], slopes[2] + 2)
         j2 = t - j1 - j3
         if not j1 < j2 < j3:
-            continue
+            return None
         units = [random_unit(rng, p) for _ in range(3)]
         A = _conjugated_phi(field, rng, slopes, units)
-        full = Subspace(field, 3, [[field.one() if i == j else field.zero()
-                                    for j in range(3)] for i in range(3)])
         v1 = [rng.randint(-3, 3) for _ in range(3)]
         v2 = [rng.randint(-3, 3) for _ in range(3)]
-        plane = Subspace(field, 3, [[field.coerce(c) for c in v1],
-                                    [field.coerce(c) for c in v2]])
+        plane = Subspace(field, 3, [v1, v2])
         if plane.dimension != 2:
-            continue
-        line = Subspace(field, 3, [[field.coerce(c) for c in v1]])
-        filt = [(j1, full), (j2, plane), (j3, line)]
-        try:
-            M = FilteredPhiModule(field, A, filt)
-            cert = M.is_weakly_admissible()
-        except Exception as e:
-            last = e
-            continue
-        if cert.verdict:
-            return M
-    raise RuntimeError("could not sample a weakly admissible d=3 module") \
-        from last
+            return None
+        return A, [(j1, Subspace(field, 3, identity(field, 3))),
+                   (j2, plane), (j3, Subspace(field, 3, [v1]))]
+
+    return _sample(field, "a weakly admissible d=3 module", draw,
+                   _weakly_admissible)
 
 
 def random_wa_module(field, rng, d=None):
@@ -181,35 +177,24 @@ def random_h0_ncond_module(field, rng):
     degree condition on Fil^0-avoiding subspaces (always true for this
     family: slopes a < b <= -1, jumps {a+b, 0}, generic line)."""
     p = field.p
-    last = None
-    for _ in range(400):
+
+    def draw():
         b = rng.randint(-2, -1)
         a = rng.randint(b - 2, b - 1)
-        j1 = a + b
         units = [random_unit(rng, p), random_unit(rng, p)]
         A = _conjugated_phi(field, rng, (a, b), units)
         line = [rng.randint(-4, 4), rng.randint(-4, 4)]
         if line == [0, 0]:
-            continue
-        full = Subspace(field, 2, [[field.one(), field.zero()],
-                                   [field.zero(), field.one()]])
-        filt = [(j1, full),
-                (0, Subspace(field, 2, [[field.coerce(c) for c in line]]))]
-        try:
-            M = FilteredPhiModule(field, A, filt)
-        except Exception as e:
-            last = e
-            continue
-        if not M.is_weakly_admissible().verdict:
-            continue
-        if not M.n_condition(0).verdict:
-            continue
-        h, _ = M.hodge_degree()
-        if h.get(0, 0) == 0:
-            continue
-        return M
-    raise RuntimeError("could not sample an h_0 != 0 module satisfying the "
-                       "degree condition") from last
+            return None
+        return A, [(a + b, Subspace(field, 2, identity(field, 2))),
+                   (0, Subspace(field, 2, [line]))]
+
+    def keep(M):
+        return (_weakly_admissible(M) and M.n_condition(0).verdict
+                and M.hodge_degree()[0].get(0, 0) != 0)
+
+    return _sample(field, "an h_0 != 0 module satisfying the degree "
+                   "condition", draw, keep)
 
 
 def synthetic_member(module, rng, n, mode="deep"):

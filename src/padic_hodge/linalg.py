@@ -199,13 +199,17 @@ def charpoly(A):
     return coeffs
 
 
+def identity(field, n):
+    """The n x n identity matrix over ``field``."""
+    return [[field.one() if i == j else field.zero() for j in range(n)]
+            for i in range(n)]
+
+
 def inverse(A):
     """A^-1 by Gauss-Jordan on [A | I]; PrecisionError if A is singular at
     precision."""
     n = len(A)
-    field = A[0][0].field
-    aug = [list(row) + [field.one() if i == j else field.zero()
-                        for j in range(n)] for i, row in enumerate(A)]
+    aug = [list(row) + e for row, e in zip(A, identity(A[0][0].field, n))]
     rows, pivots, _ = echelon(aug, reduce_above=True)
     if len(pivots) != n:
         raise PrecisionError("matrix not invertible at precision")

@@ -33,7 +33,8 @@ from .errors import (PrecisionError, EnumerationUnsupportedError,
                      NotStableError, PadicError)
 from .padics import UnramifiedField
 from .linalg import (echelon, solve, kernel, det, charpoly, mat_mul, mat_vec,
-                     mat_transpose, column_space_basis, in_span, inverse)
+                     mat_transpose, column_space_basis, in_span, inverse,
+                     identity)
 from .polyroots import find_k_roots, newton_root_valuations
 
 
@@ -263,9 +264,8 @@ class FilteredPhiModule:
 
     def _poly_of_matrix(self, B, poly):
         """poly(B) for a coefficient list over K."""
-        n, field = self.d, self.field
-        acc = [[poly[-1] * (field.one() if i == j else field.zero())
-                for j in range(n)] for i in range(n)]
+        n = self.d
+        acc = [[poly[-1] * x for x in row] for row in identity(self.field, n)]
         for c in reversed(poly[:-1]):
             acc = mat_mul(acc, B)
             for i in range(n):
@@ -556,10 +556,9 @@ def _level_filtration(field, levels):
     """Fil^j = span{e_i : levels[i] >= j} on the standard basis of
     K^len(levels), one step at each level."""
     n = len(levels)
-    return [(j, Subspace(field, n,
-                         [[field.one() if k == i else field.zero()
-                           for k in range(n)]
-                          for i, lv in enumerate(levels) if lv >= j]))
+    basis = identity(field, n)
+    return [(j, Subspace(field, n, [e for e, lv in zip(basis, levels)
+                                    if lv >= j]))
             for j in sorted(set(levels))]
 
 
@@ -599,9 +598,8 @@ def modular_form_module(p: int, k_weight: int, a_p, filtration_line=None,
     if filtration_line is None:
         filtration_line = [1, 1]
     line = Subspace(field, 2, [[field.coerce(c) for c in filtration_line]])
-    full = Subspace(field, 2, [[field.one(), field.zero()],
-                               [field.zero(), field.one()]])
-    filt = [(-(k_weight - 1), full), (0, line)]
+    filt = [(-(k_weight - 1), Subspace(field, 2, identity(field, 2))),
+            (0, line)]
     return FilteredPhiModule(field, mat, filt)
 
 

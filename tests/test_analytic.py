@@ -322,6 +322,49 @@ def test_wronskian_scalar_times_fixed_vector(K5):
     assert wronskian_det(g, 2).is_zero
 
 
+def _wronskian_by_d_op_chain(g, order):
+    cols, cur = [g.components], g.components
+    for _ in range(order - 1):
+        cur = [so.d_op(c) for c in cur]
+        cols.append(cur)
+    return analytic._columns_det([col[:order] for col in cols])
+
+
+def _mixed_component(K, rng, n, kind):
+    """An exact polynomial, the truncation of a longer one, or a truncated
+    series with an explicit tail bound, all of degree n."""
+    if kind == "exact":
+        return gen.random_poly_series(K, rng, n, deg=rng.randint(0, n))
+    if kind == "cut":
+        longer = gen.random_poly_series(K, rng, n + rng.randint(1, 5))
+        return longer.truncate(n)
+    return TruncatedSeries.make(
+        K, [rng.randrange(K.p ** 10) for _ in range(n + 1)], n=n,
+        tail_zero=False, bound=(Fraction(rng.randint(-2, 0)),
+                                rng.randint(0, 2), 0))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5])
+def test_wronskian_matches_the_d_op_chain(p, order):
+    # the derivative ladder aligns each rung before differentiating it; the
+    # chain differentiates the raw series and aligns once at the end
+    K = UnramifiedField(p, 1, 20)
+    m = diag_module(K, [Fraction(1), Fraction(p), Fraction(1, p)])
+    rng = random.Random(10 * p + order)
+    kinds = ["exact", "cut", "bound"]
+    for trial in range(8):
+        n = rng.randint(5, 3 * p)
+        mix = rng.sample(kinds, 2) + [rng.choice(kinds)]
+        g = VectorSeries(m, [_mixed_component(K, rng, n, kind)
+                             for kind in rng.sample(mix, 3)])
+        got = wronskian_det(g, order)
+        want = _wronskian_by_d_op_chain(g, order)
+        assert (got.n, got.shift, got.rel, got.coords, got.bound,
+                got.tail_zero) == (want.n, want.shift, want.rel, want.coords,
+                                   want.bound, want.tail_zero)
+
+
 def test_orbit_wedge_colinear_is_zero(K5):
     m = diag_module(K5, [Fraction(25), Fraction(1, 5)])
     rng = random.Random(50)
@@ -408,6 +451,35 @@ def test_pipeline_supersingular_numbers(K5div):
     rep = contradiction_pipeline(m, "dim2-det", g, n_max=1)
     assert rep.order_upper == 1 and rep.log_lower == 2
     assert rep.verdict == "forced zero"
+
+
+def test_growth_order_is_computed_only_where_exact(K5div, monkeypatch):
+    # a verdict reads the phi-twisted order only when eigen data makes it
+    # exact; without eigen data no order, and no estimate, is computed
+    calls = []
+
+    def counting(g, *args):
+        calls.append(g)
+        return phi_growth_order(g, *args)
+
+    monkeypatch.setattr(analytic, "phi_growth_order", counting)
+    m = modular_form_module(5, 2, 0, field=K5div)
+    g = gen.synthetic_member(m, random.Random(55), 125, mode="deep")
+    rep = contradiction_pipeline(m, "dim2-det", g, n_max=1)
+    assert rep.verdict == "forced zero" and calls == []
+    assert rep.membership.order is None and rep.membership.order_pass is None
+    # log^0 b * e1 with phi(e1) = 25 e1: exact order 2
+    m = diag_module(K5div, [Fraction(25), Fraction(1, 5)])
+    b = gen.random_poly_series(K5div, random.Random(44), 20, deg=2,
+                               unit_constant=True)
+    g = from_eigen_terms(m, [([K5div.one(), K5div.zero()], Fraction(2),
+                              LogPolynomial({0: b}))], 40)
+    for r, passes in ((2, True), (1, False)):
+        calls.clear()
+        rep = check_membership(g, 0, (), r, 1)
+        assert len(calls) == 1
+        assert rep.order.exact and rep.order.value == 2
+        assert rep.order_pass is passes
 
 
 def test_pipeline_zero_input_vacuous(K5div):

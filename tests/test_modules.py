@@ -1017,3 +1017,17 @@ def test_generators_give_up_instead_of_looping(K5, monkeypatch):
     with pytest.raises(RuntimeError):
         gen.random_h0_ncond_module(K5, random.Random(5))
     assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("sampler", [gen.random_wa_module_d2,
+                                     gen.random_wa_module_d3,
+                                     gen.random_h0_ncond_module])
+def test_samplers_propagate_programming_errors(K5, monkeypatch, sampler):
+    # a refusal of the library rejects a draw; a TypeError is a defect and
+    # must not be taken for one
+    def broken(*args, **kwargs):
+        raise TypeError("broken constructor")
+
+    monkeypatch.setattr(gen, "FilteredPhiModule", broken)
+    with pytest.raises(TypeError, match="broken constructor"):
+        sampler(K5, random.Random(1))

@@ -311,6 +311,16 @@ def test_cli_amember(tmp_path, K5):
                         "--v", "0", "--J", "0", "--r", "0", "--nmax", "1")
     assert code in (0, 1)  # the order estimate may withhold a full verdict
     assert "j=0\tn=1\tvanish\tmember" in out
+    # the estimate is a report: amember computes it for this line alone
+    note = ("estimate unavailable: tail bound -87/50 does not exceed the "
+            "tracked minimum -3/4")
+    assert f"phi_order\tunavailable\t{note}\n" in out
+    code_json, out_json = run_cli("amember", "-m", str(mpath), "--series",
+                                  str(gpath), "--v", "0", "--J", "0", "--r",
+                                  "0", "--nmax", "1", "--json")
+    assert code_json == code
+    assert json.loads(out_json)["order"] == {"exact": False,
+                                             "interval": None, "note": note}
 
 
 def test_cli_error_exit_code(tmp_path):
