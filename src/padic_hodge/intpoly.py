@@ -13,9 +13,11 @@ four-point variant instead: the same evaluation at limbs of about W bits,
 of the product and of its reversal, so four multiplications of a quarter
 of the width; each coefficient's low half is read from the first value and
 its high half from the second, in one pass.  Taylor shifts
-f(x) -> f(x + delta) are a divide-and-conquer stack of such products down
-to blocks of at most ``_LEAF`` coefficients; each block is one big-integer
-sum of packed rows of (x + delta)^i, unpacked once.  Composition f(g(x)) is
+f(x) -> f(x + delta), and their strided form sum_k y_k (x + delta)^(sk)
+(phi's, s = p), are a divide-and-conquer stack of such products down to
+blocks whose length follows the limb width and the stride; each block is
+one big-integer sum of packed rows of (x + delta)^(sk), unpacked once.
+Composition f(g(x)) is
 Brent-Kung baby-step/giant-step: the baby powers of g, each at its true
 degree, are packed once, each block of f becomes an integer combination of
 those packed integers, and only the giant steps cost polynomial products.
@@ -210,8 +212,17 @@ def remainder(coeffs, low, mod: int):
     return [x % mod for x in r[:e]]
 
 
-# taylor_shift's leaf length; its docstring gives the measured crossover
-_LEAF = 96
+# taylor_shift's leaf length times the width of a product of two residues
+# at factor 1; taylor_shift's docstring gives the measurement
+_LEAF_BITS = 1 << 15
+
+
+def _leaf_length(mod: int, factor: int) -> int:
+    """Length of ``taylor_shift``'s packed leaf at ``mod`` and stride
+    ``factor``: _LEAF_BITS / (b factor^(1/3)), b the bits of a product of
+    two residues, at least 128."""
+    bits = max(2 * (mod - 1).bit_length(), 128)
+    return max(1, int(_LEAF_BITS / (bits * factor ** (1 / 3))))
 
 
 @lru_cache(maxsize=256)
@@ -229,48 +240,82 @@ def _binomial_row(k: int, delta: int, mod: int):
 
 
 @lru_cache(maxsize=16)
-def _leaf_rows(delta: int, mod: int):
-    """(limb bytes, packed (x + delta)^i mod ``mod`` for i < _LEAF).
+def _leaf_rows(delta: int, mod: int, factor: int):
+    """(leaf length L, limb bytes, packed (x + delta)^(factor k) mod
+    ``mod`` for k < L).
 
-    The limbs hold a sum of _LEAF products of reduced residues."""
-    lb = _limb_bits(mod, _LEAF) // 8
-    row, packed = [1], []
-    for _ in range(_LEAF):
-        packed.append(pack(row, lb))
-        row = [(a + delta * b) % mod for a, b in zip([0] + row, row + [0])]
-    return lb, tuple(packed)
+    The limbs hold a sum of L products of reduced residues.  The rows are
+    made by ``_binomial_row``'s uncached function: its cache keeps the
+    rows of the halving products, not these."""
+    leaf = _leaf_length(mod, factor)
+    lb = _limb_bits(mod, leaf) // 8
+    row = _binomial_row.__wrapped__
+    return leaf, lb, tuple(pack(row(factor * k, delta, mod), lb)
+                           for k in range(leaf))
 
 
-def taylor_shift(coeffs, delta: int, mod: int):
-    """Coefficients of f(x + delta) given those of f, all mod ``mod``.
+def taylor_shift(coeffs, delta: int, mod: int, factor: int = 1):
+    """Coefficients of sum_k y_k (x + delta)^(factor k), y = ``coeffs``,
+    all mod ``mod``, factor (len y - 1) + 1 of them: f(x + delta) at
+    factor 1, and at factor p the shift of y stretched to y_k x^(pk)
+    (phi's), without making that p-sparse vector.
 
-    Divide and conquer (von zur Gathen & Gerhard, ISSAC 1997): f = lo +
-    x^h * hi gives f(x+d) = lo(x+d) + (x+d)^h * hi(x+d), one ``polymul``
-    per level.  A block of at most ``_LEAF`` = 96 coefficients is one
-    big-integer sum sum_i c_i P_i, where P_i packs the reduced row of
-    (x + delta)^i: the sum skips zero c_i (phi's stretched vectors are
-    p-sparse), no limb overflows, and the block is unpacked once.
+    Divide and conquer (von zur Gathen & Gerhard, ISSAC 1997) on y: y = lo
+    + x^h hi gives lo's shift + (x + delta)^(factor h) times hi's, one
+    ``polymul`` by a binomial row per level.  A block of at most L
+    coefficients is one big-integer sum sum_k y_k P_k, where P_k packs the
+    reduced row of (x + delta)^(factor k): the sum skips zero y_k, no limb
+    overflows, and the block is unpacked once.  A leaf covers factor times
+    as many output coefficients as it has big-integer terms.
 
-    96 is the measured crossover at mod 5^60 and 7^60, the operators'
-    window (2-core host, Python 3.11.7, best of 15 interleaved calls,
-    median of 3 inputs): a packed block of length n, its rows sized for n
-    terms, beats one level of halving (two packed halves and one
-    ``polymul``) up to n = 96-128 there (0.91-0.95 at 96, 0.99-1.05 at
-    128), beyond 256 at 5^20 and 3^1, and below about 30 at 5^230 (1.03 at
-    32) and 20 at 5^320.  These are the same against the two- and the
-    four-point ``polymul``: at these lengths a halving product is
-    two-point, or at 5^320 four-point by a margin within the noise.
+    L = 2^15 / (b factor^(1/3)) (``_leaf_length``), b = 2 log2(mod) the
+    width of a product of two residues, at least 128: at factor 1, 117 at
+    5^60, 96 at 7^60, 30 at 5^230, 22 at 5^320 and 256 at 5^20; 68 at
+    factor 5 and 5^60, 50 at factor 7 and 7^60.  Measured on a 2-core
+    host, Python 3.11.7 (best of 9 interleaved calls, median of 3 inputs):
+    a packed block of n coefficients, its rows sized for n terms, over one
+    level of halving (two packed halves and one ``polymul``) takes
+
+        modulus, factor   32    64    96    128   192   256
+        5^60, 1           0.62  0.80  0.91  1.00  1.05  1.19
+        7^60, 1           0.66  0.86  0.95  1.08  1.19  1.22
+        5^230, 1          1.03  1.24  1.38  1.42  1.53  1.58
+        5^320, 1          1.15  1.38  1.47  1.53  1.64  1.70
+        2^60, 2           0.45  0.53  0.60  0.63  0.75  0.83
+        3^60, 3           0.51  0.62  0.69  0.73  0.86  0.95
+        5^60, 5           0.51  0.60  0.67  0.74  0.82  0.93
+        7^60, 7           0.47  0.57  0.68  0.78  0.87
+        5^230, 5          0.81  0.98  1.04  1.16
+        7^230, 7          0.78  0.99
+
+    so the crossover n b is 30 000-39 000 bits at factor 1 (about 28 at
+    5^230, 21 at 5^320) and grows about as sqrt(factor): 52 000-84 000 at
+    factors 3-7.  Above factor 1 the rows of a leaf at the crossover take
+    factor^2 times the bytes of factor 1's, and a process builds them once
+    per (delta, mod, factor), so L stays below it: the rows take about
+    2^26 factor^(1/3) / b bytes, 0.24 MB at 5^60 and factor 1, 0.41 MB at
+    factor 5, where they take one to two shifts' time to build.  There a
+    626-coefficient shift takes 0.62-0.65 of the time of the stretched
+    vector's at factor 1 (0.75-0.82 at L = 2^15 / (b sqrt(factor))); at
+    7^60 and factor 7 a 2402-coefficient one takes 0.77-0.80 (0.85-0.91).
+    b is floored at 128 bits: the crossover at 5^20 and 3^1 is beyond 256.
+
+    The rows are kept in ``_leaf_rows`` (16 entries) per (delta, mod,
+    factor); the halving products read ``_binomial_row`` (256 entries).
     """
     n = len(coeffs)
-    if n <= _LEAF:
-        lb, rows = _leaf_rows(delta, mod)
+    out_len = factor * (n - 1) + 1 if n else 0
+    leaf, lb, rows = _leaf_rows(delta, mod, factor)
+    if n <= leaf:
         s = sum((c % mod) * r for c, r in zip(coeffs, rows) if c)
-        return [c % mod for c in unpack(s, n, lb)]
+        return [c % mod for c in unpack(s, out_len, lb)]
     h = n // 2
-    lo = taylor_shift(coeffs[:h], delta, mod)
-    hi = taylor_shift(coeffs[h:], delta, mod)
-    shifted_hi = polymul(hi, _binomial_row(h, delta, mod), mod, n)
-    return [(c + s) % mod for c, s in zip(lo, shifted_hi)] + shifted_hi[h:]
+    lo = taylor_shift(coeffs[:h], delta, mod, factor)
+    hi = taylor_shift(coeffs[h:], delta, mod, factor)
+    shifted_hi = polymul(hi, _binomial_row(factor * h, delta, mod), mod,
+                         out_len)
+    return ([(c + s) % mod for c, s in zip(lo, shifted_hi)] +
+            shifted_hi[len(lo):])
 
 
 def stretch(coeffs, factor: int, out_len: int):

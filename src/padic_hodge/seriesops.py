@@ -9,10 +9,13 @@ multiplies coordinate k by k.  On an exact polynomial they work on the
 series' kept (1+x)-coordinates (``TruncatedSeries.ycoords``; D only when the
 input already has them), hand each output its own, and build the output's
 x-basis coefficients in the same call by one Taylor shift back (D directly).
-phi on a truncated series makes its coordinates afresh on each call; psi
-raises TailBoundError there, since its every coefficient depends on the
-unknown tail.  Both twist the coefficients by the field's ``sigma_columns``
-and claim its one window rule: no more than the rows of sigma give.
+phi's shift back is strided: ``intpoly.taylor_shift`` at factor p sums
+y_k (1+x)^(pk) from the N + 1 coordinates themselves, not from their
+p-sparse stretch of length pN + 1.  phi on a truncated series makes its
+coordinates afresh on each call; psi raises TailBoundError there, since
+its every coefficient depends on the unknown tail.  Both twist the
+coefficients by the field's ``sigma_columns`` and claim its one window
+rule: no more than the rows of sigma give.
 The gamma-action substitutes x -> (1+x)^c - 1 through the p-adic binomial
 series of c, whose column stops at its first zero numerator (past i = c for
 an integer c), by one ``intpoly.compose`` per coordinate: all of them, and
@@ -70,13 +73,13 @@ def phi_op(f: TruncatedSeries) -> TruncatedSeries:
     n_out = full if f.tail_zero else f.n
     ys, rel = field.sigma_columns(f.ycoords(), f.rel)
     mod = p ** rel
-    ys = [intpoly.stretch(y, p, full + 1) for y in ys]
-    # the stretched vector must be converted back at full length: the high
-    # powers of (1+x) contribute to every low x-degree
-    out = [intpoly.taylor_shift(y, 1, mod)[:n_out + 1] for y in ys]
+    # y_k (1+x)^(pk) is shifted at stride p, the full p N + 1 coefficients:
+    # the high powers of (1+x) contribute to every low x-degree
+    out = [intpoly.taylor_shift(y, 1, mod, p)[:n_out + 1] for y in ys]
     return TruncatedSeries(field, n_out, f.shift, rel, out,
                            f.effective_bound(), f.tail_zero,
-                           ys if f.tail_zero else None)
+                           [intpoly.stretch(y, p, full + 1) for y in ys]
+                           if f.tail_zero else None)
 
 
 def psi_op(f: TruncatedSeries) -> TruncatedSeries:

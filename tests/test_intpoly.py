@@ -162,17 +162,16 @@ def binomial_shift(coeffs, delta, mod):
     return [x % mod for x in out]
 
 
-LEAF = intpoly._LEAF
-
-
 @pytest.mark.parametrize("digits", [1, 60, 230])
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_taylor_shift_across_the_leaf(p, digits):
-    # lengths on both sides of the packed leaf and of the first split, the
-    # empty input, and every entry mod - 1 (the largest limb sums)
+    # lengths on both sides of the packed leaf at this modulus and of the
+    # first split, the empty input, and every entry mod - 1 (the largest
+    # limb sums)
     rng = random.Random(100 * p + digits)
     mod = p ** digits
-    for n in (0, 1, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF, 2 * LEAF + 1):
+    leaf = intpoly._leaf_length(mod, 1)
+    for n in (0, 1, leaf - 1, leaf, leaf + 1, 2 * leaf, 2 * leaf + 1):
         for a in ([rng.randrange(mod) for _ in range(n)], [mod - 1] * n):
             for delta in (1, -1):
                 assert intpoly.taylor_shift(a, delta, mod) == \
@@ -181,9 +180,9 @@ def test_taylor_shift_across_the_leaf(p, digits):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_taylor_shift_on_stretched_vectors(p):
-    # phi's shift: a p-sparse vector of length p N + 1 at N = p^3 (626 and
-    # 2402 coefficients), whose leaves see one nonzero entry in p; the
-    # oracle takes about a second at 2402, so each input gets one delta
+    # the factor-1 shift of a p-sparse vector of length p N + 1 at N = p^3
+    # (626 and 2402 coefficients), whose leaves see one nonzero entry in p;
+    # the oracle takes about a second at 2402, so each input gets one delta
     rng = random.Random(p)
     n = p ** 3
     for digits in (1, 60, 230):
@@ -195,16 +194,78 @@ def test_taylor_shift_on_stretched_vectors(p):
                 binomial_shift(y, delta, mod), (digits, delta)
 
 
+def strided_inputs(rng, mod, p):
+    """(n, y) at every edge of the strided leaf at ``mod`` and factor p and
+    of the first split, with random entries, every entry mod - 1, and a
+    zero upper half."""
+    leaf = intpoly._leaf_length(mod, p)
+    for n in sorted({0, 1, 2, leaf - 1, leaf, leaf + 1, 2 * leaf,
+                     2 * leaf + 1}):
+        yield n, [rng.randrange(mod) for _ in range(n)]
+        yield n, [mod - 1] * n
+        yield n, [rng.randrange(mod) for _ in range(n - n // 2)] + \
+            [0] * (n // 2)
+
+
+def stretched(y, p):
+    return intpoly.stretch(y, p, p * (len(y) - 1) + 1 if y else 0)
+
+
+@pytest.mark.parametrize("digits", [1, 20, 60, 230, 320])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_strided_shift_matches_the_stretched_shift(p, digits):
+    # sum_k y_k (x + delta)^(p k) is the factor-1 shift of y's p-stretch,
+    # bit for bit, at every leaf edge of the strided kernel
+    rng = random.Random(1000 * p + digits)
+    mod = p ** digits
+    for n, y in strided_inputs(rng, mod, p):
+        for delta in (1, -1):
+            got = intpoly.taylor_shift(y, delta, mod, p)
+            assert len(got) == (p * (n - 1) + 1 if n else 0)
+            assert got == intpoly.taylor_shift(stretched(y, p), delta, mod), \
+                (n, delta)
+
+
+@pytest.mark.parametrize("digits", [1, 20, 60, 230, 320])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_strided_shift_matches_binomials(p, digits):
+    # the direct binomial sum over Z on the stretched vector, at the leaf
+    # edges up to length 400 of that vector (the oracle is quadratic in it)
+    rng = random.Random(2000 * p + digits)
+    mod = p ** digits
+    for n, y in strided_inputs(rng, mod, p):
+        if p * n > 400:
+            continue
+        for delta in (1, -1):
+            assert intpoly.taylor_shift(y, delta, mod, p) == \
+                binomial_shift(stretched(y, p), delta, mod), (n, delta)
+
+
+def test_leaf_length_follows_the_limb_width():
+    # about 2^15 bits of leaf at factor 1, less per term at a wider stride,
+    # and at least one coefficient at any modulus
+    assert [intpoly._leaf_length(5 ** d, 1) for d in (20, 60, 230, 320)] == \
+        [256, 117, 30, 22]
+    assert intpoly._leaf_length(7 ** 60, 1) == 96
+    assert intpoly._leaf_length(5 ** 60, 5) == 68
+    assert intpoly._leaf_length(7 ** 60, 7) == 50
+    assert intpoly._leaf_length(3, 1) == 256
+    assert intpoly._leaf_length(7 ** 5000, 7) == 1
+
+
 def test_taylor_shift_multiplies_only_above_the_leaf(monkeypatch):
     calls = []
     real = intpoly.polymul
     monkeypatch.setattr(intpoly, "polymul",
                         lambda *args: calls.append(args) or real(*args))
     mod = 5 ** 20
-    intpoly.taylor_shift([mod - 1] * LEAF, -1, mod)
-    assert calls == []
-    intpoly.taylor_shift([mod - 1] * (LEAF + 1), -1, mod)
-    assert len(calls) == 1
+    for factor in (1, 5):
+        leaf = intpoly._leaf_length(mod, factor)
+        intpoly.taylor_shift([mod - 1] * leaf, -1, mod, factor)
+        assert calls == []
+        intpoly.taylor_shift([mod - 1] * (leaf + 1), -1, mod, factor)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_shift_roundtrip():

@@ -620,6 +620,43 @@ def test_operators_on_kept_coordinates_match_two_shifts(p, f):
             _check_chains(_random_series(field, rng, n, False, bound))
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_phi_at_the_strided_leaf_edges_matches_two_shifts(p, f):
+    # phi's shift at stride p against sigma, shift, stretch and shift back,
+    # with N + 1 coordinates at the leaf, one past it and past the first
+    # split; psi of the result against the two-shift psi of the oracle's
+    field = UnramifiedField(p, f, 20)
+    rng = random.Random(10 * p + f)
+    rel = _random_series(field, rng, 1, True).rel
+    leaf = intpoly._leaf_length(p ** rel, p)
+    for n in (leaf - 1, leaf, 2 * leaf):
+        s = _random_series(field, rng, n, True)
+        assert s.rel == rel
+        got, want = so.phi_op(s), _two_shift_phi(s)
+        assert _layout(got) == _layout(want), n
+        assert _layout(so.psi_op(got)) == _layout(_two_shift_psi(want)), n
+        assert so.psi_op(got).truncate(n).equals(s)
+
+
+def test_phi_adds_no_leaf_rows_to_the_binomial_cache():
+    # the leaf rows of phi's and ycoords' shifts are made uncached: within
+    # one leaf phi adds no row to _binomial_row, and past one split it adds
+    # the one row of each shift's halving product
+    field = UnramifiedField(5, 1, 20)
+    rng = random.Random(4)
+    rel = _random_series(field, rng, 1, True).rel
+    leaf = intpoly._leaf_length(5 ** rel, 5)
+    assert leaf < intpoly._leaf_length(5 ** rel, 1) <= 2 * leaf
+    for n, rows in ((leaf - 1, 0), (2 * leaf - 1, 2)):
+        s = _random_series(field, rng, n, True)
+        intpoly._binomial_row.cache_clear()
+        intpoly._leaf_rows.cache_clear()
+        so.phi_op(s)
+        assert intpoly._leaf_rows.cache_info().currsize == 2
+        assert intpoly._binomial_row.cache_info().currsize == rows, n
+
+
 @pytest.mark.parametrize("p, f", [(3, 1), (5, 2), (7, 3), (11, 1)])
 def test_derived_series_carry_no_stale_coordinates(p, f):
     field = UnramifiedField(p, f, 20)
