@@ -258,6 +258,8 @@ def check_membership(g: VectorSeries, v: int, J, r, n_max: int,
     """
     module = g.module
     field = module.field
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if v > 0:
         raise ValueError("only v <= 0 is supported (reduce by twisting; "
                          "D^(-j) with j > 0 would need an antiderivative)")
@@ -528,6 +530,8 @@ def det_log_divisibility(gs, n_max: int = 1) -> DetDivisibilityReport:
     """
     module = gs[0].module
     d = module.d
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if len(gs) != d:
         raise ValueError("need exactly d vector series")
     field = module.field

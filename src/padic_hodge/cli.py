@@ -72,6 +72,14 @@ def _emit(args, human_lines, payload):
             print(line)
 
 
+def rational(text):
+    """``Fraction(text)``; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
+
+
 def _frac(x):
     return str(x) if isinstance(x, Fraction) else x
 
@@ -189,7 +197,7 @@ def cmd_tilde(args):
 
 def cmd_mf_rank_table(args):
     cfg = _load_config(args)
-    table = mf_rank_table(args.p, args.k, Fraction(args.ap),
+    table = mf_rank_table(args.p, args.k, args.ap,
                           args.jmin, args.jmax, precision=cfg.precision,
                           guard=cfg.guard)
     lines = ["j\tdim_fil1\trank"]
@@ -221,7 +229,7 @@ def cmd_series_apply(args):
     elif op == "gamma":
         if args.c is None:
             raise PadicError("gamma needs --c (a unit of Z_p, as int or a/b)")
-        out = so.gamma_action(s, Fraction(args.c))
+        out = so.gamma_action(s, args.c)
     elif op == "ell":
         j = args.j if args.j is not None else 0
         out = so.ell_op(s, j)
@@ -242,7 +250,7 @@ def cmd_series_order(args):
               {"order": order, "exact": True})
         return EXIT_OK
     s = ser.series_from_json(node, field, str(args.infile))
-    lo, hi = so.growth_order_estimate(s, args.nmax or cfg.n_max)
+    lo, hi = so.growth_order_estimate(s, cfg.n_max)
     _emit(args, [f"growth_order_estimate\t[{lo}, {hi}]\testimate"],
           {"interval": [_frac(lo), _frac(hi)], "exact": False})
     return EXIT_OK
@@ -266,8 +274,8 @@ def cmd_amember(args):
     m = _load_module(args.module, cfg, margin=60)
     g = _load_vector_series(args.series, m)
     J = tuple(int(x) for x in args.J.split(",")) if args.J else ()
-    rep = check_membership(g, args.v, J, Fraction(args.r), args.nmax or
-                           cfg.n_max, tilde=not args.require_psi_zero)
+    rep = check_membership(g, args.v, J, args.r, cfg.n_max,
+                           tilde=not args.require_psi_zero)
     # the estimate is reported here only: check_membership reads an order
     # just where eigen data makes it exact
     order = phi_growth_order(g) if not g.is_zero else None
@@ -315,8 +323,7 @@ def cmd_contradict(args):
         rng = random.Random(cfg.seed)
         g = gen.synthetic_member(m, rng, cfg.truncation,
                                  mode=args.synthetic_mode)
-    rep = contradiction_pipeline(m, args.which, g,
-                                 n_max=args.nmax or cfg.n_max)
+    rep = contradiction_pipeline(m, args.which, g, n_max=cfg.n_max)
     lines = [f"which\t{rep.which}",
              f"order_upper\t{rep.order_upper}",
              f"log_lower\t{'infinite' if rep.log_lower == INFINITE else rep.log_lower}",
@@ -377,7 +384,7 @@ def _common_flags(suppress):
     common.add_argument("--trunc", type=int, default=d(None),
                         help="series truncation degree N")
     common.add_argument("--nmax", type=int, default=d(None),
-                        help="deepest cyclotomic layer")
+                        help="deepest cyclotomic layer (1 to 3)")
     common.add_argument("--guard", type=int, default=d(None),
                         help="guard digits for verdicts")
     common.add_argument("--json", action="store_true", default=d(False),
@@ -426,7 +433,7 @@ def build_parser():
                         help="rank table of a twisted eigenform module")
     sp.add_argument("p", type=int)
     sp.add_argument("k", type=int)
-    sp.add_argument("ap", help="a_p as int or a/b")
+    sp.add_argument("ap", type=rational, help="a_p as int or a/b")
     sp.add_argument("--jmin", type=int, required=True)
     sp.add_argument("--jmax", type=int, required=True)
     sp.set_defaults(func=cmd_mf_rank_table)
@@ -438,7 +445,8 @@ def build_parser():
     sp.add_argument("--op", required=True,
                     choices=["phi", "psi", "D", "gamma", "ell"])
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--c", help="gamma-action argument (unit of Z_p)")
+    sp.add_argument("--c", type=rational,
+                    help="gamma-action argument (unit of Z_p)")
     sp.add_argument("--j", type=int, help="ell_j twist index")
     sp.add_argument("--f", type=int, help="unramified degree")
     sp.set_defaults(func=cmd_series_apply)
@@ -457,7 +465,8 @@ def build_parser():
                     help="JSON file with {'components': [series, ...]}")
     sp.add_argument("--v", type=int, default=0)
     sp.add_argument("--J", default="", help="comma-separated vanishing set")
-    sp.add_argument("--r", default="0", help="order budget (rational)")
+    sp.add_argument("--r", type=rational, default="0",
+                    help="order budget (rational)")
     sp.add_argument("--require-psi-zero", action="store_true",
                     help="check psi(g) = 0 (the non-tilde class)")
     sp.set_defaults(func=cmd_amember)
@@ -477,7 +486,7 @@ def build_parser():
                         help="run a seeded verification suite")
     sp.add_argument("suite", choices=sorted(SUITES))
     sp.add_argument("--count", type=int,
-                    help="cases (default per suite)")
+                    help="cases, at least 1 (default per suite)")
     sp.set_defaults(func=cmd_verify)
     return ap
 

@@ -25,8 +25,8 @@ class Config:
     p must be an odd prime (even residue characteristic is out of scope),
     ``precision`` is the absolute p-adic precision m (values are known modulo
     p^m), ``truncation`` the default series truncation degree N, ``n_max`` the
-    deepest cyclotomic layer used in zero tests, and ``guard`` the number of
-    digits a verdict must clear above the precision floor.
+    deepest cyclotomic layer used in zero tests (at least 1), and ``guard``
+    the number of digits a verdict must clear above the precision floor.
     """
 
     p: int = 5
@@ -42,6 +42,8 @@ class Config:
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.f < 1:
             raise ValueError("f must be >= 1")
+        if self.n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.precision <= self.guard:
             raise ValueError("precision must exceed guard digits")
         n = self.truncation if self.truncation else self.p ** 3

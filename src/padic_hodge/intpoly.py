@@ -12,12 +12,11 @@ them is non-negative and below 2^(2W).  Wide products take Harvey's
 four-point variant instead: the same evaluation at limbs of about W bits,
 of the product and of its reversal, so four multiplications of a quarter
 of the width; each coefficient's low half is read from the first value and
-its high half from the second, in one pass.  Taylor shifts
-f(x) -> f(x + delta), and their strided form sum_k y_k (x + delta)^(sk)
-(phi's, s = p), are a divide-and-conquer stack of such products down to
-blocks whose length follows the limb width and the stride; each block is
-one big-integer sum of packed rows of (x + delta)^(sk), unpacked once.
-Composition f(g(x)) is
+its high half from the second, in one pass.  The Taylor shift maps
+(1+x)^(sk)-coordinates y to x-coefficients sum_k y_k (1+x)^(sk) (phi's at
+s = p) by a divide-and-conquer stack of such products down to blocks whose
+length follows the limb width and the stride; each block is one big-integer
+sum of packed rows of (1+x)^(sk), unpacked once.  Composition f(g(x)) is
 Brent-Kung baby-step/giant-step: the baby powers of g, each at its true
 degree, are packed once, each block of f becomes an integer combination of
 those packed integers, and only the giant steps cost polynomial products.
@@ -27,8 +26,8 @@ kept, so a second composition with the same g skips them.
 Everything here is exact integer arithmetic; reduction mod p^R happens
 only at unpack time.
 ``remainder`` reduces modulo a monic integer polynomial by synthetic
-division; it is the one reduction of K = Q_p[t]/(g) and of the values at
-the cyclotomic layers.
+division, for elements of K = Q_p[t]/(g) and values at the cyclotomic
+layers; ``UnramifiedField.mul_columns`` reduces series columns on its own.
 
 These kernels are internal: the series layer is responsible for precision
 bookkeeping and only hands in canonical residue vectors.
@@ -226,23 +225,21 @@ def _leaf_length(mod: int, factor: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _binomial_row(k: int, delta: int, mod: int):
-    # coefficients of (x + delta)^k mod `mod`, from the top: C(k, i) by the
-    # exact recurrence C(k, i - 1) = C(k, i) * i / (k - i + 1), and
-    # delta^(k - i) one factor at a time
+def _binomial_row(k: int, mod: int):
+    # coefficients of (1 + x)^k mod `mod`, from the top: C(k, i) by the
+    # exact recurrence C(k, i - 1) = C(k, i) * i / (k - i + 1)
     row = [0] * (k + 1)
-    c, power = 1, 1
+    c = 1
     for i in range(k, -1, -1):
-        row[i] = c * power % mod
+        row[i] = c % mod
         c = c * i // (k - i + 1)
-        power = power * delta % mod
     return tuple(row)
 
 
 @lru_cache(maxsize=16)
-def _leaf_rows(delta: int, mod: int, factor: int):
-    """(leaf length L, limb bytes, packed (x + delta)^(factor k) mod
-    ``mod`` for k < L).
+def _leaf_rows(mod: int, factor: int):
+    """(leaf length L, limb bytes, packed (1 + x)^(factor k) mod ``mod``
+    for k < L).
 
     The limbs hold a sum of L products of reduced residues.  The rows are
     made by ``_binomial_row``'s uncached function: its cache keeps the
@@ -250,21 +247,22 @@ def _leaf_rows(delta: int, mod: int, factor: int):
     leaf = _leaf_length(mod, factor)
     lb = _limb_bits(mod, leaf) // 8
     row = _binomial_row.__wrapped__
-    return leaf, lb, tuple(pack(row(factor * k, delta, mod), lb)
+    return leaf, lb, tuple(pack(row(factor * k, mod), lb)
                            for k in range(leaf))
 
 
-def taylor_shift(coeffs, delta: int, mod: int, factor: int = 1):
-    """Coefficients of sum_k y_k (x + delta)^(factor k), y = ``coeffs``,
-    all mod ``mod``, factor (len y - 1) + 1 of them: f(x + delta) at
-    factor 1, and at factor p the shift of y stretched to y_k x^(pk)
-    (phi's), without making that p-sparse vector.
+def taylor_shift(coeffs, mod: int, factor: int = 1):
+    """x-coefficients of sum_k y_k (1 + x)^(factor k) from the coordinates
+    y = ``coeffs``, all mod ``mod``, factor (len y - 1) + 1 of them: f(x + 1)
+    at factor 1, and at factor p the shift of y stretched to y_k x^(pk)
+    (phi's), without making that p-sparse vector.  Its inverse is
+    ``TruncatedSeries.ycoords``, this shift between two sign flips.
 
     Divide and conquer (von zur Gathen & Gerhard, ISSAC 1997) on y: y = lo
-    + x^h hi gives lo's shift + (x + delta)^(factor h) times hi's, one
+    + x^h hi gives lo's shift + (1 + x)^(factor h) times hi's, one
     ``polymul`` by a binomial row per level.  A block of at most L
     coefficients is one big-integer sum sum_k y_k P_k, where P_k packs the
-    reduced row of (x + delta)^(factor k): the sum skips zero y_k, no limb
+    reduced row of (1 + x)^(factor k): the sum skips zero y_k, no limb
     overflows, and the block is unpacked once.  A leaf covers factor times
     as many output coefficients as it has big-integer terms.
 
@@ -292,7 +290,7 @@ def taylor_shift(coeffs, delta: int, mod: int, factor: int = 1):
     5^230, 21 at 5^320) and grows about as sqrt(factor): 52 000-84 000 at
     factors 3-7.  Above factor 1 the rows of a leaf at the crossover take
     factor^2 times the bytes of factor 1's, and a process builds them once
-    per (delta, mod, factor), so L stays below it: the rows take about
+    per (mod, factor), so L stays below it: the rows take about
     2^26 factor^(1/3) / b bytes, 0.24 MB at 5^60 and factor 1, 0.41 MB at
     factor 5, where they take one to two shifts' time to build.  There a
     626-coefficient shift takes 0.62-0.65 of the time of the stretched
@@ -300,20 +298,19 @@ def taylor_shift(coeffs, delta: int, mod: int, factor: int = 1):
     7^60 and factor 7 a 2402-coefficient one takes 0.77-0.80 (0.85-0.91).
     b is floored at 128 bits: the crossover at 5^20 and 3^1 is beyond 256.
 
-    The rows are kept in ``_leaf_rows`` (16 entries) per (delta, mod,
-    factor); the halving products read ``_binomial_row`` (256 entries).
+    The rows are kept in ``_leaf_rows`` (16 entries) per (mod, factor);
+    the halving products read ``_binomial_row`` (256 entries).
     """
     n = len(coeffs)
     out_len = factor * (n - 1) + 1 if n else 0
-    leaf, lb, rows = _leaf_rows(delta, mod, factor)
+    leaf, lb, rows = _leaf_rows(mod, factor)
     if n <= leaf:
         s = sum((c % mod) * r for c, r in zip(coeffs, rows) if c)
         return [c % mod for c in unpack(s, out_len, lb)]
     h = n // 2
-    lo = taylor_shift(coeffs[:h], delta, mod, factor)
-    hi = taylor_shift(coeffs[h:], delta, mod, factor)
-    shifted_hi = polymul(hi, _binomial_row(factor * h, delta, mod), mod,
-                         out_len)
+    lo = taylor_shift(coeffs[:h], mod, factor)
+    hi = taylor_shift(coeffs[h:], mod, factor)
+    shifted_hi = polymul(hi, _binomial_row(factor * h, mod), mod, out_len)
     return ([(c + s) % mod for c, s in zip(lo, shifted_hi)] +
             shifted_hi[len(lo):])
 
@@ -327,11 +324,6 @@ def stretch(coeffs, factor: int, out_len: int):
             break
         out[pos] = c
     return out
-
-
-def contract(coeffs, factor: int):
-    """Keep indices divisible by ``factor`` and divide them by it."""
-    return [coeffs[k] for k in range(0, len(coeffs), factor)]
 
 
 # compose keeps the plans of this many (g, mod, out_len, m); its

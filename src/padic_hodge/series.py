@@ -24,10 +24,10 @@ Tail knowledge takes one of three forms:
 
 An exact polynomial also keeps its coordinates in the basis (1+x)^k
 (``ycoords``), in the same window, where phi, psi and D are index maps.  They
-are made by one exact integer Taylor shift per coordinate column the first
-time an operator asks, or handed over by the operator that made the series;
-every other constructor starts without them, and a truncated series never
-keeps them.
+are made by the sign-flipped inverse of ``intpoly.taylor_shift`` per column
+the first time an operator asks, or handed over by the operator that made
+the series; every other constructor starts without them, and a truncated
+series never keeps them.
 """
 
 from fractions import Fraction
@@ -138,7 +138,8 @@ class TruncatedSeries:
 
     def ycoords(self):
         """Residue columns of the tracked coefficients in the basis (1+x)^k,
-        k = 0..n, in the series' window, by one Taylor shift per column.
+        k = 0..n, in the series' window: f(x - 1) = sum_i (-x)^i sum_k
+        C(k, i) (-1)^k f_k, ``intpoly.taylor_shift`` between two sign flips.
 
         An exact polynomial keeps them (a series is never changed after it
         is made).  A truncated series makes them afresh on every call: they
@@ -146,7 +147,11 @@ class TruncatedSeries:
         if self._ycoords is not None:
             return self._ycoords
         mod = self.field.p ** self.rel
-        ys = [intpoly.taylor_shift(col, -1, mod) for col in self.coords]
+
+        def flip(col):
+            return [-c % mod if i % 2 else c for i, c in enumerate(col)]
+        ys = [flip(intpoly.taylor_shift(flip(col), mod))
+              for col in self.coords]
         if self.tail_zero:
             self._ycoords = ys
         return ys

@@ -8,14 +8,14 @@ are index maps: phi sends k to pk, psi keeps the k divisible by p, and D
 multiplies coordinate k by k.  On an exact polynomial they work on the
 series' kept (1+x)-coordinates (``TruncatedSeries.ycoords``; D only when the
 input already has them), hand each output its own, and build the output's
-x-basis coefficients in the same call by one Taylor shift back (D directly).
-phi's shift back is strided: ``intpoly.taylor_shift`` at factor p sums
-y_k (1+x)^(pk) from the N + 1 coordinates themselves, not from their
-p-sparse stretch of length pN + 1.  phi on a truncated series makes its
-coordinates afresh on each call; psi raises TailBoundError there, since
-its every coefficient depends on the unknown tail.  Both twist the
-coefficients by the field's ``sigma_columns`` and claim its one window
-rule: no more than the rows of sigma give.
+x-basis coefficients in the same call by one Taylor shift back (D directly):
+``intpoly.taylor_shift`` maps (1+x)-coordinates to x-coefficients, and
+``ycoords`` is its sign-flipped inverse.  phi's shift is strided, at factor
+p, from the N + 1 coordinates, not their p-sparse stretch of length pN + 1.
+phi on a truncated series makes its coordinates afresh on each call; psi
+raises TailBoundError there, since its every coefficient depends on the
+unknown tail.  Both twist the coefficients by the field's ``sigma_columns``
+and claim its one window rule: no more than the rows of sigma give.
 The gamma-action substitutes x -> (1+x)^c - 1 through the p-adic binomial
 series of c, whose column stops at its first zero numerator (past i = c for
 an integer c), by one ``intpoly.compose`` per coordinate: all of them, and
@@ -75,7 +75,7 @@ def phi_op(f: TruncatedSeries) -> TruncatedSeries:
     mod = p ** rel
     # y_k (1+x)^(pk) is shifted at stride p, the full p N + 1 coefficients:
     # the high powers of (1+x) contribute to every low x-degree
-    out = [intpoly.taylor_shift(y, 1, mod, p)[:n_out + 1] for y in ys]
+    out = [intpoly.taylor_shift(y, mod, p)[:n_out + 1] for y in ys]
     return TruncatedSeries(field, n_out, f.shift, rel, out,
                            f.effective_bound(), f.tail_zero,
                            [intpoly.stretch(y, p, full + 1) for y in ys]
@@ -97,8 +97,8 @@ def psi_op(f: TruncatedSeries) -> TruncatedSeries:
     if f.n < p:
         raise ValueError(f"psi needs truncation degree >= p, got {f.n}")
     ys, rel = field.sigma_columns(
-        [intpoly.contract(y, p) for y in f.ycoords()], f.rel, inverse=True)
-    out = [intpoly.taylor_shift(y, 1, p ** rel) for y in ys]
+        [y[::p] for y in f.ycoords()], f.rel, inverse=True)
+    out = [intpoly.taylor_shift(y, p ** rel) for y in ys]
     return TruncatedSeries(field, f.n // p, f.shift, rel, out,
                            _bump_profile(f.effective_bound(), 1), True, ys)
 

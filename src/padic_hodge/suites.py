@@ -379,6 +379,8 @@ def run_suite(name, seed=None, count=None, cfg: Config = DEFAULT) -> SuiteReport
         raise ValueError(f"unknown suite {name!r}; available: "
                          f"{', '.join(sorted(SUITES))}")
     seed = cfg.seed if seed is None else seed
+    if count is not None and count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     count = count or SUITE_DEFAULT_COUNTS[name]
     rng = random.Random(seed)
     cases = SUITES[name](rng, count, cfg)

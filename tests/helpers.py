@@ -8,6 +8,7 @@ that path is made of.
 import math
 from fractions import Fraction
 
+from padic_hodge import intpoly
 from padic_hodge.analytic import VectorSeries
 from padic_hodge.modules import _fil_dim
 from padic_hodge.series import TruncatedSeries
@@ -22,6 +23,20 @@ def x_plus_one_power(field, exponent, n, prec=None):
     cols = [col] + [[0] * (n + 1) for _ in range(field.f - 1)]
     return TruncatedSeries(field, n, 0, prec, cols, bound=(Fraction(0), 0),
                            tail_zero=True)
+
+
+def shift(y, delta, mod, factor=1):
+    """sum_k y_k (x + delta)^(factor k) mod ``mod`` for delta = +-1:
+    ``intpoly.taylor_shift`` at +1, and at -1 the same shift between two
+    sign flips, since (x - 1)^m = (-1)^m (1 - x)^m: the entries y_k with
+    factor k odd are negated before it, and the odd x-coefficients after."""
+    if delta == 1:
+        return intpoly.taylor_shift(y, mod, factor)
+
+    def flip(col, stride):
+        return [-c % mod if stride * k % 2 else c for k, c in enumerate(col)]
+
+    return flip(intpoly.taylor_shift(flip(y, factor), mod, factor), 1)
 
 
 def random_element(field, rng, prec=None, integral=True):

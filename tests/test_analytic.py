@@ -180,6 +180,19 @@ def test_membership_rejects_positive_v(K5):
         check_membership(g, 1, (), 0, 1)
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_no_layer_gives_no_verdict(K5, n_max):
+    # below layer 1 no membership row is checked, so neither report may
+    # answer: a zero vector would otherwise be a member and divide anything
+    m = modular_form_module(5, 2, 0, field=K5)
+    z = TruncatedSeries.zero(K5, 20, tail_zero=True)
+    g = VectorSeries(m, [z, z])
+    with pytest.raises(ValueError, match="n_max"):
+        check_membership(g, 0, (0,), 0, n_max)
+    with pytest.raises(ValueError, match="n_max"):
+        det_log_divisibility([g, g], n_max)
+
+
 def test_membership_psi_zero_flag(K5):
     m = unit_module(K5)
     onex = TruncatedSeries.make(K5, [1, 1], n=25)

@@ -7,6 +7,8 @@ import pytest
 
 from padic_hodge import intpoly
 
+from helpers import shift
+
 
 def naive_mul(a, b, mod, out_len):
     """Truncated product, reduced mod ``mod``; exact over Z for mod None."""
@@ -129,7 +131,7 @@ def test_taylor_shift_matches_binomials():
         for _ in range(10):
             n = rng.randint(1, 60)
             a = [rng.randrange(mod) for _ in range(n)]
-            got = intpoly.taylor_shift(a, delta, mod)
+            got = shift(a, delta, mod)
             expect = [0] * n
             for i, c in enumerate(a):
                 for k in range(i + 1):
@@ -142,11 +144,9 @@ def test_taylor_shift_matches_binomials():
 def test_binomial_rows_match_comb(k):
     # rows built by the recurrence against math.comb, at the leaf length and
     # either side of it, and at phi's widest split for p = 7, N = 343
-    for delta in (1, -1, 3):
-        for mod in (3, 3 ** 40, 5 ** 60, 5 ** 320):
-            assert intpoly._binomial_row(k, delta, mod) == tuple(
-                comb(k, i) * pow(delta, k - i, mod) % mod
-                for i in range(k + 1))
+    for mod in (3, 3 ** 40, 5 ** 60, 5 ** 320):
+        assert intpoly._binomial_row(k, mod) == tuple(
+            comb(k, i) % mod for i in range(k + 1))
 
 
 def binomial_shift(coeffs, delta, mod):
@@ -174,7 +174,7 @@ def test_taylor_shift_across_the_leaf(p, digits):
     for n in (0, 1, leaf - 1, leaf, leaf + 1, 2 * leaf, 2 * leaf + 1):
         for a in ([rng.randrange(mod) for _ in range(n)], [mod - 1] * n):
             for delta in (1, -1):
-                assert intpoly.taylor_shift(a, delta, mod) == \
+                assert shift(a, delta, mod) == \
                     binomial_shift(a, delta, mod), (n, delta)
 
 
@@ -190,7 +190,7 @@ def test_taylor_shift_on_stretched_vectors(p):
         for y, delta in (([rng.randrange(mod) for _ in range(n + 1)], 1),
                          ([mod - 1] * (n + 1), -1)):
             y = intpoly.stretch(y, p, p * n + 1)
-            assert intpoly.taylor_shift(y, delta, mod) == \
+            assert shift(y, delta, mod) == \
                 binomial_shift(y, delta, mod), (digits, delta)
 
 
@@ -220,10 +220,9 @@ def test_strided_shift_matches_the_stretched_shift(p, digits):
     mod = p ** digits
     for n, y in strided_inputs(rng, mod, p):
         for delta in (1, -1):
-            got = intpoly.taylor_shift(y, delta, mod, p)
+            got = shift(y, delta, mod, p)
             assert len(got) == (p * (n - 1) + 1 if n else 0)
-            assert got == intpoly.taylor_shift(stretched(y, p), delta, mod), \
-                (n, delta)
+            assert got == shift(stretched(y, p), delta, mod), (n, delta)
 
 
 @pytest.mark.parametrize("digits", [1, 20, 60, 230, 320])
@@ -237,7 +236,7 @@ def test_strided_shift_matches_binomials(p, digits):
         if p * n > 400:
             continue
         for delta in (1, -1):
-            assert intpoly.taylor_shift(y, delta, mod, p) == \
+            assert shift(y, delta, mod, p) == \
                 binomial_shift(stretched(y, p), delta, mod), (n, delta)
 
 
@@ -261,9 +260,9 @@ def test_taylor_shift_multiplies_only_above_the_leaf(monkeypatch):
     mod = 5 ** 20
     for factor in (1, 5):
         leaf = intpoly._leaf_length(mod, factor)
-        intpoly.taylor_shift([mod - 1] * leaf, -1, mod, factor)
+        shift([mod - 1] * leaf, -1, mod, factor)
         assert calls == []
-        intpoly.taylor_shift([mod - 1] * (leaf + 1), -1, mod, factor)
+        shift([mod - 1] * (leaf + 1), -1, mod, factor)
         assert len(calls) == 1
         calls.clear()
 
@@ -272,7 +271,7 @@ def test_shift_roundtrip():
     rng = random.Random(3)
     mod = 7 ** 15
     a = [rng.randrange(mod) for _ in range(80)]
-    back = intpoly.taylor_shift(intpoly.taylor_shift(a, 1, mod), -1, mod)
+    back = shift(intpoly.taylor_shift(a, mod), -1, mod)
     assert back == a
 
 
@@ -280,7 +279,7 @@ def test_stretch_contract():
     a = [1, 2, 3, 4]
     s = intpoly.stretch(a, 3, 12)
     assert s[0] == 1 and s[3] == 2 and s[6] == 3 and s[9] == 4
-    assert intpoly.contract(s, 3) == [1, 2, 3, 4]
+    assert s[::3] == [1, 2, 3, 4]
 
 
 def horner(f, g, mod, out_len, mul):

@@ -348,6 +348,9 @@ def test_config_validation():
         Config(precision=3, guard=4)
     with pytest.raises(ValueError):
         Config(truncation=10)  # below p^2
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match="n_max"):
+            Config(n_max=n_max)
     assert Config().truncation == 125
     assert Config(p=3).truncation == 27
 
@@ -387,6 +390,73 @@ def test_invalid_json_names_its_path(tmp_path, capsys, argv):
     path.write_text("{")
     assert main([arg.format(path=path) for arg in argv]) == 2
     assert f"error: {path}: invalid JSON: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "apply", "--op", "gamma", "--in", "{path}", "--c", "1/0"],
+    ["mf-rank-table", "5", "2", "1/0", "--jmin", "0", "--jmax", "1"],
+    ["amember", "-m", "supersingular", "--series", "{path}", "--r", "1/0"],
+], ids=["c", "ap", "r"])
+def test_zero_denominator_is_a_usage_error(tmp_path, capsys, argv):
+    # exit 1 is a certified negative verdict: a rational with a zero
+    # denominator is a usage error, exit 2, and no traceback
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(ser.series_to_json(
+        TruncatedSeries.make(UnramifiedField(5, 1, 20), [1, 1], n=10))))
+    with pytest.raises(SystemExit) as exit_:
+        main([arg.format(path=path) for arg in argv])
+    assert exit_.value.code == 2
+    assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+
+def test_rational_flags_read_what_fraction_reads():
+    from padic_hodge.cli import build_parser
+    parser = build_parser()
+    for text, value in (("7", 7), ("3/4", Fraction(3, 4)),
+                        ("0.5", Fraction(1, 2)), (" 2/6 ", Fraction(1, 3))):
+        args = parser.parse_args(["mf-rank-table", "5", "2", text,
+                                  "--jmin", "0", "--jmax", "1"])
+        assert args.ap == value
+    amember = ["amember", "-m", "x", "--series", "y"]
+    assert parser.parse_args(amember).r == 0
+    assert parser.parse_args(amember + ["--r=-3/4"]).r == Fraction(-3, 4)
+
+
+def _supersingular_member(tmp_path):
+    from padic_hodge.cli import _load_module
+    from padic_hodge.config import Config
+    from padic_hodge.generators import synthetic_member
+    m = _load_module("supersingular", Config(), margin=60)
+    g = synthetic_member(m, random.Random(1), 125)
+    path = tmp_path / "member.json"
+    path.write_text(json.dumps(
+        {"components": [ser.series_to_json(c) for c in g.components]}))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["contradict", "-m", "supersingular", "--which", "dim2-det"],
+    ["amember", "-m", "supersingular", "--series", "{path}"],
+], ids=["contradict", "amember"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_no_layer_exits_2(tmp_path, capsys, argv, where):
+    # with n_max below 1 no layer is checked: no verdict, exit 2
+    argv = [arg.format(path=_supersingular_member(tmp_path)) for arg in argv]
+    if where == "flag":
+        argv += ["--nmax", "0"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_max": 0}))
+        argv += ["--config", str(config)]
+    assert main(argv + ["--seed", "1"]) == 2
+    assert "error: n_max must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_verify_count_below_one_exits_2(capsys, count):
+    assert main(["verify", "operators", "--count", count]) == 2
+    assert f"error: count must be >= 1, got {count}" in \
+        capsys.readouterr().err
 
 
 def test_verify_builds_every_field_at_the_configured_guard(monkeypatch):

@@ -17,7 +17,7 @@ from padic_hodge.series import TruncatedSeries
 from padic_hodge import intpoly, seriesops as so
 from padic_hodge.errors import PsiNotZeroError, TailBoundError
 
-from helpers import random_element, x_plus_one_power
+from helpers import random_element, shift, x_plus_one_power
 
 
 # -- exact rational oracles ----------------------------------------------
@@ -532,8 +532,8 @@ def _two_shift_phi(f):
     n_out = full if f.tail_zero else f.n
     out = []
     for col in _sigma_cols(f.field, f.rel, f.coords):
-        y = intpoly.stretch(intpoly.taylor_shift(col, -1, mod), p, full + 1)
-        out.append(intpoly.taylor_shift(y, 1, mod)[:n_out + 1])
+        y = intpoly.stretch(shift(col, -1, mod), p, full + 1)
+        out.append(intpoly.taylor_shift(y, mod)[:n_out + 1])
     return TruncatedSeries(f.field, n_out, f.shift, f.rel, out,
                            f.effective_bound(), f.tail_zero)
 
@@ -541,9 +541,8 @@ def _two_shift_phi(f):
 def _two_shift_psi(f):
     """psi: Taylor shift to the (1+x)-basis, contract, shift back, sigma^-1."""
     p, mod = f.field.p, f.field.p ** f.rel
-    out = [intpoly.taylor_shift(
-        intpoly.contract(intpoly.taylor_shift(col, -1, mod), p), 1, mod)
-        for col in f.coords]
+    out = [intpoly.taylor_shift(shift(col, -1, mod)[::p], mod)
+           for col in f.coords]
     b = f.effective_bound()
     return TruncatedSeries(f.field, f.n // p, f.shift, f.rel,
                            _sigma_cols(f.field, f.rel, out, inverse=True),
@@ -575,7 +574,7 @@ def _keeps_fresh_coordinates(s):
     if s._ycoords is None:
         return True
     mod = s.field.p ** s.rel
-    return s.tail_zero and s._ycoords == [intpoly.taylor_shift(col, -1, mod)
+    return s.tail_zero and s._ycoords == [shift(col, -1, mod)
                                           for col in s.coords]
 
 
@@ -655,6 +654,22 @@ def test_phi_adds_no_leaf_rows_to_the_binomial_cache():
         so.phi_op(s)
         assert intpoly._leaf_rows.cache_info().currsize == 2
         assert intpoly._binomial_row.cache_info().currsize == rows, n
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_operators_share_one_factor_one_leaf_table(p):
+    # ycoords' inverse shift and psi's shift back read the same factor-1
+    # rows; phi adds its own at factor p, and nothing else is built
+    field = UnramifiedField(p, 1, 20)
+    s = _random_series(field, random.Random(p), 4 * p, True)
+    mod = p ** s.rel
+    intpoly._leaf_rows.cache_clear()
+    so.psi_op(so.phi_op(s))
+    so.psi_op(s)
+    assert intpoly._leaf_rows.cache_info().currsize == 2
+    intpoly._leaf_rows(mod, 1)
+    intpoly._leaf_rows(mod, p)
+    assert intpoly._leaf_rows.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("p, f", [(3, 1), (5, 2), (7, 3), (11, 1)])
