@@ -276,17 +276,15 @@ def cmd_amember(args):
     J = tuple(int(x) for x in args.J.split(",")) if args.J else ()
     rep = check_membership(g, args.v, J, args.r, cfg.n_max,
                            tilde=not args.require_psi_zero)
-    # the estimate is reported here only: check_membership reads an order
-    # just where eigen data makes it exact
+    # the estimate is reported here only: a series read from a file carries
+    # no eigen data, so its order is never exact and no verdict reads it
     order = phi_growth_order(g) if not g.is_zero else None
     lines = [f"verdict\t{rep.verdict}",
              f"indeterminate\t{rep.indeterminate}"]
     if rep.psi_zero is not None:
         lines.append(f"psi_zero\t{rep.psi_zero}")
     if order is not None:
-        if order.exact:
-            lines.append(f"phi_order\t{order.value}\texact")
-        elif order.interval:
+        if order.interval:
             lines.append(f"phi_order\t[{order.interval[0]}, "
                          f"{order.interval[1]}]\testimate")
         else:
@@ -298,12 +296,10 @@ def cmd_amember(args):
         "verdict": rep.verdict,
         "indeterminate": rep.indeterminate,
         "psi_zero": rep.psi_zero,
-        "order": ({"exact": True, "value": _frac(order.value)}
-                  if order and order.exact else
-                  {"exact": False,
-                   "interval": [_frac(x) for x in order.interval]
-                   if order and order.interval else None,
-                   "note": order.note if order else "zero input"}),
+        "order": {"exact": False,
+                  "interval": [_frac(x) for x in order.interval]
+                  if order and order.interval else None,
+                  "note": order.note if order else "zero input"},
         "conditions": [{"j": r.j, "n": r.n, "kind": r.kind,
                         "status": r.status, "margin": _frac(r.margin)}
                        for r in rep.rows],

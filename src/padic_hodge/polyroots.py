@@ -5,11 +5,8 @@ Roots in K have integer valuation (K is unramified), so candidate
 valuations come from the integer-slope segments of the Newton polygon.
 For one valuation v, the roots are p^v y for the unit roots y of h, the
 polynomial g(p^v y) divided by its content.  h is read off g's
-coefficients directly: scaling by p^e moves a valuation by e and keeps the
-residues, cut to the window that a product with a Q_p scalar p^e at the
-working precision would leave.  Where that scalar would vanish (e at least
-the working precision), p^e is taken at the precision the coefficient
-needs, so h is never a tracked zero.
+coefficients directly: scaling by p^e is exact, moving a valuation and a
+precision by e and keeping the residues.
 
 The unit roots are found by Panayi's reduction (Berthomieu, Lecerf &
 Quintin, "Polynomial root finding over local rings and application to
@@ -29,6 +26,13 @@ at most deg h ways, not p^f.
   among the roots of the derivative, and raises when that does not
   account for the cluster.
 
+Multiplicities come from the search itself.  A Hensel-lifted root passes
+Newton's test, so it is simple.  A root of g' of multiplicity m at which g
+vanishes is a root of g of multiplicity m + 1; each recursion through the
+derivative lowers the degree by one.  The residual is g divided by
+(X - r) m times for each root, and a remainder that is not a tracked zero
+raises.
+
 The search runs on integer residue tuples: plain integers at f = 1 and the
 field's own product otherwise.  Its Horner evaluation and Newton steps keep
 the precision that FieldElement arithmetic would give them.  A lifted root
@@ -36,8 +40,9 @@ is returned to the least of that precision and the one Hensel's lemma
 certifies: when h(x) vanishes mod p^P, x is within p^(P - v(h'(x))) of the
 root.  Everything returns certified data or raises: a polygon vertex
 decided by a coefficient known only below the guard threshold is a
-PrecisionError, so is a count of roots of one valuation, with
-multiplicity, above the polygon's, and a cluster that the search cannot
+PrecisionError, so are a division remainder that does not vanish and a
+count of roots of one valuation, with multiplicity, above the polygon's
+(a safety check), and a cluster that the search cannot
 separate is reported as unsupported rather than guessed.
 """
 
@@ -276,23 +281,12 @@ class _UnitRootSearch:
 
 
 def _times_p_power(c, e):
-    """c p^e with the precision of ``c * field.scalar(p ** e)``: val v + e
-    and relative precision min(c.prec - v, work_prec - e), the second being
-    the scalar's.  Where e >= work_prec that scalar would be a tracked zero,
-    so p^e is taken at the precision that c needs and c keeps its relative
-    precision.  No scalar and no product: p^e is a unit times a power of
-    p, so the residues stay c's, cut to the new window."""
+    """c p^e exactly: valuation and precision move by e and the residues
+    stay c's, since p^e is a unit times a power of p."""
     field = c.field
     if c.val is None:
         return FieldElement(field, None, c.prec + e, field._zeros)
-    rel = c.prec - c.val
-    res = c.res
-    cap = field.work_prec - e
-    if 0 < cap < rel:
-        rel = cap
-        mod = field.p ** rel
-        res = tuple(r % mod for r in res)
-    return FieldElement(field, c.val + e, c.val + e + rel, res)
+    return FieldElement(field, c.val + e, c.prec + e, c.res)
 
 
 def _roots_with_valuation(g, val, field):
@@ -308,58 +302,50 @@ def _roots_with_valuation(g, val, field):
     return [_times_p_power(r, val) for r in search.roots], search.unresolved
 
 
-def _strip_root(work, r, field):
-    mult = 0
-    while len(work) > 1:
-        q, rem = poly_divide_linear(work, r, field)
-        if not rem.is_zero:
-            break
-        work = q
-        mult += 1
-    return work, mult
-
-
-def find_k_roots(g, field, _depth=0):
+def find_k_roots(g, field):
     """All K-rational roots of a monic polynomial with multiplicities.
 
     Returns (roots, residual): roots as a list of (root, multiplicity) and
-    the monic residual factor without K-roots.  Roots come from Panayi's
-    reduction with Hensel lifts; clusters that it cannot separate at the
-    precision are retried through the roots of the derivative (multiple
-    roots), and only if that also fails is the enumeration reported
-    unsupported.
+    the monic residual factor without K-roots.  Roots that Panayi's
+    reduction Hensel-lifts are simple.  Clusters that it cannot separate at
+    the precision are retried through the K-roots of the monic derivative:
+    a root of g' of multiplicity m at which g vanishes is a root of g of
+    multiplicity m + 1.  The residual is g divided by (X - r) m times for
+    each root, each remainder a tracked zero or a PrecisionError.  Only if
+    integer-slope mass of an unseparated cluster stays in the residual is
+    the enumeration reported unsupported.
     """
     g = list(g)
     if len(g) <= 1:
         return [], g
     vals = newton_root_valuations(g)
-    candidates = []
+    roots = []
     unresolved = False
     for v in sorted(set(vals)):
         if v.denominator != 1:
             continue
         found, flag = _roots_with_valuation(g, int(v), field)
-        candidates.extend(found)
+        roots.extend((r, 1) for r in found)
         unresolved = unresolved or flag
-    if unresolved and len(g) > 2 and _depth < 4:
+    if unresolved and len(g) > 2:
         dg = poly_derivative(g, field)
         lead_inv = field.inverse(dg[-1])
-        dmonic = [c * lead_inv for c in dg]
-        droots, _ = find_k_roots(dmonic, field, _depth + 1)
-        for r, _m in droots:
+        droots, _ = find_k_roots([c * lead_inv for c in dg], field)
+        for r, m in droots:
             if poly_eval(g, r, field).is_zero and \
-               not any((r - c).is_zero for c in candidates):
-                candidates.append(r)
-    roots = []
+               not any((r - c).is_zero for c, _ in roots):
+                roots.append((r, m + 1))
     work = g
-    for r in candidates:
-        work, mult = _strip_root(work, r, field)
-        if mult:
-            roots.append((r, mult))
+    for r, m in roots:
+        for _ in range(m):
+            work, rem = poly_divide_linear(work, r, field)
+            if not rem.is_zero:
+                raise PrecisionError(
+                    "a root's factor does not divide the polynomial at "
+                    "precision")
     for v in {r.val for r, _ in roots}:
-        # a remainder that vanishes only at the precision left after
-        # stripping low-precision roots can count more roots of valuation v
-        # than the Newton polygon of g holds
+        # a safety check: roots of one valuation, with multiplicity, are no
+        # more than the Newton polygon of g holds
         if sum(m for r, m in roots if r.val == v) > vals.count(v):
             raise PrecisionError(
                 f"root multiplicities at valuation {v} exceed the Newton "

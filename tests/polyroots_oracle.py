@@ -17,8 +17,8 @@ from itertools import product as iter_product
 
 from padic_hodge.errors import EnumerationUnsupportedError, PrecisionError
 from padic_hodge.padics import FieldElement
-from padic_hodge.polyroots import (_strip_root, newton_root_valuations,
-                                   poly_derivative, poly_eval)
+from padic_hodge.polyroots import (newton_root_valuations, poly_derivative,
+                                   poly_divide_linear, poly_eval)
 
 # deepest level of the digit descent before a cluster counts as unresolved
 _DESCENT_DEPTH = 6
@@ -108,6 +108,19 @@ def _roots_with_valuation(g, val, field):
     return [r * field.scalar(Fraction(p) ** val) for r in roots], unresolved[0]
 
 
+def strip_root(work, r, field):
+    """(work divided by (X - r) while the remainder is a tracked zero, the
+    number of such divisions): the multiplicity count of the descent."""
+    mult = 0
+    while len(work) > 1:
+        q, rem = poly_divide_linear(work, r, field)
+        if not rem.is_zero:
+            break
+        work = q
+        mult += 1
+    return work, mult
+
+
 def find_k_roots(g, field, _depth=0):
     """(roots with multiplicities, residual) by the digit descent."""
     g = list(g)
@@ -134,7 +147,7 @@ def find_k_roots(g, field, _depth=0):
     roots = []
     work = g
     for r in candidates:
-        work, mult = _strip_root(work, r, field)
+        work, mult = strip_root(work, r, field)
         if mult:
             roots.append((r, mult))
     if unresolved:

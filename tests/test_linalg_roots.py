@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -10,10 +11,10 @@ from padic_hodge.linalg import (classify, solve, kernel, det, charpoly, echelon,
                                 _best_pivot, mat_mul)
 from padic_hodge.padics import FieldElement, UnramifiedField
 from padic_hodge.polyroots import (newton_root_valuations, find_k_roots,
-                                   poly_eval, _evaluate, _int_ops, _int_poly,
-                                   _strip_root)
+                                   poly_eval, _evaluate, _int_ops, _int_poly)
 from padic_hodge.errors import EnumerationUnsupportedError, PrecisionError
 from padic_hodge import generators as gen
+from padic_hodge import polyroots
 
 import polyroots_oracle as oracle
 
@@ -277,19 +278,57 @@ def _certified(g, roots, field):
         for r, m in roots]
 
 
+# digits that a random lift of g adds above each coefficient's precision
+_LIFT_DIGITS = 220
+
+
+@lru_cache(maxsize=None)
+def _lift_field(p, f):
+    """K(p, f) with 236 digits more than the default window."""
+    return UnramifiedField(p, f, 20, work_margin=260)
+
+
+def _random_lift(g, exact, rng):
+    """Monic g with random digits above each lower coefficient's precision,
+    as a polynomial over ``exact`` known to _LIFT_DIGITS more digits."""
+    p = exact.p
+    lift = []
+    for c in g[:-1]:
+        base = c.prec if c.val is None else c.val
+        lift.append(exact.from_residues(
+            base, [r + rng.randrange(p ** _LIFT_DIGITS) * p ** (c.prec - base)
+                   for r in c.res], c.prec + _LIFT_DIGITS))
+    return lift + [exact.one()]
+
+
+def _assert_roots_hold_on_lifts(g, roots, field):
+    """Each root of g agrees, to every digit it claims, with a K-root of
+    each of three seeded random lifts of g.  Every lift of g agrees with g
+    at g's precision, so a certified root is within its precision of a
+    root of every lift."""
+    exact = _lift_field(field.p, field.f)
+    rng = random.Random(len(g))
+    for _ in range(3):
+        lift_roots = [t for t, _ in find_k_roots(_random_lift(g, exact, rng),
+                                                 exact)[0]]
+        for r, m in roots:
+            assert m == 1  # a multiple root splits on a lift
+            assert any((exact.coerce(r) - t).is_zero for t in lift_roots)
+
+
 def _assert_matches_oracle(g, field):
     """The same roots as the digit descent, in the same order, with the same
-    value, multiplicity and val, each at the oracle's precision capped at
-    the certified one, and the residual left by stripping those."""
-    want_roots = _certified(g, oracle.find_k_roots(g, field)[0], field)
+    valuation and multiplicity, agreeing on the digits both sides claim, and
+    a residual of the same degree; each root holds on random lifts of g to
+    every digit it claims."""
+    want_roots, want_res = oracle.find_k_roots(g, field)
     got_roots, got_res = find_k_roots(g, field)
-    assert _root_keys(got_roots) == _root_keys(want_roots)
-    want_res = g
-    for r, m in want_roots:
-        want_res, mult = _strip_root(want_res, r, field)
-        assert mult == m
-    assert [(c.val, c.prec, c.res) for c in got_res] == \
-        [(c.val, c.prec, c.res) for c in want_res]
+    assert [(r.val, m) for r, m in got_roots] == \
+        [(r.val, m) for r, m in want_roots]
+    assert all((a - b).is_zero
+               for (a, _), (b, _) in zip(got_roots, want_roots))
+    assert len(got_res) == len(want_res)
+    _assert_roots_hold_on_lifts(g, got_roots, field)
 
 
 def _random_matrix(field, rng, d):
@@ -324,6 +363,55 @@ def _poly_with_roots(field, roots):
     return g
 
 
+def _count_root_searches(monkeypatch):
+    """Count the calls of find_k_roots, recursive ones included."""
+    calls = []
+    original = polyroots.find_k_roots
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(polyroots, "find_k_roots", counting)
+    return calls
+
+
+@pytest.mark.parametrize("root,mult,other",
+                         [(2, 3, 7), (3, 4, 8), (5, 2, -10), (25, 2, 3)])
+def test_multiple_roots_come_through_the_derivative(monkeypatch, K5, root,
+                                                    mult, other):
+    # (X - root)^mult (X - other) over Q_5: the search cannot separate the
+    # cluster at root, and the roots of the derivatives give it, one more
+    # each time than in the derivative
+    g = _poly_with_roots(K5, [K5.coerce(root)] * mult + [K5.coerce(other)])
+    calls = _count_root_searches(monkeypatch)
+    roots, resid = polyroots.find_k_roots(g, K5)
+    assert len(calls) == mult  # g, g', ..., the derivative where root is simple
+    assert len(roots) == 2 and len(resid) == 1
+    for want, m in ((root, mult), (other, 1)):
+        assert [m] == [n for r, n in roots if (r - K5.coerce(want)).is_zero]
+
+
+def test_multiple_root_in_the_extension(K25):
+    # (X - t)^2 (X - t - 1) over K(5, 2)
+    t = K25.gen()
+    g = _poly_with_roots(K25, [t, t, t + K25.one()])
+    roots, resid = find_k_roots(g, K25)
+    assert len(roots) == 2 and len(resid) == 1
+    for want, m in ((t, 2), (t + K25.one(), 1)):
+        assert [m] == [n for r, n in roots if (r - want).is_zero]
+
+
+def test_roots_of_a_polynomial_with_a_zero_coefficient(K5):
+    # X^2 - 25: h at valuation 1 scales the tracked zero X coefficient by 5
+    g = [K5.coerce(-25), K5.zero(), K5.one()]
+    assert g[1].is_zero
+    roots, resid = find_k_roots(g, K5)
+    assert len(resid) == 1 and [m for _, m in roots] == [1, 1]
+    for want in (5, -5):
+        assert sum((r - K5.coerce(want)).is_zero for r, _ in roots) == 1
+
+
 def test_reduction_finds_every_root_of_a_cluster(K5):
     # 6 and 26 agree mod 5; Newton's test already passes at x = 1, and the
     # descent lifts 26 from there and never looks below it
@@ -350,10 +438,11 @@ def test_root_at_an_exact_start_keeps_the_start_precision(K5):
 
 def test_lifted_roots_claim_only_certified_digits():
     # four linear factors over K(5, 2), two of whose roots are 5 apart: the
-    # last Newton iterate is known to 35 digits, but h(x) vanishes only to
-    # the precision that leaves 33 certified, and the iterate agrees with
-    # the true root to 33.  Claiming 35 made the strip take a wrong factor
-    # and leave a quadratic residual that holds two K-roots
+    # Newton iterates are known to more digits than h(x) vanishes to, and
+    # claiming those made the division take a wrong factor and leave a
+    # quadratic residual that holds two K-roots.  Each root is returned to
+    # the digits that Hensel's lemma certifies and agrees with exactly one
+    # true root there
     K = UnramifiedField(5, 2, 20)
     exact = UnramifiedField(5, 2, 20, work_margin=400)
     coords = [[412860343614793449794, 1904542274146758727],
@@ -364,23 +453,27 @@ def test_lifted_roots_claim_only_certified_digits():
     true = [exact.element(c) for c in coords]
     roots, resid = find_k_roots(g, K)
     assert len(resid) == 1 and [m for _, m in roots] == [1, 1, 1, 1]
-    # each root agrees with exactly one true root to every claimed digit
     for r, _ in roots:
         assert sum((exact.coerce(r) - t).is_zero for t in true) == 1
+    _assert_roots_hold_on_lifts(g, roots, K)
+    # h at valuation -1 is g(y / 5) times 5^4, at valuation 0 g times 5,
+    # each scaled exactly
     assert sorted((r.val, r.prec) for r, _ in roots) == \
-        [(-1, 39), (0, 33), (0, 33), (0, 33)]
+        [(-1, 42), (0, 32), (0, 32), (0, 32)]
 
 
 def test_multiplicities_never_exceed_the_newton_polygon():
     # a charpoly over K(3, 2) with one root at each of the valuations -10,
-    # -6, -4 and 0.  The val -10 root is known to 4 digits, and what is
-    # left after stripping it is known too coarsely to tell the other roots
-    # apart: the remainders of the strip by the val -6 root vanish three
-    # times at that precision
+    # -6, -4 and 0, the lower coefficients known to 10-31 digits: with h
+    # scaled by p^e exactly, the search finds each root, simple, and the
+    # count stays within the polygon
     K = UnramifiedField(3, 2, 20)
     g = [K.from_residues(v, (r, 0), prec) for v, prec, r in (
         (-20, 10, 2684354560000), (-20, 13, 5556189748968323),
         (-16, 20, 11503476736), (-10, 31, 36472996377169034195), (0, 44, 1))]
     assert newton_root_valuations(g) == [-10, -6, -4, 0]
-    with pytest.raises(PrecisionError, match="exceed the Newton polygon"):
-        find_k_roots(g, K)
+    roots, resid = find_k_roots(g, K)
+    assert sorted((r.val, m) for r, m in roots) == \
+        [(-10, 1), (-6, 1), (-4, 1), (0, 1)]
+    assert len(resid) == 1
+    _assert_roots_hold_on_lifts(g, roots, K)

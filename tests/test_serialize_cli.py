@@ -15,6 +15,7 @@ from padic_hodge.generators import split_module
 from padic_hodge import serialize as ser
 from padic_hodge.errors import SchemaError
 from padic_hodge.cli import main, mf_rank_table
+from padic_hodge.suites import SUITES, run_suite
 
 from helpers import x_plus_one_power
 
@@ -225,12 +226,66 @@ def test_cli_series_apply(tmp_path, K5):
     assert code == 0
 
 
+def test_cli_series_apply_psi_d_ell(tmp_path, K5):
+    def apply(op, series, *extra):
+        path = tmp_path / f"{op}.json"
+        path.write_text(json.dumps(ser.series_to_json(series)))
+        code, out = run_cli("series", "apply", "--op", op, "--in", str(path),
+                            *extra)
+        assert code == 0
+        return ser.series_from_json(json.loads(out), K5)
+
+    f = TruncatedSeries.make(K5, [1, 1], n=10)
+    # psi(phi(f)) = f, and D(1 + x) = 1 + x
+    assert apply("psi", so.phi_op(f)).truncate(f.n).equals(f)
+    assert apply("D", f).equals(f)
+    # ell_j = log(1+x) D - j on 1 + x, whose psi is zero; j defaults to 0
+    for extra, j in (((), 0), (("--j", "1"), 1)):
+        assert apply("ell", f, *extra).equals(so.ell_op(f, j))
+
+
 def test_cli_series_order(tmp_path, K5):
     lp = so.LogPolynomial({2: TruncatedSeries.make(K5, [7], n=4)})
     path = tmp_path / "lp.json"
     path.write_text(json.dumps(ser.logpoly_to_json(lp)))
     code, out = run_cli("series", "order", "--in", str(path))
     assert code == 0 and out.startswith("growth_order\t2")
+
+
+def test_cli_series_order_estimate(tmp_path, K5):
+    # a plain series has no exact order: the CLI prints a slope estimate
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(ser.series_to_json(
+        TruncatedSeries.make(K5, [1, 1], n=10))))
+    code, out = run_cli("series", "order", "--in", str(path))
+    assert code == 0 and out == "growth_order_estimate\t[0, 0]\testimate\n"
+    code, out = run_cli("series", "order", "--in", str(path), "--json")
+    assert code == 0
+    assert json.loads(out) == {"interval": ["0", "0"], "exact": False}
+
+
+@pytest.mark.parametrize("module, code, verdict", [
+    ("supersingular", 0, "True"), ("ordinary", 1, "False")])
+def test_cli_ncond(module, code, verdict):
+    got, out = run_cli("ncond", "-m", module, "--j", "0")
+    assert got == code and out.startswith(f"condition_N_0\t{verdict}\n")
+
+
+@pytest.mark.parametrize("argv, code, verdict", [
+    (["--which", "wronskian", "--synthetic-mode", "adapted"], 1,
+     "not forced"),
+    (["--which", "dim2-det"], 2, "inconclusive"),
+], ids=["not-forced", "inconclusive"])
+def test_cli_contradict_exit_codes(tmp_path, K5, argv, code, verdict):
+    # a split module with jumps at its slopes 0 and -1: the Wronskian of an
+    # adapted member has log order 0, no more than its order bound, and the
+    # dim-2 determinant's log bound cannot be decided at N = 125
+    m, slopes, _ = split_module(K5, random.Random(5), 2, "wa")
+    assert sorted(slopes) == [-1, 0]
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(ser.module_to_json(m)))
+    got, out = run_cli("contradict", "-m", str(path), "--seed", "1", *argv)
+    assert got == code and f"verdict\t{verdict}\n" in out
 
 
 def test_cli_contradict_preset():
@@ -246,6 +301,12 @@ def test_cli_verify_and_determinism():
     code2, out2 = run_cli("verify", "tilde", "--count", "3", "--seed", "9")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_suite_passes_a_short_run(name):
+    rep = run_suite(name, seed=1, count=2)
+    assert rep.passed and rep.cases
 
 
 def test_cli_verify_contradiction_reports_undecided_case(tmp_path):
@@ -419,7 +480,19 @@ def test_rational_flags_read_what_fraction_reads():
         assert args.ap == value
     amember = ["amember", "-m", "x", "--series", "y"]
     assert parser.parse_args(amember).r == 0
-    assert parser.parse_args(amember + ["--r=-3/4"]).r == Fraction(-3, 4)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["amember", "-m", "x", "--series", "y", "--r=-3/4"], "r"),
+    (["series", "apply", "--op", "gamma", "--in", "y", "--c=-3/4"], "c"),
+    (["mf-rank-table", "5", "2", "--jmin", "0", "--jmax", "1", "--",
+      "-3/4"], "ap"),
+], ids=["r", "c", "ap"])
+def test_negative_rationals_in_the_documented_forms(argv, name):
+    # argparse reads a separate -3/4 as an option; a flag takes it after
+    # "=", and the positional a_p after "--" at the end
+    from padic_hodge.cli import build_parser
+    assert getattr(build_parser().parse_args(argv), name) == Fraction(-3, 4)
 
 
 def _supersingular_member(tmp_path):
