@@ -16,7 +16,6 @@ from importlib import resources
 
 from .config import Config, config_from_json
 from .errors import PadicError, PrecisionError, TailBoundError
-from .padics import UnramifiedField
 from .series import INFINITE
 from . import seriesops as so
 from .modules import mf_rank_table
@@ -24,7 +23,7 @@ from .analytic import (VectorSeries, check_membership, contradiction_pipeline,
                        phi_growth_order)
 from . import serialize as ser
 from . import generators as gen
-from .suites import run_suite, SUITES, division_margin
+from .suites import run_suite, SUITES, division_margin, series_field
 
 PRESETS = ("supersingular", "ordinary", "weight4", "qp1")
 
@@ -209,15 +208,9 @@ def cmd_mf_rank_table(args):
     return EXIT_OK
 
 
-def _series_field_for(args, cfg):
-    return UnramifiedField(cfg.p, getattr(args, "f", None) or cfg.f,
-                           cfg.precision, work_margin=division_margin(cfg, 0),
-                           guard=cfg.guard)
-
-
 def cmd_series_apply(args):
     cfg = _load_config(args)
-    field = _series_field_for(args, cfg)
+    field = series_field(cfg.with_overrides(f=args.f))
     s = ser.parse_series_file(args.infile, field)
     op = args.op
     if op == "phi":
@@ -241,7 +234,7 @@ def cmd_series_apply(args):
 
 def cmd_series_order(args):
     cfg = _load_config(args)
-    field = _series_field_for(args, cfg)
+    field = series_field(cfg.with_overrides(f=args.f))
     node = ser.load_json(args.infile)
     if isinstance(node, dict) and "terms" in node:
         lp = ser.logpoly_from_json(node, field, str(args.infile))
@@ -271,7 +264,7 @@ def _load_vector_series(path, module):
 
 def cmd_amember(args):
     cfg = _load_config(args)
-    m = _load_module(args.module, cfg, margin=60)
+    m = _load_module(args.module, cfg)
     g = _load_vector_series(args.series, m)
     J = tuple(int(x) for x in args.J.split(",")) if args.J else ()
     rep = check_membership(g, args.v, J, args.r, cfg.n_max,

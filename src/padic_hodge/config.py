@@ -44,8 +44,9 @@ class Config:
             raise ValueError("f must be >= 1")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.precision <= self.guard:
-            raise ValueError("precision must exceed guard digits")
+        if not 0 <= self.guard < self.precision:
+            raise ValueError(f"guard must be >= 0 and below precision "
+                             f"{self.precision}, got {self.guard}")
         n = self.truncation if self.truncation else self.p ** 3
         if n < self.p ** 2:
             raise ValueError(f"truncation degree must be >= p^2 = {self.p ** 2}")

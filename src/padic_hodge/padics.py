@@ -311,6 +311,9 @@ class FieldElement:
         return "K(" + ", ".join(parts) + ")"
 
 
+WORK_MARGIN = 24  # digits a field works above its precision by default
+
+
 class UnramifiedField:
     """The degree-f unramified extension of Q_p with its Frobenius lift.
 
@@ -322,15 +325,15 @@ class UnramifiedField:
     precision.
     """
 
-    def __init__(self, p, f=1, precision=20, defpoly=None, work_margin=24,
-                 guard=4):
+    def __init__(self, p, f=1, precision=20, defpoly=None,
+                 work_margin=WORK_MARGIN, guard=4):
         self.p = p
         self.f = f
         self.prec = precision
         self.guard = guard
-        # dividing by log(1+x) costs ~N/(p-1) digits per division (its
-        # inverse has radius-limited coefficients), so series-heavy callers
-        # pass a larger margin to keep end results certified at `precision`
+        # WORK_MARGIN covers the untracked losses of the linear algebra; a
+        # division by log(1+x) at degree N spends N // (p - 1) digits, so
+        # series callers budget their own (suites.division_margin)
         self.work_prec = precision + work_margin
         if defpoly is None:
             defpoly = find_irreducible(p, f)

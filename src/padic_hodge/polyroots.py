@@ -221,19 +221,23 @@ class _UnitRootSearch:
         # Newton x <- x - h(x)/h'(x) on residue tuples, each step known to
         # the precision that FieldElement arithmetic gives it; it runs until
         # h(x) vanishes at its precision, so that downstream subtractions
-        # B - lambda leave tracked zeros, not guard-band residue.  The root
-        # is returned to no more than the digits Hensel's lemma certifies:
-        # h(x) vanishes mod p^pg, so v(x - root) >= pg - v(h'(x))
+        # B - lambda leave tracked zeros.  A step costs v(h'(x)) digits, and
+        # Hensel certifies v(h(x)) - v(h'(x)) (pg for v(h(x)) once h(x)
+        # vanishes mod p^pg): the root is the iterate certified furthest
         p, mul = self.p, self.mul
         xprec = self.start_prec
+        best, best_prec = x, -1
         for _ in range(64):
             vg, pg, gx = _evaluate(self.ih, x, xprec, p, mul)
             vd, pd, dgx = _evaluate(self.idh, x, xprec, p, mul)
             if vd is None:
                 raise PrecisionError(
                     "derivative indistinguishable from zero at a root")
+            certified = min(xprec, (pg if vg is None else vg) - vd)
+            if certified >= best_prec:
+                best, best_prec = x, certified
             if vg is None:
-                return self.field.from_residues(0, x, min(xprec, pg - vd))
+                return self.field.from_residues(0, best, best_prec)
             rel = min(pg - vg, pd - vd)
             q = mul(tuple(a // p ** vg for a in gx),
                     self.inv(tuple(a // p ** vd % p ** (pd - vd)

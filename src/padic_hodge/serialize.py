@@ -26,7 +26,7 @@ import json
 
 from .config import is_prime
 from .errors import SchemaError
-from .padics import FieldElement, UnramifiedField
+from .padics import WORK_MARGIN, FieldElement, UnramifiedField
 from .series import TruncatedSeries
 from .seriesops import LogPolynomial
 from .modules import FilteredPhiModule, Subspace
@@ -238,7 +238,7 @@ def module_from_json(node, path="module", precision=None, work_margin=None,
     f = _int_at(node, "f", path, 1, 1)
     # the file's keys are checked even where the caller overrides them
     prec = _int_at(node, "precision", path, 20, 1)
-    margin = _int_at(node, "work_margin", path, 24)
+    margin = _int_at(node, "work_margin", path, WORK_MARGIN)
     prec = precision or prec
     margin = margin if work_margin is None else work_margin
     defpoly = node.get("defpoly")

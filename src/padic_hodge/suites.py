@@ -63,13 +63,16 @@ SUITE_DEFAULT_COUNTS = {
 
 def division_margin(cfg: Config, divisions: int) -> int:
     """Work margin of a field whose series take ``divisions`` divisions by
-    log(1+x) at the configured truncation degree N: 40 digits plus
-    N // (p - 1) + 3 per division."""
-    per = cfg.truncation // (cfg.p - 1) + 3
-    return 40 + per * divisions
+    log(1+x) at the configured truncation degree N: the guard plus
+    N // (p - 1) per division, the digits of absolute precision that one
+    ``divide_by_log`` at degree N spends (x/log(1+x) mod x^(N+1) has least
+    valuation -(N // (p - 1))).  ``log_order`` divides until a division
+    fails, so ``divisions`` bounds the chain a field's series may meet."""
+    return cfg.guard + divisions * (cfg.truncation // (cfg.p - 1))
 
 
-def _series_field(cfg: Config, divisions: int = 0) -> UnramifiedField:
+def series_field(cfg: Config, divisions: int = 0) -> UnramifiedField:
+    """The configured field at ``division_margin(cfg, divisions)``."""
     return UnramifiedField(cfg.p, cfg.f, cfg.precision,
                            work_margin=division_margin(cfg, divisions),
                            guard=cfg.guard)
@@ -84,7 +87,7 @@ def _agree(l, r):
 def suite_operators(rng, count, cfg):
     """psi.phi = id, D.phi = p phi.D, psi.D = p D.psi, D.gamma_c = c gamma_c.D
     on random truncated series, exact at propagated precision."""
-    field = _series_field(cfg)
+    field = series_field(cfg)
     N = cfg.truncation
     p = cfg.p
     out = []
@@ -111,7 +114,7 @@ def suite_operators(rng, count, cfg):
 
 def suite_norms(rng, count, cfg):
     """Norm multiplicativity and the phi/radius law, exact in log form."""
-    field = _series_field(cfg)
+    field = series_field(cfg)
     N = cfg.p ** 2
     out = []
     for i in range(count):
@@ -134,7 +137,7 @@ def suite_norms(rng, count, cfg):
 def suite_orders(rng, count, cfg):
     """Exact growth orders on the structured class and the order-transfer
     law for twisted pairs (f, g, mu)."""
-    field = _series_field(cfg)
+    field = series_field(cfg)
     out = []
     small = cfg.p ** 2
     for r in range(5):
@@ -175,7 +178,7 @@ def suite_divisibility(rng, count, cfg):
     whose layer test the truncation cannot decide fails as inconclusive."""
     out = []
     N = cfg.truncation
-    field = _series_field(cfg, divisions=5)
+    field = series_field(cfg, divisions=5)
     lg = so.log_series(field, N)
     roundtrips = max(count - 20, 10)
     for i in range(roundtrips):
@@ -198,7 +201,7 @@ def suite_divisibility(rng, count, cfg):
         except TailBoundError as err:
             ok, detail = False, f"inconclusive: {err}"
         out.append(CaseResult(len(out), "log-roundtrip", ok, detail))
-    det_field = _series_field(cfg, 6)
+    det_field = series_field(cfg, 6)
     for i in range(min(20, count)):
         d = 2 if i % 2 == 0 else 3
         M = gen.random_wa_module_bounded(det_field, rng, d=d)
@@ -216,7 +219,7 @@ def suite_divisibility(rng, count, cfg):
 
 def suite_slopes(rng, count, cfg):
     """Newton slopes against constructions with known Frobenius data."""
-    field = _series_field(cfg)
+    field = UnramifiedField(cfg.p, cfg.f, cfg.precision, guard=cfg.guard)
     p = cfg.p
     out = []
     ss = modular_form_module(p, 2, 0, field=field)
@@ -245,12 +248,12 @@ def suite_tensor_slope(rng, count, cfg):
     Genericity means the four tensor eigenvalues stay separated: the two
     factors must have different slope gaps, otherwise the middle
     eigenvalues collide and the subspace enumeration is not certified.
-    The window is widened because valuation spreads across the sixteen
-    tensor entries eat relative precision in the induced-degree
-    eliminations.
+    The field keeps the library's default margin, not the guard alone:
+    valuation spreads across the sixteen tensor entries eat relative
+    precision in the induced-degree eliminations, and at f = 3 the guard
+    alone leaves an entry inside the guard band.
     """
-    field = UnramifiedField(cfg.p, cfg.f, cfg.precision, work_margin=140,
-                            guard=cfg.guard)
+    field = UnramifiedField(cfg.p, cfg.f, cfg.precision, guard=cfg.guard)
     out = []
 
     def gap(m):
@@ -273,7 +276,7 @@ def suite_tensor_slope(rng, count, cfg):
 def suite_admissibility(rng, count, cfg):
     """Certified weak admissibility: sampled instances, the eigenline
     counterexample, and twist invariance."""
-    field = _series_field(cfg)
+    field = UnramifiedField(cfg.p, cfg.f, cfg.precision, guard=cfg.guard)
     out = []
     qp1 = FilteredPhiModule(
         field, [[field.coerce(Fraction(1, cfg.p))]],
@@ -303,7 +306,7 @@ def suite_tilde(rng, count, cfg):
     """Erasing the jump-0 step of a weakly admissible module with h_0 != 0
     satisfying the strict degree condition yields a strictly negative
     slope."""
-    field = _series_field(cfg)
+    field = UnramifiedField(cfg.p, cfg.f, cfg.precision, guard=cfg.guard)
     out = []
     for i in range(count):
         M = gen.random_h0_ncond_module(field, rng)
@@ -319,7 +322,7 @@ def suite_contradiction(rng, count, cfg):
     supersingular preset and the Wronskian dichotomy."""
     out = []
     N = cfg.truncation
-    ss_field = _series_field(cfg, 3)
+    ss_field = series_field(cfg, 3)
     ss = modular_form_module(cfg.p, 2, 0, field=ss_field)
     g = gen.synthetic_member(ss, rng, N, mode="deep")
     rep = contradiction_pipeline(ss, "dim2-det", g, n_max=1)
@@ -328,7 +331,7 @@ def suite_contradiction(rng, count, cfg):
     out.append(CaseResult(0, "supersingular-dim2-det", ok,
                           f"upper={rep.order_upper} lower={rep.log_lower} "
                           f"verdict={rep.verdict}"))
-    w_field = _series_field(cfg, 9)
+    w_field = series_field(cfg, 9)
     for i in range(count):
         strictness = "strict" if i % 2 == 0 else "wa"
         M, slopes, jumps = gen.split_module(w_field, rng, 2, strictness)
@@ -346,7 +349,7 @@ def suite_contradiction(rng, count, cfg):
 def suite_twist_monotone(rng, count, cfg):
     """twist(fil1(M), 1) is contained in fil1(twist(M, 1)) on sampled
     weakly admissible modules."""
-    field = _series_field(cfg)
+    field = UnramifiedField(cfg.p, cfg.f, cfg.precision, guard=cfg.guard)
     out = []
     for i in range(count):
         M = gen.random_wa_module(field, rng)

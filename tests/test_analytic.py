@@ -21,7 +21,7 @@ from padic_hodge.analytic import (VectorSeries, phi_vec, phi_growth_order,
                                   _span_margin)
 from padic_hodge import analytic, generators as gen
 from padic_hodge.config import Config
-from padic_hodge.suites import _series_field
+from padic_hodge.suites import series_field
 
 from helpers import from_eigen_terms
 
@@ -523,9 +523,9 @@ def _p3_strict_wronskian_case():
     them after its supersingular case."""
     cfg = Config(p=3, truncation=81)
     rng = random.Random(1)
-    ss = modular_form_module(3, 2, 0, field=_series_field(cfg, 3))
+    ss = modular_form_module(3, 2, 0, field=series_field(cfg, 3))
     gen.synthetic_member(ss, rng, 81, mode="deep")
-    M, slopes, jumps = gen.split_module(_series_field(cfg, 9), rng, 2,
+    M, slopes, jumps = gen.split_module(series_field(cfg, 9), rng, 2,
                                         "strict")
     assert (slopes, jumps) == ([-3, -2], [-5, -4])
     return M, gen.synthetic_member(M, rng, 81, mode="adapted")

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from padic_hodge.config import Config
 from padic_hodge.padics import UnramifiedField
 from padic_hodge.series import TruncatedSeries, INFINITE
 from padic_hodge import intpoly
 from padic_hodge import seriesops as so
 from padic_hodge.errors import NotDivisibleError
 from padic_hodge import generators as gen
+from padic_hodge.suites import division_margin, series_field
 
 from helpers import x_plus_one_power
 
@@ -161,3 +163,24 @@ def test_divide_recovers_cofactor_seeded(p, f):
         # the quotient keeps most of the 80-digit window
         assert q.n == N - 1 and q.prec >= 60
         assert q.equals(h.truncate(q.n))
+
+
+@pytest.mark.parametrize("p, N", [(3, 27), (3, 81), (5, 25), (5, 125),
+                                  (7, 343), (11, 121)])
+def test_division_margin_is_what_one_division_spends(p, N):
+    # x/log(1+x) mod x^(N+1) has least valuation -(N // (p - 1)), and one
+    # division of a dividend of non-negative valuation lowers its absolute
+    # precision by exactly that: the per-division figure of the suites'
+    # margin is the library's own
+    cfg = Config(p=p, truncation=N)
+    per = division_margin(cfg, 1) - division_margin(cfg, 0)
+    assert per == N // (p - 1)
+    field = series_field(cfg, 1)
+    assert so.ilog_series(field, N).vmin == -per
+    rng = random.Random(p * N)
+    lg = so.log_series(field, N)
+    for e in (0, 2):
+        f = (lg * gen.random_poly_series(field, rng, N, deg=4)).truncate(N)
+        f = f._scalar_mul(p ** (e - f.vmin))
+        assert f.vmin == e
+        assert f.prec - so.divide_by_log(f, n_max=1).prec == per

@@ -459,7 +459,7 @@ def test_lifted_roots_claim_only_certified_digits():
     # h at valuation -1 is g(y / 5) times 5^4, at valuation 0 g times 5,
     # each scaled exactly
     assert sorted((r.val, r.prec) for r, _ in roots) == \
-        [(-1, 42), (0, 32), (0, 32), (0, 32)]
+        [(-1, 42), (0, 33), (0, 33), (0, 33)]
 
 
 def test_multiplicities_never_exceed_the_newton_polygon():

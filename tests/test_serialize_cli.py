@@ -525,6 +525,23 @@ def test_no_layer_exits_2(tmp_path, capsys, argv, where):
     assert "error: n_max must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_guard_exits_2(tmp_path, capsys, where):
+    # a negative guard switches the guard band off, so verdicts would be
+    # read from the last digits of the window: no verdict, exit 2
+    guard = -50 if where == "flag" else -2
+    argv = ["slopes", "-m", "ordinary"]
+    if where == "flag":
+        argv += ["--guard", str(guard)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"guard": guard}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    assert f"error: guard must be >= 0 and below precision 20, got {guard}" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_verify_count_below_one_exits_2(capsys, count):
     assert main(["verify", "operators", "--count", count]) == 2
