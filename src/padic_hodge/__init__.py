@@ -5,11 +5,11 @@ from .config import Config
 from .errors import (PadicError, PrecisionError, TailBoundError,
                      NotDivisibleError, PsiNotZeroError,
                      EnumerationUnsupportedError, NotStableError, SchemaError)
-from .padics import FieldElement, UnramifiedField, frobenius_sigma
+from .padics import FieldElement, UnramifiedField
 from .cyclotomic import CyclotomicLayer, CyclotomicElement
 from .series import TruncatedSeries, INFINITE
 from .seriesops import (phi_op, psi_op, d_op, gamma_action, ell_op,
-                        log_series, ilog_series, rho_norm, RhoNorm,
+                        log_series, ilog_series, rho_norm,
                         LogPolynomial, growth_order, growth_order_estimate,
                         cyclotomic_evaluate, divide_by_log, log_order)
 from .modules import (FilteredPhiModule, Subspace, Certificate,
@@ -28,10 +28,10 @@ __all__ = [
     "Config", "PadicError", "PrecisionError", "TailBoundError",
     "NotDivisibleError", "PsiNotZeroError", "EnumerationUnsupportedError",
     "NotStableError", "SchemaError", "FieldElement",
-    "UnramifiedField", "frobenius_sigma", "CyclotomicLayer",
+    "UnramifiedField", "CyclotomicLayer",
     "CyclotomicElement", "TruncatedSeries", "INFINITE",
     "phi_op", "psi_op", "d_op", "gamma_action", "ell_op", "log_series",
-    "ilog_series", "rho_norm", "RhoNorm", "LogPolynomial", "growth_order",
+    "ilog_series", "rho_norm", "LogPolynomial", "growth_order",
     "growth_order_estimate", "cyclotomic_evaluate", "divide_by_log",
     "log_order", "FilteredPhiModule", "Subspace", "Certificate",
     "modular_form_module", "tensor_slope_check", "VectorSeries", "phi_vec",

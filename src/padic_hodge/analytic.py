@@ -99,12 +99,13 @@ class PhiOrder:
     note: str = ""
 
 
-def phi_growth_order(g: VectorSeries, n_max: int = 3) -> PhiOrder:
+def phi_growth_order(g: VectorSeries) -> PhiOrder:
     """Growth order in the phi-twisted sense.
 
     Exact (max over eigencomponents of slope + coefficient growth order)
     when the structured eigen decomposition is attached; otherwise a
-    least-squares estimate over the radii, flagged as such.
+    least-squares estimate over the radii rho_1, rho_2, rho_3, flagged as
+    such, or a note when a norm there is undecided.
     """
     if g.eigen_data is not None:
         best = None
@@ -125,19 +126,17 @@ def phi_growth_order(g: VectorSeries, n_max: int = 3) -> PhiOrder:
     try:
         twisted = [[field.sigma_inv(a) for a in row]
                    for row in inverse(module.phi_matrix)]
-        for n in range(1, n_max + 1):
+        for n in range(1, 4):
             cur = _mat_apply(twisted, cur)
             vals = []
             for c in cur:
                 if not c.is_zero:
-                    vals.append(rho_norm(c, n).value)
+                    vals.append(rho_norm(c, n))
             if not vals:
                 raise ValueError("zero vector series")
             ys.append(-min(vals))
     except (TailBoundError, PrecisionError) as e:
         return PhiOrder(False, note=f"estimate unavailable: {e}")
-    if len(ys) < 2:
-        return PhiOrder(False, note="not enough radii for an estimate")
     return PhiOrder(False, interval=_slope_interval(ys),
                     note="least-squares estimate; not used in verdicts")
 
@@ -327,8 +326,6 @@ def _series_det(matrix):
     k = len(matrix)
     if k == 1:
         return matrix[0][0]
-    if k == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
     acc = None
     for col in range(k):
         minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
@@ -449,22 +446,24 @@ class ContradictionReport:
 
 
 def contradiction_pipeline(module: FilteredPhiModule, which: str,
-                           g: VectorSeries, n_max: int = 1,
-                           r=Fraction(0)) -> ContradictionReport:
+                           g: VectorSeries,
+                           n_max: int = 1) -> ContradictionReport:
     """Bound a determinant's growth order from Newton slopes above and its
     log-divisibility order from below; 'forced zero' when the lower bound
     exceeds the upper.
 
-    The hypotheses on g are verified first through the membership report
-    (at the configured layers); an indeterminate membership, or a log order
-    whose layer test cannot be decided at the truncation degree, yields the
-    verdict 'inconclusive', never 'forced zero'.
+    The hypotheses on g, membership with v = 0 and r = 0, are verified
+    first through the membership report (at the configured layers); an
+    indeterminate membership, a failed one (its provenance names each
+    failed row by kind, j and n), or a log order whose layer test cannot
+    be decided at the truncation degree, yields the verdict
+    'inconclusive', never 'forced zero'.
     """
     d = module.d
     t_N = module.t_N
     provenance = []
     J = (0,) if which == "dim2-det" else ()
-    membership = check_membership(g, 0, J, r, n_max, tilde=True)
+    membership = check_membership(g, 0, J, 0, n_max, tilde=True)
     if membership.indeterminate:
         return ContradictionReport(which, Fraction(0), 0, "inconclusive",
                                    ["membership indeterminate at the "
@@ -472,7 +471,8 @@ def contradiction_pipeline(module: FilteredPhiModule, which: str,
     if not membership.verdict and membership.failed_rows():
         return ContradictionReport(which, Fraction(0), 0, "inconclusive",
                                    ["membership hypotheses fail: " +
-                                    ", ".join(f"(j={row.j}, n={row.n})"
+                                    ", ".join(f"{row.kind} (j={row.j}, "
+                                              f"n={row.n})"
                                               for row in
                                               membership.failed_rows())],
                                    membership)
@@ -480,7 +480,7 @@ def contradiction_pipeline(module: FilteredPhiModule, which: str,
         if d != 2:
             raise ValueError("dim2-det needs a 2-dimensional module")
         F = phi_orbit_wedge(g, 1)
-        order_upper = -t_N + Fraction(r) * 2
+        order_upper = -t_N
         provenance.append(
             "order bound: component orders sum to at most -t_N for a vector "
             "of phi-twisted order <= 0 written in a Frobenius eigenbasis")

@@ -3,6 +3,7 @@
 from dataclasses import dataclass, fields, replace
 
 from .errors import SchemaError
+from .padics import GUARD, PRECISION
 
 
 def is_prime(n: int) -> bool:
@@ -31,10 +32,10 @@ class Config:
 
     p: int = 5
     f: int = 1
-    precision: int = 20
+    precision: int = PRECISION
     truncation: int = 0  # 0 means "use p**3"
     n_max: int = 2
-    guard: int = 4
+    guard: int = GUARD
     seed: int = 0
 
     def __post_init__(self):

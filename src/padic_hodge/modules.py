@@ -31,7 +31,7 @@ from itertools import combinations, product as iter_product
 
 from .errors import (PrecisionError, EnumerationUnsupportedError,
                      NotStableError, PadicError)
-from .padics import UnramifiedField
+from .padics import GUARD, PRECISION, UnramifiedField
 from .linalg import (echelon, solve, kernel, det, charpoly, mat_mul, mat_vec,
                      mat_transpose, column_space_basis, in_span, inverse,
                      identity)
@@ -603,7 +603,8 @@ def modular_form_module(p: int, k_weight: int, a_p, filtration_line=None,
     return FilteredPhiModule(field, mat, filt)
 
 
-def mf_rank_table(p, k_weight, a_p, j_min, j_max, precision=20, guard=4):
+def mf_rank_table(p, k_weight, a_p, j_min, j_max, precision=PRECISION,
+                  guard=GUARD):
     """Rows (j, dim fil1, rank) for the twisted eigenform module."""
     if j_min > j_max:
         raise ValueError("jmin must be <= jmax")

@@ -298,9 +298,6 @@ class FieldElement:
     def inverse(self):
         return self.field.inverse(self)
 
-    def equals(self, other):
-        return (self - other).is_zero
-
     def __repr__(self):
         p = self.field.p
         parts = []
@@ -311,6 +308,8 @@ class FieldElement:
         return "K(" + ", ".join(parts) + ")"
 
 
+PRECISION = 20    # absolute precision m of a field by default
+GUARD = 4         # digits a verdict must clear above the precision floor
 WORK_MARGIN = 24  # digits a field works above its precision by default
 
 
@@ -325,8 +324,8 @@ class UnramifiedField:
     precision.
     """
 
-    def __init__(self, p, f=1, precision=20, defpoly=None,
-                 work_margin=WORK_MARGIN, guard=4):
+    def __init__(self, p, f=1, precision=PRECISION, defpoly=None,
+                 work_margin=WORK_MARGIN, guard=GUARD):
         self.p = p
         self.f = f
         self.prec = precision
@@ -566,11 +565,10 @@ class UnramifiedField:
                                        inverse)
         return FieldElement(self, a.val, a.val + rel, tuple(c for c, in cols))
 
-    def sigma(self, a, power: int = 1):
-        """The Frobenius lift applied coefficient-wise via sigma(t)."""
-        for _ in range(power % self.f):
-            a = self._sigma_element(a, False)
-        return a
+    def sigma(self, a):
+        """The Frobenius lift: the automorphism of K lifting x -> x^p on the
+        residue field, applied coefficient-wise via sigma(t)."""
+        return a if self.f == 1 else self._sigma_element(a, False)
 
     def sigma_inv(self, a):
         return a if self.f == 1 else self._sigma_element(a, True)
@@ -578,7 +576,3 @@ class UnramifiedField:
     def __repr__(self):
         return f"UnramifiedField(p={self.p}, f={self.f})"
 
-
-def frobenius_sigma(a: FieldElement) -> FieldElement:
-    """The unique automorphism of K lifting x -> x^p on the residue field."""
-    return a.field.sigma(a)

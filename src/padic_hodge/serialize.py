@@ -26,7 +26,8 @@ import json
 
 from .config import is_prime
 from .errors import SchemaError
-from .padics import WORK_MARGIN, FieldElement, UnramifiedField
+from .padics import (GUARD, PRECISION, WORK_MARGIN, FieldElement,
+                     UnramifiedField)
 from .series import TruncatedSeries
 from .seriesops import LogPolynomial
 from .modules import FilteredPhiModule, Subspace
@@ -226,7 +227,7 @@ def module_to_json(m: FilteredPhiModule):
 
 
 def module_from_json(node, path="module", precision=None, work_margin=None,
-                     guard=4):
+                     guard=GUARD):
     if not isinstance(node, dict):
         _fail(path, "expected module object")
     for key in ("p", "dim", "phi", "filtration"):
@@ -237,7 +238,7 @@ def module_from_json(node, path="module", precision=None, work_margin=None,
         _fail(f"{path}.p", f"expected an odd prime, got {p!r}")
     f = _int_at(node, "f", path, 1, 1)
     # the file's keys are checked even where the caller overrides them
-    prec = _int_at(node, "precision", path, 20, 1)
+    prec = _int_at(node, "precision", path, PRECISION, 1)
     margin = _int_at(node, "work_margin", path, WORK_MARGIN)
     prec = precision or prec
     margin = margin if work_margin is None else work_margin
@@ -296,7 +297,8 @@ def load_json(pathname):
             raise SchemaError(f"{pathname}: invalid JSON: {e}") from e
 
 
-def parse_module_file(pathname, precision=None, work_margin=None, guard=4):
+def parse_module_file(pathname, precision=None, work_margin=None,
+                      guard=GUARD):
     """Load and fully validate a filtered module from a JSON file."""
     return module_from_json(load_json(pathname), path=str(pathname),
                             precision=precision, work_margin=work_margin,

@@ -11,15 +11,17 @@ before the residues multiply, so a series whose shift lies below its least
 valuation (a quotient by log(1+x), say) costs no more than its normalized
 form.  Series code reaches K's coordinates only through the field's
 ``mul_columns`` (products) and ``sigma_columns`` (sigma for phi and psi,
-with the field's one window rule).
+with the field's one window rule).  Ring operations take series on
+both sides; a product by a rational or a K scalar is ``_scalar_mul``.
 
 Tail knowledge takes one of three forms:
 
 * ``tail_zero`` -- the series is an exact polynomial;
-* a profile bound (b, s, h) certifying v_p(a_i) >= -b - s*floor(log_p(i+h))
-  for every i including the untracked tail (s is a log-power budget --
-  log(1+x) itself has profile (0, 1, 0) -- and the index shift h absorbs
-  differentiation, which moves coefficients down without growing them);
+* a profile bound, always a triple (b, s, h), certifying
+  v_p(a_i) >= -b - s*floor(log_p(i+h)) for every i including the
+  untracked tail (s is a log-power budget -- log(1+x) itself has profile
+  (0, 1, 0) -- and the index shift h absorbs differentiation, which moves
+  coefficients down without growing them);
 * nothing, in which case any tail-sensitive question raises TailBoundError.
 
 An exact polynomial also keeps its coordinates in the basis (1+x)^k
@@ -59,7 +61,7 @@ class TruncatedSeries:
         self.shift = shift
         self.rel = rel
         self.coords = coords
-        self.bound = _norm_profile(bound)
+        self.bound = bound
         self.tail_zero = tail_zero
         self._vmin = None
         self._ycoords = ycoords
@@ -97,7 +99,7 @@ class TruncatedSeries:
                 for col, r in zip(cols, c.res):
                     col[i] = r * m % mod
         return TruncatedSeries(field, n, shift, rel, cols,
-                               bound=_norm_profile(bound), tail_zero=tail_zero)
+                               bound=bound, tail_zero=tail_zero)
 
     @staticmethod
     def zero(field, n, prec=None, bound=None, tail_zero=True):
@@ -205,28 +207,12 @@ class TruncatedSeries:
         return TruncatedSeries(self.field, self.n, self.shift, self.rel,
                                self.coords, None, True)
 
-    def shift_x(self, k):
-        """Multiply by x^k (k >= 0) or divide by x^k (k < 0; low coefficients
-        are dropped and must be zero at precision for exact semantics)."""
-        if k == 0:
-            return self
-        if k > 0:
-            cols = [[0] * k + col[:max(0, self.n + 1 - k)] for col in self.coords]
-            return TruncatedSeries(self.field, self.n, self.shift, self.rel,
-                                   cols, self.bound, False)
-        k = -k
-        cols = [col[k:] for col in self.coords]
-        return TruncatedSeries(self.field, self.n - k, self.shift, self.rel,
-                               cols, self.bound, self.tail_zero)
-
     # -- ring operations ---------------------------------------------------
 
     def _n_eff(self):
         return INFINITE if self.tail_zero else self.n
 
     def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.make(self.field, [other], n=0)
         field = self.field
         prec = min(self.prec, other.prec)
         shift = min(self.shift, other.shift)
@@ -266,8 +252,6 @@ class TruncatedSeries:
                                self.bound, self.tail_zero)
 
     def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.make(self.field, [other], n=0)
         return self + (-other)
 
     def _scalar_mul(self, c):
@@ -293,10 +277,6 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         field = self.field
-        if not isinstance(other, TruncatedSeries):
-            if isinstance(other, (int, Fraction)):
-                return self._scalar_mul(other)
-            return self._scalar_mul(field.coerce(other))
         na, nb = self._n_eff(), other._n_eff()
         if min(na, nb) == INFINITE:
             n_out = self.n + other.n
@@ -317,8 +297,6 @@ class TruncatedSeries:
                                         tail_zero=tz)
         cols = field.mul_columns(a.coords, b.coords, field.p ** rel, n_out + 1)
         return TruncatedSeries(field, n_out, shift, rel, cols, bound, tz)
-
-    __rmul__ = __mul__
 
     def normalized(self):
         """Strip the largest common power of p from the residues into shift."""
@@ -343,16 +321,6 @@ class TruncatedSeries:
 # ----------------------------------------------------------------------
 # tail bounds
 # ----------------------------------------------------------------------
-
-def _norm_profile(bound):
-    if bound is None:
-        return None
-    if not isinstance(bound, tuple):
-        return (Fraction(bound), 0, 0)
-    if len(bound) == 2:
-        return (Fraction(bound[0]), bound[1], 0)
-    return (Fraction(bound[0]), bound[1], bound[2])
-
 
 def _merge_profiles(ba, bb):
     """Profile dominating both inputs (for sums)."""

@@ -227,7 +227,13 @@ def log_series(field, n: int) -> TruncatedSeries:
 
 def ilog_series(field, n: int) -> TruncatedSeries:
     """x/log(1+x) truncated to degree n, by Newton inversion at an elevated
-    window so the cached result keeps its full guard digits.
+    window.
+
+    The result's least valuation is -(n // (p - 1)) and its relative window
+    is at least the field's work_prec digits; its absolute precision may
+    lie below work_prec.  That is what a division needs: a product with a
+    dividend known to at most work_prec digits, of least valuation >= 0,
+    is known to exactly n // (p - 1) digits less than the dividend.
 
     The field keeps one series, the longest built so far; a shorter request
     truncates it, since the inverse truncated to degree n is the inverse of
@@ -279,19 +285,13 @@ def ell_op(f: TruncatedSeries, j: int) -> TruncatedSeries:
 # norms and growth orders
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RhoNorm:
-    """-log_p of the sup norm on |x| = rho_n, as an exact rational."""
-    layer_index: int
-    value: Fraction
-
-
 def rho_weight(p: int, n: int) -> Fraction:
     return Fraction(1, p ** n * (p - 1))
 
 
-def rho_norm(f: TruncatedSeries, n: int) -> RhoNorm:
-    """value = min_i (v_p(a_i) + i/(p^n(p-1))), certified against the tail.
+def rho_norm(f: TruncatedSeries, n: int) -> Fraction:
+    """-log_p of the sup norm of f on |x| = rho_n, as an exact rational:
+    min_i (v_p(a_i) + i/(p^n(p-1))), certified against the tail.
 
     Raises TailBoundError when the untracked tail could beat the tracked
     minimum and PrecisionError when a tracked-zero coefficient could.
@@ -327,7 +327,7 @@ def rho_norm(f: TruncatedSeries, n: int) -> RhoNorm:
         if tb is not None and tb <= best:
             raise TailBoundError(
                 f"tail bound {tb} does not exceed the tracked minimum {best}")
-    return RhoNorm(n, best)
+    return best
 
 
 class LogPolynomial:
@@ -386,8 +386,7 @@ def growth_order_estimate(f: TruncatedSeries, n_max: int):
     """
     if n_max < 2:
         raise ValueError("need at least two radii to fit a slope")
-    return _slope_interval([-rho_norm(f, n).value
-                            for n in range(1, n_max + 1)])
+    return _slope_interval([-rho_norm(f, n) for n in range(1, n_max + 1)])
 
 
 def _slope_interval(ys):
@@ -438,22 +437,22 @@ class CycloEvaluation:
         level = self.certainty
         return level if v is None else min(Fraction(v), level)
 
-    def classify(self, threshold=DECISION_LEVEL):
+    def classify(self):
         """-> ('zero', floor) | ('nonzero', valuation).
 
-        The value counts as vanishing when its floor clears the decision
-        threshold; it counts as nonzero only when its observed valuation is
-        certified below the threshold (the floor is then that valuation).
-        If the certificates cannot even decide at the requested threshold,
+        The value counts as vanishing when its floor clears
+        ``DECISION_LEVEL``; it counts as nonzero only when its observed
+        valuation is certified below that level (the floor is then that
+        valuation).  If the certificates cannot even decide at that level,
         TailBoundError asks the caller to raise the truncation degree.
         """
         level = self.certainty
-        if level < threshold:
+        if level < DECISION_LEVEL:
             raise TailBoundError(
-                f"certainty {level} below decision threshold {threshold}; "
-                f"raise the truncation degree")
+                f"certainty {level} below decision threshold "
+                f"{DECISION_LEVEL}; raise the truncation degree")
         floor = self.floor
-        return ("zero" if floor >= threshold else "nonzero", floor)
+        return ("zero" if floor >= DECISION_LEVEL else "nonzero", floor)
 
 
 def cyclotomic_evaluate(f: TruncatedSeries,
@@ -484,6 +483,11 @@ def divide_by_log(f: TruncatedSeries, n_max: int = 1) -> TruncatedSeries:
     bottom-up division must be consistent.  Failures raise
     NotDivisibleError with the first witness.
 
+    The quotient is f * x/log(1+x) divided by x, whose constant term f(0)
+    is zero here: one product at degree N, which spends N // (p - 1) digits
+    of absolute precision (``ilog_series``).  It keeps f's profile with one
+    log power less, and no tail claim when f has none.
+
     The quotient does not depend on n_max, and a series is never changed
     after it is made, so f keeps the quotient once made and a later call
     on f returns that same object.  The checks at x = 0 and at the layers
@@ -505,16 +509,16 @@ def divide_by_log(f: TruncatedSeries, n_max: int = 1) -> TruncatedSeries:
                 witness=(n, info))
     if f._by_log is not None:
         return f._by_log
-    il = ilog_series(field, f.n)
-    q = (f * il).shift_x(-1)
-    if q.rel <= 0:
+    prod = f * ilog_series(field, f.n)
+    if prod.rel <= 0:
         raise PrecisionError(
             "precision window exhausted dividing by log(1+x); rebuild the "
             "inputs over a field with a larger work_margin")
     prof = f.effective_bound()
-    if prof is not None:
-        q = TruncatedSeries(q.field, q.n, q.shift, q.rel, q.coords,
-                            (prof[0], max(prof[1] - 1, 0), prof[2]), False)
+    q = TruncatedSeries(field, prod.n - 1, prod.shift, prod.rel,
+                        [col[1:] for col in prod.coords],
+                        None if prof is None
+                        else (prof[0], max(prof[1] - 1, 0), prof[2]), False)
     f._by_log = q
     return q
 

@@ -78,6 +78,12 @@ def series_field(cfg: Config, divisions: int = 0) -> UnramifiedField:
                            guard=cfg.guard)
 
 
+def module_field(cfg: Config) -> UnramifiedField:
+    """The configured field at the library's default work margin, for
+    suites that build modules and no series."""
+    return UnramifiedField(cfg.p, cfg.f, cfg.precision, guard=cfg.guard)
+
+
 def _agree(l, r):
     """Do two series agree up to the shorter one's truncation degree?"""
     m = min(l.n, r.n)
@@ -122,11 +128,11 @@ def suite_norms(rng, count, cfg):
         g = gen.random_poly_series(field, rng, N)
         checks = []
         for n in (1, 2):
-            lhs = so.rho_norm(f * g, n).value
-            rhs = so.rho_norm(f, n).value + so.rho_norm(g, n).value
+            lhs = so.rho_norm(f * g, n)
+            rhs = so.rho_norm(f, n) + so.rho_norm(g, n)
             checks.append((f"mult@{n}", lhs == rhs))
-            lhs2 = so.rho_norm(so.phi_op(f), n + 1).value
-            rhs2 = so.rho_norm(f, n).value
+            lhs2 = so.rho_norm(so.phi_op(f), n + 1)
+            rhs2 = so.rho_norm(f, n)
             checks.append((f"phi@{n}", lhs2 == rhs2))
         bad = [name for name, ok in checks if not ok]
         out.append(CaseResult(i, "norm-laws", not bad,
@@ -219,7 +225,7 @@ def suite_divisibility(rng, count, cfg):
 
 def suite_slopes(rng, count, cfg):
     """Newton slopes against constructions with known Frobenius data."""
-    field = UnramifiedField(cfg.p, cfg.f, cfg.precision, guard=cfg.guard)
+    field = module_field(cfg)
     p = cfg.p
     out = []
     ss = modular_form_module(p, 2, 0, field=field)
@@ -253,7 +259,7 @@ def suite_tensor_slope(rng, count, cfg):
     precision in the induced-degree eliminations, and at f = 3 the guard
     alone leaves an entry inside the guard band.
     """
-    field = UnramifiedField(cfg.p, cfg.f, cfg.precision, guard=cfg.guard)
+    field = module_field(cfg)
     out = []
 
     def gap(m):
@@ -276,7 +282,7 @@ def suite_tensor_slope(rng, count, cfg):
 def suite_admissibility(rng, count, cfg):
     """Certified weak admissibility: sampled instances, the eigenline
     counterexample, and twist invariance."""
-    field = UnramifiedField(cfg.p, cfg.f, cfg.precision, guard=cfg.guard)
+    field = module_field(cfg)
     out = []
     qp1 = FilteredPhiModule(
         field, [[field.coerce(Fraction(1, cfg.p))]],
@@ -306,7 +312,7 @@ def suite_tilde(rng, count, cfg):
     """Erasing the jump-0 step of a weakly admissible module with h_0 != 0
     satisfying the strict degree condition yields a strictly negative
     slope."""
-    field = UnramifiedField(cfg.p, cfg.f, cfg.precision, guard=cfg.guard)
+    field = module_field(cfg)
     out = []
     for i in range(count):
         M = gen.random_h0_ncond_module(field, rng)
@@ -349,7 +355,7 @@ def suite_contradiction(rng, count, cfg):
 def suite_twist_monotone(rng, count, cfg):
     """twist(fil1(M), 1) is contained in fil1(twist(M, 1)) on sampled
     weakly admissible modules."""
-    field = UnramifiedField(cfg.p, cfg.f, cfg.precision, guard=cfg.guard)
+    field = module_field(cfg)
     out = []
     for i in range(count):
         M = gen.random_wa_module(field, rng)

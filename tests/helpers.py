@@ -21,7 +21,7 @@ def x_plus_one_power(field, exponent, n, prec=None):
     col = [math.comb(exponent, i) % mod for i in range(min(exponent, n) + 1)]
     col += [0] * (n + 1 - len(col))
     cols = [col] + [[0] * (n + 1) for _ in range(field.f - 1)]
-    return TruncatedSeries(field, n, 0, prec, cols, bound=(Fraction(0), 0),
+    return TruncatedSeries(field, n, 0, prec, cols, bound=(Fraction(0), 0, 0),
                            tail_zero=True)
 
 

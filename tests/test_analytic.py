@@ -567,8 +567,61 @@ def test_pipeline_soundness_evaluations(K5div):
     assert rep.log_lower > rep.order_upper
     F = rep.det_series
     ev = cyclotomic_evaluate(F, CyclotomicLayer(K5div, 1))
-    kind, floor = ev.classify(Fraction(1))
+    kind, floor = ev.classify()
     assert kind == "zero"
+
+
+@functools.cache
+def _supersingular_wide():
+    """The supersingular module over Q_5 at a work margin of 150."""
+    field = UnramifiedField(5, 1, 20, work_margin=150)
+    return modular_form_module(5, 2, 0, field=field)
+
+
+def _exact_cubics(m):
+    """Two exact cubics outside the class: at the layers n = 1, 2 their
+    values neither vanish nor lie in K_n (x) phi^n Fil^0."""
+    return VectorSeries(m, [TruncatedSeries.make(m.field, [1, 2, 3, 4]),
+                            TruncatedSeries.make(m.field, [0, 1, 0, 1])])
+
+
+def test_pipeline_inconclusive_on_indeterminate_membership():
+    # a deep member cut to degree 124 with no tail bound: no layer value is
+    # certified, so membership and the verdict stay undecided
+    m = _supersingular_wide()
+    g = gen.synthetic_member(m, random.Random(1), 125, mode="deep")
+    cut = VectorSeries(m, [TruncatedSeries.make(m.field,
+                                                c.coefficients()[:125],
+                                                n=124, tail_zero=False)
+                           for c in g.components])
+    rep = contradiction_pipeline(m, "dim2-det", cut)
+    assert rep.membership.indeterminate and rep.verdict == "inconclusive"
+    assert rep.provenance == ["membership indeterminate at the configured "
+                              "layers"]
+    assert rep.det_series is None
+
+
+def test_pipeline_names_the_kind_of_each_failed_row():
+    # the vanishing row and the subspace row fail at the same (j, n): the
+    # provenance names each by its kind, not the same (j, n) twice
+    m = _supersingular_wide()
+    rep = contradiction_pipeline(m, "dim2-det", _exact_cubics(m), n_max=2)
+    assert not rep.membership.indeterminate
+    assert rep.verdict == "inconclusive" and rep.det_series is None
+    assert rep.provenance == [
+        "membership hypotheses fail: vanish (j=0, n=1), subspace (j=0, n=1), "
+        "vanish (j=0, n=2), subspace (j=0, n=2)"]
+
+
+def test_phi_growth_order_estimate_on_exact_components():
+    # (1 (x) phi)^-1 = [[0, 5], [-1, 0]] sends (c1, c2) to (5 c2, -c1),
+    # -5 (c1, c2) and (-25 c2, 5 c1) at rho_1, rho_2, rho_3; c1 has a unit
+    # constant term and c2 = x + x^3, so the norms give 0, -1, -1: slope
+    # -1/2 with residuals 1/6, -1/3, 1/6
+    po = phi_growth_order(_exact_cubics(_supersingular_wide()))
+    assert not po.exact and po.value is None
+    assert po.interval == (Fraction(-5, 6), Fraction(-1, 6))
+    assert po.note == "least-squares estimate; not used in verdicts"
 
 
 # -- determinant log-divisibility ------------------------------------------------------

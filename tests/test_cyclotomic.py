@@ -95,7 +95,7 @@ def test_log_vanishes_at_root_of_unity(K5):
     for n in (1, 2):
         layer = CyclotomicLayer(K5, n)
         ev = cyclotomic_evaluate(lg, layer)
-        kind, floor = ev.classify(Fraction(1))
+        kind, floor = ev.classify()
         assert kind == "zero"
         # oracle: the first untracked term 1/(N+1) x^(N+1) dominates the tail
         assert floor >= Fraction(N + 1, layer.e) - 3

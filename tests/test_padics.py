@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_hodge.padics import UnramifiedField, frobenius_sigma, vp_fraction
+from padic_hodge.padics import UnramifiedField, vp_fraction
 from padic_hodge.polyroots import poly_eval
 from padic_hodge.errors import PrecisionError
 from padic_hodge import serialize as ser
@@ -82,17 +82,17 @@ def test_zero_times_value_precision():
 
 def test_frobenius_identity_on_qp(K5):
     a = K5.coerce(7)
-    assert (frobenius_sigma(a) - a).is_zero
+    assert (K5.sigma(a) - a).is_zero
 
 
 def test_frobenius_lift_and_order(K25):
     t = K25.gen()
-    s = frobenius_sigma(t)
+    s = K25.sigma(t)
     # sigma(t) = t^p mod p: Hensel lift oracle via Newton from t^p
     diff = s - K25._power_of_gen(5)
     assert diff.valuation_or_none() is None or diff.valuation() >= 1
     # sigma^2 = id for f = 2
-    assert (frobenius_sigma(s) - t).is_zero
+    assert (K25.sigma(s) - t).is_zero
 
 
 def test_frobenius_is_ring_hom(K25):
@@ -100,17 +100,15 @@ def test_frobenius_is_ring_hom(K25):
     for _ in range(25):
         a = random_element(K25, rng)
         b = random_element(K25, rng)
-        assert (frobenius_sigma(a * b) -
-                frobenius_sigma(a) * frobenius_sigma(b)).is_zero
-        assert (frobenius_sigma(a + b) -
-                frobenius_sigma(a) - frobenius_sigma(b)).is_zero
+        assert (K25.sigma(a * b) - K25.sigma(a) * K25.sigma(b)).is_zero
+        assert (K25.sigma(a + b) - K25.sigma(a) - K25.sigma(b)).is_zero
 
 
 def test_sigma_f_is_identity_random(K25):
     rng = random.Random(4)
     for _ in range(10):
         a = random_element(K25, rng)
-        out = frobenius_sigma(frobenius_sigma(a))
+        out = K25.sigma(K25.sigma(a))
         assert (out - a).is_zero
 
 
@@ -325,7 +323,10 @@ def test_extension_sigma_matches_rational_oracle(p, f):
             power = _qt_mul(power, st, g)
         sa = K.sigma(a)
         assert (sa.val, sa.prec) == (a.val, a.prec) and _agrees(sa, image, p)
-        assert (K.sigma(a, f) - a).is_zero
+        out = a
+        for _ in range(f):
+            out = K.sigma(out)
+        assert (out - a).is_zero
         assert (K.sigma_inv(sa) - a).is_zero
         assert (K.sigma(a * b) - K.sigma(a) * K.sigma(b)).is_zero
         assert (K.sigma(a + b) - K.sigma(a) - K.sigma(b)).is_zero

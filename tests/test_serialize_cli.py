@@ -384,6 +384,61 @@ def test_cli_amember(tmp_path, K5):
                                              "interval": None, "note": note}
 
 
+def _cubics_file(tmp_path, tail_zero=True):
+    """Two cubic components, exact or with no tail bound at all."""
+    comps = [{"trunc": 3, "coeffs": coeffs, "tail_zero": tail_zero}
+             for coeffs in ([1, 2, 3, 4], [0, 1, 0, 1])]
+    path = tmp_path / f"cubics_{tail_zero}.json"
+    path.write_text(json.dumps({"components": comps}))
+    return str(path)
+
+
+def test_cli_amember_prints_the_order_estimate(tmp_path):
+    # exact components carry no eigen data: the phi-twisted order is a
+    # least-squares interval, and the layer values fail the j = 0 rows
+    code, out = run_cli("amember", "-m", "supersingular", "--series",
+                        _cubics_file(tmp_path), "--v", "0", "--J", "0",
+                        "--r", "0", "--nmax", "2")
+    assert code == 1
+    assert out.startswith("verdict\tFalse\nindeterminate\tFalse\n"
+                          "phi_order\t[-5/6, -1/6]\testimate\n")
+    assert "j=0\tn=2\tvanish\tnon-member\tmargin=0\n" in out
+
+
+def test_cli_amember_exits_2_when_indeterminate(tmp_path):
+    # no tail bound: no layer value is certified, and no norm either
+    code, out = run_cli("amember", "-m", "supersingular", "--series",
+                        _cubics_file(tmp_path, tail_zero=False),
+                        "--v", "0", "--J", "0")
+    assert code == 2
+    assert out.startswith("verdict\tFalse\nindeterminate\tTrue\n"
+                          "phi_order\tunavailable\t")
+    assert "j=0\tn=1\tsubspace\tindeterminate\tmargin=None\n" in out
+
+
+def test_cli_contradict_names_the_kind_of_each_failed_row(tmp_path):
+    code, out = run_cli("contradict", "-m", "supersingular", "--which",
+                        "dim2-det", "--series", _cubics_file(tmp_path))
+    assert code == 2 and "verdict\tinconclusive\n" in out
+    assert ("provenance\tmembership hypotheses fail: vanish (j=0, n=1), "
+            "subspace (j=0, n=1), vanish (j=0, n=2), subspace (j=0, n=2)\n"
+            in out)
+
+
+@pytest.mark.parametrize("preset", ["ordinary", "qp1"])
+def test_cli_fil1_prints_its_basis(preset):
+    from padic_hodge.cli import _load_module
+    from padic_hodge.config import Config
+    sub = _load_module(preset, Config()).fil1()
+    assert sub.dimension == 1
+    code, out = run_cli("fil1", "-m", preset)
+    assert code == 0
+    assert out == "dim\t1\nbasis\t" + "\t".join(
+        str(c.lift_fraction()) for c in sub.basis[0]) + "\n"
+    if preset == "qp1":
+        assert out == "dim\t1\nbasis\t1\n"
+
+
 def test_cli_error_exit_code(tmp_path):
     code, _ = run_cli("slopes", "-m", str(tmp_path / "missing.json"))
     assert code == 2

@@ -514,6 +514,26 @@ def test_ilog_cache_keeps_the_longest_series():
     assert _ilog_keys(field) == ["ilog"]
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_ilog_keeps_what_a_division_needs(p):
+    # x/log(1+x) mod x^(N+1) has least valuation -(N // (p - 1)) and keeps
+    # at least work_prec relative digits; its absolute precision may lie
+    # below work_prec (by 23 digits at p = 5, N = 132, margin 4).  So a
+    # dividend known to work_prec digits, of least valuation 0, keeps
+    # exactly N // (p - 1) digits less in the product
+    degrees = sorted(N for N in (p * p, 2 * p * p, 3 * p * p + 1, p ** 3,
+                                 p ** 3 + 7) if N <= 700)
+    for f in (1, 2):
+        for margin in (4, 24, 97, 250):
+            field = UnramifiedField(p, f, 20, work_margin=margin)
+            for N in degrees:
+                il = so.ilog_series(field, N)
+                loss = N // (p - 1)
+                assert il.vmin == -loss and il.rel >= field.work_prec
+                one = TruncatedSeries.one(field, N)
+                assert (one * il).prec == field.work_prec - loss
+
+
 # -- phi, psi and D on kept (1+x)-coordinates against the two-shift formula ----
 
 def _sigma_cols(field, rel, cols, inverse=False):
@@ -615,7 +635,7 @@ def test_operators_on_kept_coordinates_match_two_shifts(p, f):
         assert exact._ycoords is None
         assert _layout(so.d_op(exact)) == _layout(_x_basis_d(exact))
         _check_chains(exact)
-        for bound in (None, (0, 0), (1, 1, 0)):
+        for bound in (None, (0, 0, 0), (1, 1, 0)):
             _check_chains(_random_series(field, rng, n, False, bound))
 
 
