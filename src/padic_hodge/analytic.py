@@ -21,7 +21,7 @@ from .linalg import solve, mat_transpose, inverse
 from .series import TruncatedSeries, INFINITE
 from .seriesops import (phi_op, d_op, psi_op, cyclotomic_evaluate, log_order,
                         rho_norm, growth_order, _slope_interval,
-                        DECISION_LEVEL)
+                        DECISION_LEVEL, ESTIMATE_RADII)
 from .modules import FilteredPhiModule, Subspace
 
 
@@ -126,7 +126,7 @@ def phi_growth_order(g: VectorSeries) -> PhiOrder:
     try:
         twisted = [[field.sigma_inv(a) for a in row]
                    for row in inverse(module.phi_matrix)]
-        for n in range(1, 4):
+        for n in range(1, ESTIMATE_RADII + 1):
             cur = _mat_apply(twisted, cur)
             vals = []
             for c in cur:
@@ -437,8 +437,8 @@ def orbit_relation(g: VectorSeries, v_max: int) -> OrbitRelation:
 @dataclass
 class ContradictionReport:
     which: str
-    order_upper: Fraction
-    log_lower: object          # int or INFINITE
+    order_upper: Fraction | None   # None: not computed
+    log_lower: object          # int, INFINITE, or None: not computed
     verdict: str               # 'forced zero' | 'not forced' | 'inconclusive'
     provenance: list
     membership: MembershipReport | None
@@ -457,7 +457,9 @@ def contradiction_pipeline(module: FilteredPhiModule, which: str,
     indeterminate membership, a failed one (its provenance names each
     failed row by kind, j and n), or a log order whose layer test cannot
     be decided at the truncation degree, yields the verdict
-    'inconclusive', never 'forced zero'.
+    'inconclusive', never 'forced zero'.  A bound that such a report did
+    not compute is None: both after a membership exit, the log bound after
+    an undecided layer test.
     """
     d = module.d
     t_N = module.t_N
@@ -465,11 +467,11 @@ def contradiction_pipeline(module: FilteredPhiModule, which: str,
     J = (0,) if which == "dim2-det" else ()
     membership = check_membership(g, 0, J, 0, n_max, tilde=True)
     if membership.indeterminate:
-        return ContradictionReport(which, Fraction(0), 0, "inconclusive",
+        return ContradictionReport(which, None, None, "inconclusive",
                                    ["membership indeterminate at the "
                                     "configured layers"], membership)
     if not membership.verdict and membership.failed_rows():
-        return ContradictionReport(which, Fraction(0), 0, "inconclusive",
+        return ContradictionReport(which, None, None, "inconclusive",
                                    ["membership hypotheses fail: " +
                                     ", ".join(f"{row.kind} (j={row.j}, "
                                               f"n={row.n})"
@@ -501,7 +503,7 @@ def contradiction_pipeline(module: FilteredPhiModule, which: str,
         ll = log_order(F, n_max=1)
     except TailBoundError as e:
         provenance.append(f"log bound undecided: {e}")
-        return ContradictionReport(which, order_upper, 0, "inconclusive",
+        return ContradictionReport(which, order_upper, None, "inconclusive",
                                    provenance, membership, F)
     provenance.append(
         "log bound: iterated certified division by log(1+x) (layers <= 1)")

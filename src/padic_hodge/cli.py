@@ -23,7 +23,8 @@ from .analytic import (VectorSeries, check_membership, contradiction_pipeline,
                        phi_growth_order)
 from . import serialize as ser
 from . import generators as gen
-from .suites import run_suite, SUITES, division_margin, series_field
+from .suites import (run_suite, SUITES, division_margin, series_field,
+                     shown_bound)
 
 PRESETS = ("supersingular", "ordinary", "weight4", "qp1")
 
@@ -243,7 +244,7 @@ def cmd_series_order(args):
               {"order": order, "exact": True})
         return EXIT_OK
     s = ser.series_from_json(node, field, str(args.infile))
-    lo, hi = so.growth_order_estimate(s, cfg.n_max)
+    lo, hi = so.growth_order_estimate(s)
     _emit(args, [f"growth_order_estimate\t[{lo}, {hi}]\testimate"],
           {"interval": [_frac(lo), _frac(hi)], "exact": False})
     return EXIT_OK
@@ -314,8 +315,8 @@ def cmd_contradict(args):
                                  mode=args.synthetic_mode)
     rep = contradiction_pipeline(m, args.which, g, n_max=cfg.n_max)
     lines = [f"which\t{rep.which}",
-             f"order_upper\t{rep.order_upper}",
-             f"log_lower\t{'infinite' if rep.log_lower == INFINITE else rep.log_lower}",
+             f"order_upper\t{shown_bound(rep.order_upper)}",
+             f"log_lower\t{'infinite' if rep.log_lower == INFINITE else shown_bound(rep.log_lower)}",
              f"verdict\t{rep.verdict}"]
     for note in rep.provenance:
         lines.append(f"provenance\t{note}")

@@ -30,6 +30,13 @@ are made by the sign-flipped inverse of ``intpoly.taylor_shift`` per column
 the first time an operator asks, or handed over by the operator that made
 the series; every other constructor starts without them, and a truncated
 series never keeps them.
+
+A series is never changed after it is made, so what is computed from it
+alone stays valid, and it keeps three such results the first time they are
+asked for: its least valuation (``vmin``), and for
+``seriesops.divide_by_log`` its quotient by log(1+x) and its value at each
+cyclotomic layer that a division checked (a ``CycloEvaluation`` per layer
+index).  Until then the slots hold None.
 """
 
 from fractions import Fraction
@@ -52,7 +59,7 @@ def _floor_logp(i: int, p: int) -> int:
 
 class TruncatedSeries:
     __slots__ = ("field", "n", "shift", "rel", "coords", "bound", "tail_zero",
-                 "_vmin", "_ycoords", "_by_log")
+                 "_vmin", "_ycoords", "_by_log", "_layer_evals")
 
     def __init__(self, field, n, shift, rel, coords, bound=None, tail_zero=False,
                  ycoords=None):
@@ -66,6 +73,7 @@ class TruncatedSeries:
         self._vmin = None
         self._ycoords = ycoords
         self._by_log = None   # quotient by log(1+x), kept by divide_by_log
+        self._layer_evals = None   # {n: CycloEvaluation}, kept by divide_by_log
 
     # -- constructors ---------------------------------------------------
 

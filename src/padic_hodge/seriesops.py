@@ -38,6 +38,9 @@ from .cyclotomic import CyclotomicLayer, CyclotomicElement
 from .series import TruncatedSeries, tail_valuation_bound, _floor_logp, INFINITE
 
 DECISION_LEVEL = Fraction(1)
+# growth-order estimates fit the radii rho_1..rho_3: a line through two
+# points has no residual, so its interval would read as exact
+ESTIMATE_RADII = 3
 _MAX_LOG_DIVISIONS = 64
 
 
@@ -225,6 +228,21 @@ def log_series(field, n: int) -> TruncatedSeries:
     return cache[key]
 
 
+def _log_powers(field, n: int, k: int) -> list:
+    """[1, log(1+x), ..., log(1+x)^k] truncated to degree n.
+
+    The field keeps one list per degree n and extends it on demand, each
+    power the truncated product of the one before and ``log_series``."""
+    cache = _field_cache(field)
+    key = ("logpow", n)
+    if key not in cache:
+        cache[key] = [TruncatedSeries.one(field, n)]
+    pws = cache[key]
+    while len(pws) <= k:
+        pws.append((pws[-1] * log_series(field, n)).truncate(n))
+    return pws
+
+
 def ilog_series(field, n: int) -> TruncatedSeries:
     """x/log(1+x) truncated to degree n, by Newton inversion at an elevated
     window.
@@ -353,16 +371,15 @@ class LogPolynomial:
         return all(c.is_zero for c in self.terms.values())
 
     def expand(self, n: int) -> TruncatedSeries:
+        """sum_i c_i log(1+x)^i truncated to degree n, the terms added in
+        ascending exponent; the powers of log(1+x) are the field's, built
+        once per degree (``_log_powers``)."""
         field = next(iter(self.terms.values())).field
-        lg = log_series(field, n)
-        pw = TruncatedSeries.one(field, n)
+        pws = _log_powers(field, n, max(self.terms))
         acc = None
-        for i in range(max(self.terms) + 1):
-            if i in self.terms:
-                term = (self.terms[i].truncate(n) * pw).truncate(n)
-                acc = term if acc is None else acc + term
-            if i < max(self.terms):
-                pw = (pw * lg).truncate(n)
+        for i in sorted(self.terms):
+            term = (self.terms[i].truncate(n) * pws[i]).truncate(n)
+            acc = term if acc is None else acc + term
         return acc
 
 
@@ -378,15 +395,15 @@ def growth_order(f: LogPolynomial) -> int:
     return max(nz)
 
 
-def growth_order_estimate(f: TruncatedSeries, n_max: int):
-    """Least-squares slope of n -> log_p ||f||_{rho_n} over n = 1..n_max,
-    returned as an interval (slope - h, slope + h) with h the max residual.
+def growth_order_estimate(f: TruncatedSeries):
+    """Least-squares slope of n -> log_p ||f||_{rho_n} over n = 1..3
+    (``ESTIMATE_RADII``), returned as an interval (slope - h, slope + h)
+    with h the max residual.
 
     An estimate only; never used in acceptance decisions.
     """
-    if n_max < 2:
-        raise ValueError("need at least two radii to fit a slope")
-    return _slope_interval([-rho_norm(f, n) for n in range(1, n_max + 1)])
+    return _slope_interval([-rho_norm(f, n)
+                            for n in range(1, ESTIMATE_RADII + 1)])
 
 
 def _slope_interval(ys):
@@ -488,11 +505,13 @@ def divide_by_log(f: TruncatedSeries, n_max: int = 1) -> TruncatedSeries:
     of absolute precision (``ilog_series``).  It keeps f's profile with one
     log power less, and no tail claim when f has none.
 
-    The quotient does not depend on n_max, and a series is never changed
-    after it is made, so f keeps the quotient once made and a later call
-    on f returns that same object.  The checks at x = 0 and at the layers
-    n <= n_max of the call run on every call, before the kept quotient is
-    read.
+    A series is never changed after it is made, so f keeps what a division
+    computes from it: its value at each layer n, evaluated the first time a
+    call checks that layer, and the quotient, which does not depend on
+    n_max; a later call on f returns that same quotient object.  Every call
+    still checks x = 0 and classifies the layers n <= n_max before the kept
+    quotient is read, so it raises the same error each time; only the
+    layers no earlier call checked are evaluated.
     """
     field = f.field
     c0 = f.coeff(0)
@@ -500,8 +519,13 @@ def divide_by_log(f: TruncatedSeries, n_max: int = 1) -> TruncatedSeries:
         raise NotDivisibleError(
             f"constant term has valuation {c0.valuation()} (nonzero at x = 0)",
             witness=("x=0", c0.valuation()))
+    if f._layer_evals is None:
+        f._layer_evals = {}
     for n in range(1, n_max + 1):
-        ev = cyclotomic_evaluate(f, CyclotomicLayer(field, n))
+        ev = f._layer_evals.get(n)
+        if ev is None:
+            ev = cyclotomic_evaluate(f, CyclotomicLayer(field, n))
+            f._layer_evals[n] = ev
         kind, info = ev.classify()
         if kind == "nonzero":
             raise NotDivisibleError(

@@ -323,6 +323,11 @@ def suite_tilde(rng, count, cfg):
     return out
 
 
+def shown_bound(x):
+    """A contradiction bound as printed: 'undecided' when not computed."""
+    return "undecided" if x is None else x
+
+
 def suite_contradiction(rng, count, cfg):
     """The order-versus-divisibility engine: exact numbers on the
     supersingular preset and the Wronskian dichotomy."""
@@ -335,7 +340,8 @@ def suite_contradiction(rng, count, cfg):
     ok = (rep.order_upper == 1 and rep.log_lower == 2 and
           rep.verdict == "forced zero")
     out.append(CaseResult(0, "supersingular-dim2-det", ok,
-                          f"upper={rep.order_upper} lower={rep.log_lower} "
+                          f"upper={shown_bound(rep.order_upper)} "
+                          f"lower={shown_bound(rep.log_lower)} "
                           f"verdict={rep.verdict}"))
     w_field = series_field(cfg, 9)
     for i in range(count):
@@ -348,7 +354,8 @@ def suite_contradiction(rng, count, cfg):
             rep.verdict != "inconclusive"
         out.append(CaseResult(len(out), f"wronskian-{strictness}", ok,
                               f"tH={M.t_H} tN={M.t_N} verdict={rep.verdict} "
-                              f"upper={rep.order_upper} lower={rep.log_lower}"))
+                              f"upper={shown_bound(rep.order_upper)} "
+                              f"lower={shown_bound(rep.log_lower)}"))
     return out
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from padic_hodge import intpoly
 from padic_hodge.analytic import VectorSeries
+from padic_hodge.seriesops import log_series
 from padic_hodge.modules import _fil_dim
 from padic_hodge.series import TruncatedSeries
 
@@ -67,6 +68,23 @@ def from_eigen_terms(module, terms, n):
             comps[i] = comps[i] + series._scalar_mul(field.coerce(coord))
     return VectorSeries(module, comps,
                         eigen_data=[(s, c) for _, s, c in terms])
+
+
+def expand_by_power_loop(lp, n):
+    """``LogPolynomial.expand`` by its definition: log(1+x)^i built afresh
+    by repeated truncated products from 1, each term c_i log(1+x)^i added
+    in ascending exponent."""
+    field = next(iter(lp.terms.values())).field
+    lg = log_series(field, n)
+    pw = TruncatedSeries.one(field, n)
+    acc = None
+    for i in range(max(lp.terms) + 1):
+        if i in lp.terms:
+            term = (lp.terms[i].truncate(n) * pw).truncate(n)
+            acc = term if acc is None else acc + term
+        if i < max(lp.terms):
+            pw = (pw * lg).truncate(n)
+    return acc
 
 
 def slope_lambda(module):

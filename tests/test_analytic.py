@@ -538,7 +538,7 @@ def test_pipeline_undecided_log_bound_is_inconclusive():
     rep = contradiction_pipeline(M, "wronskian", g, n_max=1)
     assert rep.membership.verdict and not rep.membership.indeterminate
     assert (rep.verdict, rep.order_upper, rep.log_lower) == \
-        ("inconclusive", 4, 0)
+        ("inconclusive", 4, None)
     assert rep.provenance[-1] == (
         "log bound undecided: certainty 1/2 below decision threshold 1; "
         "raise the truncation degree")
@@ -596,6 +596,7 @@ def test_pipeline_inconclusive_on_indeterminate_membership():
                            for c in g.components])
     rep = contradiction_pipeline(m, "dim2-det", cut)
     assert rep.membership.indeterminate and rep.verdict == "inconclusive"
+    assert rep.order_upper is None and rep.log_lower is None
     assert rep.provenance == ["membership indeterminate at the configured "
                               "layers"]
     assert rep.det_series is None
@@ -611,6 +612,7 @@ def test_pipeline_names_the_kind_of_each_failed_row():
     assert rep.provenance == [
         "membership hypotheses fail: vanish (j=0, n=1), subspace (j=0, n=1), "
         "vanish (j=0, n=2), subspace (j=0, n=2)"]
+    assert rep.order_upper is None and rep.log_lower is None
 
 
 def test_phi_growth_order_estimate_on_exact_components():

@@ -10,7 +10,8 @@ from padic_hodge.padics import UnramifiedField
 from padic_hodge.series import TruncatedSeries, INFINITE
 from padic_hodge import intpoly
 from padic_hodge import seriesops as so
-from padic_hodge.errors import NotDivisibleError
+from padic_hodge.errors import NotDivisibleError, TailBoundError
+from padic_hodge.modules import modular_form_module
 from padic_hodge import generators as gen
 from padic_hodge.suites import division_margin, series_field
 
@@ -136,6 +137,95 @@ def test_kept_quotient_still_checks_layers(K5div):
             so.divide_by_log(f, n_max=2)
         assert exc.value.witness[0] == 2
     assert so.divide_by_log(f, n_max=1) is q
+
+
+def _count_evaluations(monkeypatch):
+    """(series, layer index) of every ``cyclotomic_evaluate`` call."""
+    calls = []
+    evaluate = so.cyclotomic_evaluate
+
+    def counted(f, layer):
+        calls.append((f, layer.n))
+        return evaluate(f, layer)
+    monkeypatch.setattr(so, "cyclotomic_evaluate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_each_layer_of_a_series_is_evaluated_once(K5div, monkeypatch, r):
+    N = 125
+    lg = so.log_series(K5div, N)
+    f = TruncatedSeries.make(K5div, [2, 7, 1], n=N)
+    for _ in range(r):
+        f = (lg * f).truncate(N)
+    calls = _count_evaluations(monkeypatch)
+    assert so.log_order(f, n_max=1) == r
+    # the last division stops at x = 0, before any layer
+    assert len(calls) == r
+    # log^3 h at N = 125 cannot decide layer 2 on its first two series;
+    # an undecided layer is kept too, and the chain goes on at layer 1
+    for n_max in (1, 2, 2, 1):
+        cur = f
+        for _ in range(r):
+            try:
+                cur = so.divide_by_log(cur, n_max=n_max)
+            except TailBoundError:
+                cur = so.divide_by_log(cur, n_max=1)
+    assert len(calls) == 2 * r
+    assert len({(id(s), n) for s, n in calls}) == len(calls)
+    assert [n for _, n in calls] == [1] * r + [2] * r
+
+
+def test_a_kept_evaluation_raises_the_same_witness(K5div, monkeypatch):
+    x = TruncatedSeries.make(K5div, [0, 1], n=125)
+    calls = _count_evaluations(monkeypatch)
+    witnesses = []
+    for _ in range(2):
+        with pytest.raises(NotDivisibleError) as exc:
+            so.divide_by_log(x, n_max=1)
+        witnesses.append(exc.value.witness)
+    assert witnesses[0] == witnesses[1] and witnesses[0][0] == 1
+    assert len(calls) == 1
+
+
+def test_a_kept_evaluation_stays_undecided(K5div, monkeypatch):
+    # the tail profile lets the layer-1 value sit below valuation 1
+    s = TruncatedSeries.make(K5div, [0, 5, 25], n=10, tail_zero=False,
+                             bound=(Fraction(5), 0, 0))
+    calls = _count_evaluations(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(TailBoundError, match="certainty"):
+            so.divide_by_log(s, n_max=1)
+    assert len(calls) == 1
+
+
+def test_second_member_makes_only_its_own_products(monkeypatch):
+    # the field keeps log(1+x)^k per degree: a second deep member of a
+    # jump -3 module multiplies each b by log^3 and builds no power again
+    field = UnramifiedField(5, 1, 20, work_margin=40)
+    m = modular_form_module(5, 4, 0, field=field)
+    inside, products = [], []
+    polymul, expand = intpoly.polymul, so.LogPolynomial.expand
+
+    def counted_polymul(*args):
+        if inside:
+            products.append(args)
+        return polymul(*args)
+
+    def counted_expand(self, n):
+        inside.append(1)
+        try:
+            return expand(self, n)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(intpoly, "polymul", counted_polymul)
+    monkeypatch.setattr(so.LogPolynomial, "expand", counted_expand)
+    rng = random.Random(3)
+    gen.synthetic_member(m, rng, 40, mode="deep")
+    assert len(products) == m.d + 3
+    del products[:]
+    gen.synthetic_member(m, rng, 40, mode="deep")
+    assert len(products) == m.d
 
 
 def random_k_series(field, rng, n, deg):

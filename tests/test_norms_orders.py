@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from padic_hodge.padics import UnramifiedField
 from padic_hodge.series import TruncatedSeries
 from padic_hodge import seriesops as so
 from padic_hodge.seriesops import LogPolynomial
 from padic_hodge.errors import TailBoundError
 from padic_hodge import generators as gen
+
+from helpers import expand_by_power_loop
 
 
 def direct_min_oracle(coeff_vals, n, p=5):
@@ -107,12 +110,12 @@ def test_estimate_brackets_exact_orders(K5div):
     one = TruncatedSeries.one(K5div, N)
     l3 = (lg * lg).truncate(N)
     l3 = (l3 * lg).truncate(N)
-    lo, hi = so.growth_order_estimate(l3, 3)
+    lo, hi = so.growth_order_estimate(l3)
     assert lo <= 3 <= hi
-    lo, hi = so.growth_order_estimate(one, 3)
+    lo, hi = so.growth_order_estimate(one)
     assert lo <= 0 <= hi
     mixed = (lg * TruncatedSeries.make(K5div, [1, 5], n=N)).truncate(N)
-    lo, hi = so.growth_order_estimate(mixed, 3)
+    lo, hi = so.growth_order_estimate(mixed)
     assert lo <= 1 <= hi
 
 
@@ -126,3 +129,23 @@ def test_structured_expand_consistency(K5):
     lg = so.log_series(K5, n)
     direct = c0.truncate(n) + (c2.truncate(n) * lg * lg).truncate(n)
     assert lp.expand(n).equals(direct.truncate(lp.expand(n).n))
+
+
+def _layout(s):
+    return (s.n, s.shift, s.rel, s.coords, s.bound, s.tail_zero)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("f", [1, 2])
+def test_expand_matches_the_power_loop(p, f):
+    # the field's kept powers of log(1+x) give the bits of powers built
+    # afresh, whether the list is cold, partly built or complete
+    field = UnramifiedField(p, f, 20, work_margin=30)
+    rng = random.Random(10 * p + f)
+    n = 30
+    cs = [gen.random_poly_series(field, rng, n, deg=2) for _ in range(5)]
+    shapes = [{2: 0}, {0: 1}, {4: 2, 1: 3}, {0: 0, 1: 1, 2: 2, 3: 3, 4: 4},
+              {3: 4}, {1: 2, 3: 0}]
+    for shape in shapes:
+        lp = LogPolynomial({i: cs[k] for i, k in shape.items()})
+        assert _layout(lp.expand(n)) == _layout(expand_by_power_loop(lp, n))

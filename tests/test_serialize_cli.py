@@ -264,6 +264,18 @@ def test_cli_series_order_estimate(tmp_path, K5):
     assert json.loads(out) == {"interval": ["0", "0"], "exact": False}
 
 
+def test_cli_series_order_fits_three_radii(tmp_path):
+    # the estimate fits rho_1..rho_3 whatever --nmax says; two radii would
+    # give a line with no residual and an interval of width 0
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"trunc": 25, "coeffs": [1, 2, 3, "1/5"]}))
+    for nmax in ("1", "2", "3"):
+        code, out = run_cli("series", "order", "--in", str(path),
+                            "--nmax", nmax)
+        assert code == 0
+        assert out == "growth_order_estimate\t[1/25, 13/125]\testimate\n"
+
+
 @pytest.mark.parametrize("module, code, verdict", [
     ("supersingular", 0, "True"), ("ordinary", 1, "False")])
 def test_cli_ncond(module, code, verdict):
@@ -319,7 +331,7 @@ def test_cli_verify_contradiction_reports_undecided_case(tmp_path):
     assert code == 1
     lines = out.splitlines()
     assert lines[3] == ("case 1\twronskian-strict\tFAIL\ttH=-9 tN=-5 "
-                        "verdict=inconclusive upper=4 lower=0")
+                        "verdict=inconclusive upper=4 lower=undecided")
     assert lines[-1] == "result\tFAIL\t4 cases, 1 failures"
 
 
@@ -423,6 +435,21 @@ def test_cli_contradict_names_the_kind_of_each_failed_row(tmp_path):
     assert ("provenance\tmembership hypotheses fail: vanish (j=0, n=1), "
             "subspace (j=0, n=1), vanish (j=0, n=2), subspace (j=0, n=2)\n"
             in out)
+
+
+def test_cli_contradict_prints_bounds_it_did_not_compute(tmp_path):
+    # membership fails, so neither bound is computed: no figure is printed
+    series = _cubics_file(tmp_path)
+    code, out = run_cli("contradict", "-m", "supersingular", "--which",
+                        "dim2-det", "--series", series)
+    assert code == 2
+    assert out.startswith("which\tdim2-det\norder_upper\tundecided\n"
+                          "log_lower\tundecided\nverdict\tinconclusive\n")
+    code, out = run_cli("contradict", "-m", "supersingular", "--which",
+                        "dim2-det", "--series", series, "--json")
+    rep = json.loads(out)
+    assert code == 2 and rep["verdict"] == "inconclusive"
+    assert rep["order_upper"] is None and rep["log_lower"] is None
 
 
 @pytest.mark.parametrize("preset", ["ordinary", "qp1"])
